@@ -285,18 +285,22 @@ let build ~options ~mode ~alpha ~t compiled x a rhs =
    Every decision is a pure function of device values, never of timing,
    so runs are deterministic at any job count. *)
 
-type rmos = { md : int; mg : int; ms : int; mspec : Netlist.mosfet_spec }
-
 type rstate = {
   rn : int;
-  rcompiled : compiled;
   rpermute : int array option;
-  rmos : rmos array;
-  rconst : float array array;  (* linear-device part of A at (gmin, h) *)
+  (* Jacobian pattern: every position a stamp can touch, compiled once.
+     Matrices live as one value per slot; a slot index of -1 marks a
+     stamp that touches ground. *)
+  rpattern : Linear.Pattern.t;
+  rgmin_slots : int array;     (* diagonal slot of each node *)
+  rl_value : float array;      (* per linear device: 1/r, c or 1.0 *)
+  rl_cap : bool array;         (* capacitor: value/h, stamped only when h > 0 *)
+  rl_slots : int array;        (* four per linear device, stamping order *)
+  rconst_vals : float array;   (* linear-device part of A at (gmin, h) *)
   mutable rconst_gmin : float;
   mutable rconst_h : float;    (* 0.0 in DC *)
   mutable rconst_ok : bool;
-  rfull : float array array;   (* scratch for re-factorization *)
+  rjac_vals : float array;     (* scratch: assembled A for re-factorization *)
   mutable rfactor : Linear.Factor.t option;
   rref_gm : float array;       (* per-MOSFET values baked into rfactor *)
   rref_gds : float array;
@@ -312,6 +316,7 @@ type rstate = {
   pm_d : int array;            (* per-MOSFET drain/gate/source nodes *)
   pm_g : int array;
   pm_s : int array;
+  pm_slots : int array;        (* six per MOSFET: dd dg ds sd sg ss *)
   pm_sign : float array;       (* +1.0 NMOS, -1.0 PMOS *)
   pm_vth : float array;
   pm_beta : float array;       (* kp·w/l, packed at compile time *)
@@ -330,48 +335,92 @@ type rstate = {
 
 type backend = Dense_backend | Reuse_backend of rstate
 
-(* Off-diagonal structure of the MNA matrix, as graph edges over the
-   unknowns (0-based); feeds the RCM ordering. *)
-let adjacency compiled =
-  let edge acc a b = if a <> 0 && b <> 0 && a <> b then (idx a, idx b) :: acc else acc in
-  List.fold_left
-    (fun acc -> function
-      | CResistor (n1, n2, _) | CCapacitor (n1, n2, _) -> edge acc n1 n2
-      | CVsource { pos; neg; branch; _ } ->
-        let acc = if pos <> 0 then (idx pos, branch) :: acc else acc in
-        if neg <> 0 then (idx neg, branch) :: acc else acc
-      | CIsource _ -> acc
-      | CMosfet { d; g; s; _ } -> edge (edge (edge acc d s) d g) s g)
-    [] compiled.cdevices
-
 (* The banded kernel wins once the permuted half-bandwidth is well under
    the matrix size (elimination cost ~ n·b² vs n³/3); tiny systems are
    not worth the permutation bookkeeping. Chosen per-compile, from
-   structure only. *)
-let auto_permutation compiled =
-  let n = compiled.n_unknowns in
+   structure only: the graph is the pattern's off-diagonal positions. *)
+let auto_permutation pattern =
+  let n = Linear.Pattern.size pattern in
   if n < 16 then None
   else begin
-    let edges = adjacency compiled in
+    let edges = Linear.Pattern.edges pattern in
     let perm = Linear.rcm ~n edges in
     let bw = Linear.bandwidth_under ~perm edges in
     if 4 * (bw + 1) <= n then Some perm else None
   end
 
-let make_rstate ?permute compiled =
+let make_rstate ~banded compiled =
   let n = compiled.n_unknowns in
-  let rmos =
-    List.filter_map
-      (function
-        | CMosfet { d; g; s; spec } -> Some { md = d; mg = g; ms = s; mspec = spec }
-        | _ -> None)
-      compiled.cdevices
-    |> Array.of_list
+  (* Every matrix position a stamp can touch, passed to [f] as row and
+     column over the unknowns, -1 standing for ground. A linear device
+     touches four, in [stamp_conductance]'s order: slots 0 and 1 receive
+     +value, 2 and 3 -value, an order a voltage source's incidences
+     share. A MOSFET touches six, in [build]'s order. *)
+  let linear_positions f = function
+    | CResistor (n1, n2, _) | CCapacitor (n1, n2, _) ->
+      let a = idx n1 and b = idx n2 in
+      f a a;
+      f b b;
+      f a b;
+      f b a
+    | CVsource { pos; neg; branch; _ } ->
+      let p = idx pos and m = idx neg in
+      f p branch;
+      f branch p;
+      f m branch;
+      f branch m
+    | CIsource _ | CMosfet _ -> ()
   in
-  let nm = Array.length rmos in
+  let mos_positions f (d, g, s, _) =
+    let d = idx d and g = idx g and s = idx s in
+    f d d;
+    f d g;
+    f d s;
+    f s d;
+    f s g;
+    f s s
+  in
+  let linear =
+    List.filter
+      (function
+        | CResistor _ | CCapacitor _ | CVsource _ -> true
+        | CIsource _ | CMosfet _ -> false)
+      compiled.cdevices
+  in
+  let mos =
+    List.filter_map
+      (function CMosfet { d; g; s; spec } -> Some (d, g, s, spec) | _ -> None)
+      compiled.cdevices
+  in
+  let pattern =
+    Linear.Pattern.of_positions ~n (fun add ->
+        let add r c = if r >= 0 && c >= 0 then add r c in
+        for i = 0 to compiled.n_nodes - 1 do
+          add i i
+        done;
+        List.iter (linear_positions add) linear;
+        List.iter (mos_positions add) mos)
+  in
+  let slot r c =
+    if r < 0 || c < 0 then -1 else Linear.Pattern.slot pattern r c
+  in
+  (* The slots of [per] positions per device, in stamping order. *)
+  let slots ~per positions devices =
+    let a = Array.make (per * List.length devices) (-1) and k = ref 0 in
+    List.iter
+      (positions (fun r c ->
+           a.(!k) <- slot r c;
+           incr k))
+      devices;
+    a
+  in
   (* Pack the stamp plan. Within each device class the packing preserves
      netlist order, so the plan is a pure function of the compiled
      netlist and every backend decision stays deterministic. *)
+  let pm_slots = slots ~per:6 mos_positions mos in
+  let mos = Array.of_list mos in
+  let nm = Array.length mos in
+  let spec_of (_, _, _, spec) = spec in
   let vsources =
     List.filter_map
       (function CVsource { branch; wave; _ } -> Some (branch, wave) | _ -> None)
@@ -389,14 +438,26 @@ let make_rstate ?permute compiled =
   in
   {
     rn = n;
-    rcompiled = compiled;
-    rpermute = permute;
-    rmos;
-    rconst = Linear.matrix n;
+    rpermute = (if banded then auto_permutation pattern else None);
+    rpattern = pattern;
+    rgmin_slots = Array.init compiled.n_nodes (fun i -> slot i i);
+    rl_value =
+      Array.of_list
+        (List.map
+           (function
+             | CResistor (_, _, r) -> 1.0 /. r
+             | CCapacitor (_, _, c) -> c
+             | CVsource _ | CIsource _ | CMosfet _ -> 1.0)
+           linear);
+    rl_cap =
+      Array.of_list
+        (List.map (function CCapacitor _ -> true | _ -> false) linear);
+    rl_slots = slots ~per:4 linear_positions linear;
+    rconst_vals = Array.make (Linear.Pattern.nnz pattern) 0.0;
     rconst_gmin = Float.nan;
     rconst_h = Float.nan;
     rconst_ok = false;
-    rfull = Linear.matrix n;
+    rjac_vals = Array.make (Linear.Pattern.nnz pattern) 0.0;
     rfactor = None;
     rref_gm = Array.make nm 0.0;
     rref_gds = Array.make nm 0.0;
@@ -404,25 +465,26 @@ let make_rstate ?permute compiled =
     rcur_gm = Array.make nm 0.0;
     rcur_gds = Array.make nm 0.0;
     rrhs = Array.make n 0.0;
-    pm_d = Array.map (fun m -> m.md) rmos;
-    pm_g = Array.map (fun m -> m.mg) rmos;
-    pm_s = Array.map (fun m -> m.ms) rmos;
+    pm_d = Array.map (fun (d, _, _, _) -> d) mos;
+    pm_g = Array.map (fun (_, g, _, _) -> g) mos;
+    pm_s = Array.map (fun (_, _, s, _) -> s) mos;
+    pm_slots;
     pm_sign =
       Array.map
         (fun m ->
-          match m.mspec.Netlist.polarity with
+          match (spec_of m).Netlist.polarity with
           | Mos_model.Nmos -> 1.0
           | Mos_model.Pmos -> -1.0)
-        rmos;
-    pm_vth = Array.map (fun m -> m.mspec.Netlist.params.Mos_model.vth) rmos;
+        mos;
+    pm_vth = Array.map (fun m -> (spec_of m).Netlist.params.Mos_model.vth) mos;
     pm_beta =
       Array.map
         (fun m ->
-          m.mspec.Netlist.params.Mos_model.kp *. m.mspec.Netlist.w
-          /. m.mspec.Netlist.l)
-        rmos;
+          let spec = spec_of m in
+          spec.Netlist.params.Mos_model.kp *. spec.Netlist.w /. spec.Netlist.l)
+        mos;
     pm_lambda =
-      Array.map (fun m -> m.mspec.Netlist.params.Mos_model.lambda) rmos;
+      Array.map (fun m -> (spec_of m).Netlist.params.Mos_model.lambda) mos;
     pm_vgs = Array.make nm 0.0;
     pm_vds = Array.make nm 0.0;
     pv_branch = Array.of_list (List.map (fun (b, _) -> b) vsources);
@@ -438,34 +500,30 @@ let make_rstate ?permute compiled =
 let make_backend compiled =
   match current_solver () with
   | Dense -> Dense_backend
-  | Rank1 -> Reuse_backend (make_rstate compiled)
-  | Auto -> Reuse_backend (make_rstate ?permute:(auto_permutation compiled) compiled)
+  | Rank1 -> Reuse_backend (make_rstate ~banded:false compiled)
+  | Auto -> Reuse_backend (make_rstate ~banded:true compiled)
 
+let[@inline] add_slot a s v =
+  if s >= 0 then Array.unsafe_set a s (Array.unsafe_get a s +. v)
+
+(* The constant part straight into the pattern's slots, each entry
+   receiving its contributions in [build]'s order: gmin first, then the
+   devices in netlist order. *)
 let rebuild_const state ~gmin ~h =
-  let a = state.rconst in
-  let n = state.rn in
-  for i = 0 to n - 1 do
-    Array.fill a.(i) 0 n 0.0
+  let a = state.rconst_vals in
+  Array.fill a 0 (Array.length a) 0.0;
+  Array.iter (fun s -> add_slot a s gmin) state.rgmin_slots;
+  let slots = state.rl_slots in
+  for k = 0 to Array.length state.rl_value - 1 do
+    let cap = state.rl_cap.(k) in
+    if (not cap) || h > 0.0 then begin
+      let v = if cap then state.rl_value.(k) /. h else state.rl_value.(k) in
+      add_slot a slots.(4 * k) v;
+      add_slot a slots.((4 * k) + 1) v;
+      add_slot a slots.((4 * k) + 2) (-.v);
+      add_slot a slots.((4 * k) + 3) (-.v)
+    end
   done;
-  for node = 1 to state.rcompiled.n_nodes do
-    a.(idx node).(idx node) <- a.(idx node).(idx node) +. gmin
-  done;
-  List.iter
-    (function
-      | CResistor (n1, n2, r) -> stamp_conductance a (1.0 /. r) n1 n2
-      | CCapacitor (n1, n2, c) -> if h > 0.0 then stamp_conductance a (c /. h) n1 n2
-      | CVsource { pos; neg; branch; _ } ->
-        if pos <> 0 then begin
-          a.(idx pos).(branch) <- a.(idx pos).(branch) +. 1.0;
-          a.(branch).(idx pos) <- a.(branch).(idx pos) +. 1.0
-        end;
-        if neg <> 0 then begin
-          a.(idx neg).(branch) <- a.(idx neg).(branch) -. 1.0;
-          a.(branch).(idx neg) <- a.(branch).(idx neg) -. 1.0
-        end
-      | CIsource _ -> ()
-      | CMosfet _ -> ())
-    state.rcompiled.cdevices;
   state.rconst_gmin <- gmin;
   state.rconst_h <- h;
   state.rconst_ok <- true;
@@ -476,7 +534,7 @@ let rebuild_const state ~gmin ~h =
    linearizations. Bit-identical to per-device [Mos_model.evaluate]
    (see that function's contract), with no per-iteration allocation. *)
 let eval_mosfets state x =
-  let nm = Array.length state.rmos in
+  let nm = Array.length state.pm_d in
   let pm_d = state.pm_d and pm_g = state.pm_g and pm_s = state.pm_s in
   let vgs = state.pm_vgs and vds = state.pm_vds in
   for k = 0 to nm - 1 do
@@ -494,25 +552,21 @@ let eval_mosfets state x =
     ~gm:state.rcur_gm ~gds:state.rcur_gds
 
 let refactor state =
-  let n = state.rn in
-  let a = state.rfull in
-  for i = 0 to n - 1 do
-    Array.blit state.rconst.(i) 0 a.(i) 0 n
+  let a = state.rjac_vals in
+  Array.blit state.rconst_vals 0 a 0 (Array.length a);
+  let slots = state.pm_slots in
+  for k = 0 to Array.length state.pm_d - 1 do
+    let gm = state.rcur_gm.(k) and gds = state.rcur_gds.(k) in
+    add_slot a slots.(6 * k) gds;
+    add_slot a slots.((6 * k) + 1) gm;
+    add_slot a slots.((6 * k) + 2) (-.(gm +. gds));
+    add_slot a slots.((6 * k) + 3) (-.gds);
+    add_slot a slots.((6 * k) + 4) (-.gm);
+    add_slot a slots.((6 * k) + 5) (gm +. gds)
   done;
-  Array.iteri
-    (fun k m ->
-      let gm = state.rcur_gm.(k) and gds = state.rcur_gds.(k) in
-      let add r c v =
-        if r <> 0 && c <> 0 then a.(idx r).(idx c) <- a.(idx r).(idx c) +. v
-      in
-      add m.md m.md gds;
-      add m.md m.mg gm;
-      add m.md m.ms (-.(gm +. gds));
-      add m.ms m.md (-.gds);
-      add m.ms m.mg (-.gm);
-      add m.ms m.ms (gm +. gds))
-    state.rmos;
-  match Linear.Factor.factor ?permute:state.rpermute a with
+  match
+    Linear.Factor.factor_pattern ?permute:state.rpermute state.rpattern a
+  with
   | exception Linear.Singular ->
     state.rfactor <- None;
     false
@@ -567,15 +621,15 @@ let apply_mos_updates state f changed =
   let rec go f = function
     | [] -> Some f
     | k :: rest ->
-      let m = state.rmos.(k) in
+      let d = state.pm_d.(k) and g = state.pm_g.(k) and s = state.pm_s.(k) in
       let dgds = state.rcur_gds.(k) -. state.rref_gds.(k) in
       let dgm = state.rcur_gm.(k) -. state.rref_gm.(k) in
-      let uds = inc_vector n m.md m.ms in
+      let uds = inc_vector n d s in
       let v = Array.make n 0.0 in
       let addv node c = if node <> 0 then v.(idx node) <- v.(idx node) +. c in
-      addv m.md dgds;
-      addv m.ms (-.(dgds +. dgm));
-      addv m.mg dgm;
+      addv d dgds;
+      addv s (-.(dgds +. dgm));
+      addv g dgm;
       (match Linear.Factor.rank1_update f ~c:1.0 ~u:uds ~v with
       | None -> None
       | Some f -> go f rest)
@@ -588,7 +642,7 @@ let ensure_factor state =
   | Some f ->
     let changed = ref [] in
     let n_changed = ref 0 in
-    for k = Array.length state.rmos - 1 downto 0 do
+    for k = Array.length state.pm_d - 1 downto 0 do
       if moved state k then begin
         changed := k :: !changed;
         incr n_changed
@@ -670,7 +724,7 @@ let build_rhs_reuse state ~mode ~alpha ~t x =
   done;
   (* MOSFET ieq against the gm/gds baked into the factorization; the bias
      scratch still holds this guess's vgs/vds from [eval_mosfets]. *)
-  let nm = Array.length state.rmos in
+  let nm = Array.length state.pm_d in
   for k = 0 to nm - 1 do
     let d = Array.unsafe_get state.pm_d k in
     let s = Array.unsafe_get state.pm_s k in
@@ -792,7 +846,9 @@ let newton ~backend ~options ~mode ~alpha ~t compiled x0 =
   | Reuse_backend state -> newton_reuse ~state ~options ~mode ~alpha ~t compiled x0
 
 (* Solve one point, recording how many Newton iterations were spent and
-   which convergence aid finally succeeded. *)
+   which convergence aid finally succeeded. [what] names the point for
+   the failure message; it is formatted only on failure, since a
+   transient solves hundreds of thousands of points per run. *)
 let solve_point_diag ~backend ~options ~mode ~t compiled x0 ~what =
   let spent = ref 0 in
   let try_newton ~options ~alpha x =
@@ -846,7 +902,7 @@ let solve_point_diag ~backend ~options ~mode ~t compiled x0 ~what =
         Util.Telemetry.count "engine.solves";
         Util.Telemetry.count ~by:!spent "newton_iterations";
         Util.Telemetry.count "engine.no_convergence";
-        raise (No_convergence what)))
+        raise (No_convergence (what ()))))
 
 let solve_point ~backend ~options ~mode ~t compiled x0 ~what =
   fst (solve_point_diag ~backend ~options ~mode ~t compiled x0 ~what)
@@ -932,33 +988,61 @@ let sn_cache_for sn =
    how often the derivation re-runs. *)
 let sn_cache_limit = 32
 
+(* The cache key is an exact, self-delimiting encoding: every float as
+   its 64 bits, every int as an unsigned LEB128 varint (one byte below
+   128), every string and list behind its length. Distinct (netlist,
+   options) pairs thus never share a key, whatever characters a device
+   name holds. *)
+let rec key_int b i =
+  if i land lnot 0x7f = 0 then Buffer.add_char b (Char.chr i)
+  else begin
+    Buffer.add_char b (Char.chr (0x80 lor (i land 0x7f)));
+    key_int b (i lsr 7)
+  end
+
+let key_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+
+let key_string b s =
+  key_int b (String.length s);
+  Buffer.add_string b s
+
 let fingerprint_wave b w =
   match Waveform.view w with
-  | Waveform.View_dc v -> Buffer.add_string b (Printf.sprintf "D%h" v)
+  | Waveform.View_dc v ->
+    Buffer.add_char b 'D';
+    key_float b v
   | Waveform.View_pwl pts ->
     Buffer.add_char b 'W';
+    key_int b (List.length pts);
     List.iter
-      (fun (t, v) -> Buffer.add_string b (Printf.sprintf "%h:%h;" t v))
+      (fun (t, v) ->
+        key_float b t;
+        key_float b v)
       pts
   | Waveform.View_pulse { v0; v1; delay; rise; fall; width; period } ->
-    Buffer.add_string b
-      (Printf.sprintf "P%h,%h,%h,%h,%h,%h,%h" v0 v1 delay rise fall width
-         period)
+    Buffer.add_char b 'P';
+    List.iter (key_float b) [ v0; v1; delay; rise; fall; width; period ]
 
-(* Value-level fingerprint of a netlist: device names, kinds, parameters
-   and pin indices. Used only as a cache key for derived nominal entries
-   — a collision could at worst seed with a different skeleton's
-   factorization, which still converges to the correct solution (the
-   seed is a preconditioner, see the soundness note above). *)
-let fingerprint_netlist netlist =
-  let b = Buffer.create 512 in
+(* Value-level fingerprint of a netlist under [options]: the options,
+   then device names, kinds, parameters and pin indices. Used only as a
+   cache key for derived nominal entries. *)
+let fingerprint ~(options : options) netlist =
+  let devices = Netlist.devices netlist in
+  let b = Buffer.create (64 * (List.length devices + 1)) in
+  List.iter (key_float b)
+    [ options.gmin; options.abstol; options.vntol; options.reltol;
+      options.max_step_voltage ];
+  key_int b options.max_iterations;
   List.iter
     (fun (dv : Netlist.device_view) ->
-      Buffer.add_string b dv.dev_name;
-      Buffer.add_char b '=';
+      key_string b dv.dev_name;
       (match dv.kind with
-      | Netlist.Resistor r -> Buffer.add_string b (Printf.sprintf "R%h" r)
-      | Netlist.Capacitor c -> Buffer.add_string b (Printf.sprintf "C%h" c)
+      | Netlist.Resistor r ->
+        Buffer.add_char b 'R';
+        key_float b r
+      | Netlist.Capacitor c ->
+        Buffer.add_char b 'C';
+        key_float b c
       | Netlist.Vsource w ->
         Buffer.add_char b 'V';
         fingerprint_wave b w
@@ -966,27 +1050,23 @@ let fingerprint_netlist netlist =
         Buffer.add_char b 'I';
         fingerprint_wave b w
       | Netlist.Mosfet spec ->
-        Buffer.add_string b
-          (Printf.sprintf "M%c%h,%h,%h,%h,%h"
-             (match spec.Netlist.polarity with
-             | Mos_model.Nmos -> 'n'
-             | Mos_model.Pmos -> 'p')
-             spec.Netlist.params.Mos_model.vth
-             spec.Netlist.params.Mos_model.kp
-             spec.Netlist.params.Mos_model.lambda spec.Netlist.w
-             spec.Netlist.l));
+        Buffer.add_char b
+          (match spec.Netlist.polarity with
+          | Mos_model.Nmos -> 'n'
+          | Mos_model.Pmos -> 'p');
+        List.iter (key_float b)
+          [ spec.Netlist.params.Mos_model.vth;
+            spec.Netlist.params.Mos_model.kp;
+            spec.Netlist.params.Mos_model.lambda; spec.Netlist.w;
+            spec.Netlist.l ]);
+      key_int b (List.length dv.pin_nodes);
       List.iter
         (fun (role, node) ->
-          Buffer.add_string b
-            (Printf.sprintf "@%s:%d" role (Netlist.index_of_node node)))
-        dv.pin_nodes;
-      Buffer.add_char b '|')
-    (Netlist.devices netlist);
+          key_string b role;
+          key_int b (Netlist.index_of_node node))
+        dv.pin_nodes)
+    devices;
   Buffer.contents b
-
-let fingerprint_options (o : options) =
-  Printf.sprintf "%h/%h/%h/%h/%d/%h" o.gmin o.abstol o.vntol o.reltol
-    o.max_iterations o.max_step_voltage
 
 (* Derive the skeleton's entry: solve its DC operating point, then
    factor the Jacobian exactly at the converged point under the target
@@ -995,12 +1075,12 @@ let sn_derive ~options stripped =
   Util.Telemetry.silenced @@ fun () ->
   Util.Watchdog.unmetered @@ fun () ->
   let compiled = compile stripped in
-  let state = make_rstate ?permute:(auto_permutation compiled) compiled in
+  let state = make_rstate ~banded:true compiled in
   let backend = Reuse_backend state in
   match
     solve_point ~backend ~options ~mode:Dc_mode ~t:0.0 compiled
       (Array.make compiled.n_unknowns 0.0)
-      ~what:"shared nominal derivation"
+      ~what:(fun () -> "shared nominal derivation")
   with
   | exception No_convergence _ -> None
   | exception Linear.Singular -> None
@@ -1016,7 +1096,7 @@ let sn_derive ~options stripped =
       Some
         {
           e_n = compiled.n_unknowns;
-          e_nmos = Array.length state.rmos;
+          e_nmos = Array.length state.pm_d;
           e_x = x;
           e_factor = (match state.rfactor with Some f -> f | None -> assert false);
           e_ref_gm = Array.copy state.rref_gm;
@@ -1029,7 +1109,7 @@ let sn_entry sn ~options ~stamps netlist =
   List.iter
     (fun (dv : Netlist.device_view) -> Netlist.remove_device stripped dv.dev_name)
     stamps;
-  let key = fingerprint_netlist stripped ^ "#" ^ fingerprint_options options in
+  let key = fingerprint ~options stripped in
   let cache = sn_cache_for sn in
   match Hashtbl.find_opt cache key with
   | Some entry -> entry
@@ -1151,7 +1231,7 @@ let dc_operating_point_diag ?options netlist =
   in
   let x, diag =
     solve_point_diag ~backend ~options ~mode:Dc_mode ~t:0.0 compiled x0
-      ~what:"dc operating point"
+      ~what:(fun () -> "dc operating point")
   in
   make_solution compiled ~t:0.0 x, diag
 
@@ -1192,7 +1272,9 @@ let transient_diag ?options netlist ~stop ~step =
     | Some warm -> warm
     | None -> Array.make compiled.n_unknowns 0.0
   in
-  let x_dc = solve ~mode:Dc_mode ~t:0.0 x0 ~what:"transient initial point" in
+  let x_dc =
+    solve ~mode:Dc_mode ~t:0.0 x0 ~what:(fun () -> "transient initial point")
+  in
   let n_steps = int_of_float (Float.round (stop /. step)) in
   (* A failed Newton solve at a full step (sharp clock edge, regenerative
      transition) is retried over recursively halved sub-steps; only when
@@ -1201,7 +1283,8 @@ let transient_diag ?options netlist ~stop ~step =
     let t = t_prev +. h in
     let mode = Transient_mode { h; x_prev } in
     match
-      solve ~mode ~t x_prev ~what:(Printf.sprintf "transient step at t=%.3e" t)
+      solve ~mode ~t x_prev ~what:(fun () ->
+          Printf.sprintf "transient step at t=%.3e" t)
     with
     | x -> x
     | exception No_convergence _ when depth > 0 ->
@@ -1252,7 +1335,7 @@ let dc_sweep ?options netlist ~source ~values =
     let backend = make_backend compiled in
     let x =
       solve_point ~backend ~options ~mode:Dc_mode ~t:0.0 compiled seed
-        ~what:(Printf.sprintf "dc sweep %s=%g" source value)
+        ~what:(fun () -> Printf.sprintf "dc sweep %s=%g" source value)
     in
     make_solution compiled ~t:0.0 x, x
   in
@@ -1310,7 +1393,7 @@ let ac_sweep ?options netlist ~source ~frequencies =
   let backend = make_backend compiled in
   let op =
     solve_point ~backend ~options ~mode:Dc_mode ~t:0.0 compiled x0
-      ~what:"ac operating point"
+      ~what:(fun () -> "ac operating point")
   in
   let n = compiled.n_unknowns in
   let re v = { Complex.re = v; im = 0.0 } in

@@ -1,6 +1,6 @@
 (** The analog simulation engine: DC operating point and transient.
 
-    Modified nodal analysis with dense LU; nonlinear devices are solved by
+    Modified nodal analysis solved by LU; nonlinear devices are solved by
     damped Newton–Raphson with a gmin shunt on every node, gmin stepping
     and source stepping as fallbacks — the standard SPICE convergence
     aids, which matter here because injected faults routinely produce
@@ -71,11 +71,14 @@ val with_options_override : options -> (unit -> 'a) -> 'a
       linearization has moved beyond a tight tolerance (Jacobian bypass),
       folds small changes in as Sherman–Morrison rank-1 updates, and
       re-factors only when many devices move at once or an update's
-      denominator guard trips.
+      denominator guard trips. It assembles the Jacobian into a pattern
+      of the positions its stamps can touch, compiled once per netlist,
+      and factors it with the sparse LU, which picks [Dense]'s pivots
+      and repeats its arithmetic on the stored entries.
     - [Auto] (the default) is [Rank1] plus a per-compile structural
-      choice of LU kernel: if an RCM ordering of the node adjacency graph
+      choice of LU kernel: if an RCM ordering of the pattern's graph
       yields a half-bandwidth well under the matrix size, the band-limited
-      kernel is used instead of the dense one.
+      kernel is used instead of the sparse one.
 
     All reuse/fallback decisions are pure functions of device values —
     never of timing — so results are deterministic at any job count,

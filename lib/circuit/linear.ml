@@ -199,48 +199,110 @@ let substitute_banded_in_place a piv ~bl ~bu_eff b =
 
 (* --- reverse Cuthill-McKee --------------------------------------------- *)
 
+(* Insertion-sort [a.(lo) .. a.(hi - 1)] under [before]: the segments
+   sorted here (a row's columns, a vertex's neighbours) hold a handful
+   of entries. *)
+let sort_segment a lo hi before =
+  for j = lo + 1 to hi - 1 do
+    let v = a.(j) in
+    let i = ref j in
+    while !i > lo && before v a.(!i - 1) do
+      a.(!i) <- a.(!i - 1);
+      decr i
+    done;
+    a.(!i) <- v
+  done
+
+(* Sort [a.(lo) .. a.(hi - 1)] ascending, move its distinct values to
+   the front and return how many there are. The sort is [sort_segment]'s
+   with the comparison written out: it runs on every compile, and an
+   indirect call per comparison shows there. *)
+let uniq_segment (a : int array) lo hi =
+  for j = lo + 1 to hi - 1 do
+    let v = a.(j) in
+    let i = ref j in
+    while !i > lo && a.(!i - 1) > v do
+      a.(!i) <- a.(!i - 1);
+      decr i
+    done;
+    a.(!i) <- v
+  done;
+  let k = ref lo in
+  for j = lo to hi - 1 do
+    if j = lo || a.(j) <> a.(!k - 1) then begin
+      a.(!k) <- a.(j);
+      incr k
+    end
+  done;
+  !k - lo
+
 let rcm ~n edges =
-  let adj = Array.make n [] in
+  let valid a b = a <> b && a >= 0 && a < n && b >= 0 && b < n in
+  (* Undirected adjacency in CSR form: vertex i's neighbours sit in
+     [nbr.(start.(i)) .. nbr.(start.(i) + degree.(i) - 1)], deduplicated. *)
+  let start = Array.make (n + 1) 0 in
   List.iter
     (fun (a, b) ->
-      if a <> b && a >= 0 && a < n && b >= 0 && b < n then begin
-        adj.(a) <- b :: adj.(a);
-        adj.(b) <- a :: adj.(b)
+      if valid a b then begin
+        start.(a + 1) <- start.(a + 1) + 1;
+        start.(b + 1) <- start.(b + 1) + 1
       end)
     edges;
-  Array.iteri (fun i l -> adj.(i) <- List.sort_uniq compare l) adj;
-  let degree i = List.length adj.(i) in
+  for i = 1 to n do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let nbr = Array.make start.(n) 0 in
+  let fill = Array.sub start 0 n in
+  let add a b =
+    nbr.(fill.(a)) <- b;
+    fill.(a) <- fill.(a) + 1
+  in
+  List.iter
+    (fun (a, b) ->
+      if valid a b then begin
+        add a b;
+        add b a
+      end)
+    edges;
+  let degree =
+    Array.init n (fun i -> uniq_segment nbr start.(i) start.(i + 1))
+  in
+  (* (degree, index) order, lowest first. *)
+  let before a b =
+    degree.(a) < degree.(b) || (degree.(a) = degree.(b) && a <= b)
+  in
   (* Neighbours are visited lowest-degree first; ties break on the index,
      so the ordering is a pure function of the graph. *)
-  let by_degree =
-    Array.map
-      (fun l -> List.sort (fun a b -> compare (degree a, a) (degree b, b)) l)
-      adj
-  in
+  for i = 0 to n - 1 do
+    sort_segment nbr start.(i) (start.(i) + degree.(i)) before
+  done;
   let visited = Array.make n false in
   let order = Array.make n 0 in
-  let filled = ref 0 in
-  let queue = Queue.create () in
+  (* [order] doubles as the breadth-first queue: entries past [head]
+     are enqueued, not yet expanded. *)
+  let tail = ref 0 in
   let push v =
     if not visited.(v) then begin
       visited.(v) <- true;
-      Queue.add v queue
+      order.(!tail) <- v;
+      incr tail
     end
   in
   let rec component () =
     (* Start each component from its minimum-degree vertex. *)
-    let start = ref (-1) in
+    let first = ref (-1) in
     for i = n - 1 downto 0 do
-      if not visited.(i) && (!start < 0 || (degree i, i) <= (degree !start, !start))
-      then start := i
+      if (not visited.(i)) && (!first < 0 || before i !first) then first := i
     done;
-    if !start >= 0 then begin
-      push !start;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        order.(!filled) <- v;
-        incr filled;
-        List.iter push by_degree.(v)
+    if !first >= 0 then begin
+      let head = ref !tail in
+      push !first;
+      while !head < !tail do
+        let v = order.(!head) in
+        incr head;
+        for j = start.(v) to start.(v) + degree.(v) - 1 do
+          push nbr.(j)
+        done
       done;
       component ()
     end
@@ -261,11 +323,393 @@ let bandwidth_under ~perm edges =
       else acc)
     0 edges
 
+(* --- sparsity patterns --------------------------------------------------- *)
+
+module Pattern = struct
+  type t = { n : int; row_ptr : int array; col : int array }
+
+  let size p = p.n
+  let nnz p = Array.length p.col
+
+  (* Per-domain scratch for [of_positions]: the positions as they
+     arrive, then their columns bucketed by row. It only grows, so
+     building a pattern allocates nothing but the pattern. *)
+  type scratch = {
+    mutable rows : int array;
+    mutable cols : int array;
+    mutable bucket : int array;
+    mutable start : int array;
+  }
+
+  let scratch_key =
+    Domain.DLS.new_key (fun () ->
+        { rows = [||]; cols = [||]; bucket = [||]; start = [||] })
+
+  let of_positions ~n iter =
+    let s = Domain.DLS.get scratch_key in
+    let m = ref 0 in
+    iter (fun r c ->
+        if r < 0 || r >= n || c < 0 || c >= n then
+          invalid_arg "Linear.Pattern.of_positions: position out of range";
+        if !m = Array.length s.rows then begin
+          let grow a =
+            let b = Array.make (max 64 (2 * !m)) 0 in
+            Array.blit a 0 b 0 !m;
+            b
+          in
+          s.rows <- grow s.rows;
+          s.cols <- grow s.cols
+        end;
+        s.rows.(!m) <- r;
+        s.cols.(!m) <- c;
+        incr m);
+    let m = !m in
+    if Array.length s.bucket < m then
+      s.bucket <- Array.make (Array.length s.rows) 0;
+    if Array.length s.start < n + 1 then s.start <- Array.make (n + 1) 0;
+    let rows = s.rows and cols = s.cols in
+    let bucket = s.bucket and start = s.start in
+    (* Counting sort by row: afterwards row r's columns fill
+       [bucket.(start.(r - 1)) .. bucket.(start.(r) - 1)]. *)
+    Array.fill start 0 (n + 1) 0;
+    for i = 0 to m - 1 do
+      start.(rows.(i) + 1) <- start.(rows.(i) + 1) + 1
+    done;
+    for r = 1 to n do
+      start.(r) <- start.(r) + start.(r - 1)
+    done;
+    for i = 0 to m - 1 do
+      let r = rows.(i) in
+      bucket.(start.(r)) <- cols.(i);
+      start.(r) <- start.(r) + 1
+    done;
+    (* Each row's distinct columns, ascending, at the row's front. *)
+    let row_ptr = Array.make (n + 1) 0 in
+    for r = 0 to n - 1 do
+      let lo = if r = 0 then 0 else start.(r - 1) in
+      row_ptr.(r + 1) <- row_ptr.(r) + uniq_segment bucket lo start.(r)
+    done;
+    let col = Array.make row_ptr.(n) 0 in
+    for r = 0 to n - 1 do
+      let lo = if r = 0 then 0 else start.(r - 1) in
+      Array.blit bucket lo col row_ptr.(r) (row_ptr.(r + 1) - row_ptr.(r))
+    done;
+    { n; row_ptr; col }
+
+  let of_dense a =
+    let n = Array.length a in
+    let row_ptr = Array.make (n + 1) 0 in
+    let col = Array.make (n * n) 0 and value = Array.make (n * n) 0.0 in
+    let nnz = ref 0 in
+    for i = 0 to n - 1 do
+      let row = a.(i) in
+      if Array.length row <> n then
+        invalid_arg "Linear.Pattern.of_dense: square matrix expected";
+      for j = 0 to n - 1 do
+        let x = row.(j) in
+        if x <> 0.0 then begin
+          col.(!nnz) <- j;
+          value.(!nnz) <- x;
+          incr nnz
+        end
+      done;
+      row_ptr.(i + 1) <- !nnz
+    done;
+    { n; row_ptr; col = Array.sub col 0 !nnz }, Array.sub value 0 !nnz
+
+  (* Rows hold their columns in ascending order. *)
+  let slot p r c =
+    let rec scan e =
+      if e >= p.row_ptr.(r + 1) || p.col.(e) > c then -1
+      else if p.col.(e) = c then e
+      else scan (e + 1)
+    in
+    scan p.row_ptr.(r)
+
+  (* Each undirected edge once: (r, c) below the diagonal only when its
+     transpose is not stored. *)
+  let edges p =
+    let acc = ref [] in
+    for r = p.n - 1 downto 0 do
+      for e = p.row_ptr.(r + 1) - 1 downto p.row_ptr.(r) do
+        let c = p.col.(e) in
+        if r < c || (r > c && slot p c r < 0) then acc := (r, c) :: !acc
+      done
+    done;
+    !acc
+end
+
+(* --- sparse LU ---------------------------------------------------------- *)
+
+(* Right-looking elimination over a pattern, repeating [factor_in_place]
+   exactly on the stored entries: the same pivots (largest magnitude,
+   lowest position on ties), the same multipliers, and every entry's
+   updates in ascending step order, with fill-in created as 0 - l·u as
+   the dense kernel computes it. The only operations skipped are those
+   against a structural zero, which add or subtract an exact zero and so
+   can change at most the sign of an entry that is itself zero.
+
+   Fill-in lives in a per-domain workspace: the active entries of every
+   original row, the rows holding each column, the row permutation and
+   the buffers L and U are collected in. Rows and column lists sit in
+   flat arrays at a fixed stride; one that outgrows it restarts the call
+   at twice the stride (never past n, where nothing can outgrow it), so
+   once warm a factorization allocates nothing but its own result. *)
+type workspace = {
+  mutable cap : int;         (* rows and columns the arrays hold *)
+  mutable stride : int;      (* room per row and per column list *)
+  mutable rcol : int array;  (* row r's active columns from r·stride *)
+  mutable rval : float array;
+  mutable rlen : int array;
+  mutable crow : int array;  (* rows holding column c, from c·stride *)
+  mutable clen : int array;
+  mutable pos : int array;   (* position of each original row *)
+  mutable at : int array;    (* original row at each position *)
+  mutable mark : int array;  (* per column: stamp of the last scatter *)
+  mutable slot : int array;  (* per column: its index in that row *)
+  mutable cand : int array;  (* rows holding the pivot column... *)
+  mutable cand_slot : int array;  (* ...and the index of that entry *)
+  mutable stamp : int;
+  mutable lrow : int array;  (* L by step; at most one per column entry *)
+  mutable lval : float array;
+  mutable ucol : int array;  (* U by row; at most one per row entry *)
+  mutable uval : float array;
+}
+
+exception Outgrown
+
+let workspace_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        cap = 0; stride = 0; rcol = [||]; rval = [||]; rlen = [||];
+        crow = [||]; clen = [||]; pos = [||]; at = [||]; mark = [||];
+        slot = [||]; cand = [||]; cand_slot = [||]; stamp = 0; lrow = [||];
+        lval = [||]; ucol = [||]; uval = [||];
+      })
+
+let resize w ~cap ~stride =
+  let size = cap * stride in
+  w.cap <- cap;
+  w.stride <- stride;
+  w.rcol <- Array.make size 0;
+  w.rval <- Array.make size 0.0;
+  w.rlen <- Array.make cap 0;
+  w.crow <- Array.make size 0;
+  w.clen <- Array.make cap 0;
+  w.pos <- Array.make cap 0;
+  w.at <- Array.make cap 0;
+  w.mark <- Array.make cap 0;
+  w.slot <- Array.make cap 0;
+  w.cand <- Array.make cap 0;
+  w.cand_slot <- Array.make cap 0;
+  w.stamp <- 0;
+  w.lrow <- Array.make size 0;
+  w.lval <- Array.make size 0.0;
+  w.ucol <- Array.make size 0;
+  w.uval <- Array.make size 0.0
+
+type sparse_lu = {
+  prow : int array;     (* original row at each final position *)
+  l_ptr : int array;    (* L by step: multipliers below the pivot *)
+  l_pos : int array;    (* final position of each multiplier's row *)
+  l_val : float array;
+  u_ptr : int array;    (* U by row, off-diagonal, ascending column *)
+  u_col : int array;
+  u_val : float array;
+  u_diag : float array;
+}
+
+let eliminate w (p : Pattern.t) a =
+  let n = p.Pattern.n and stride = w.stride in
+  let rcol = w.rcol and rval = w.rval and rlen = w.rlen in
+  let crow = w.crow and clen = w.clen in
+  let pos = w.pos and at = w.at and mark = w.mark and slot = w.slot in
+  let cand = w.cand and cand_slot = w.cand_slot in
+  let lrow = w.lrow and lval = w.lval and ucol = w.ucol and uval = w.uval in
+  let scale = ref 0.0 in
+  for e = 0 to Array.length a - 1 do
+    let m = Float.abs (Array.unsafe_get a e) in
+    if m > !scale then scale := m
+  done;
+  let threshold = relative_pivot_floor *. !scale in
+  Array.fill clen 0 n 0;
+  for r = 0 to n - 1 do
+    let start = p.row_ptr.(r) and stop = p.row_ptr.(r + 1) in
+    if stop - start > stride then raise Outgrown;
+    let base = (r * stride) - start in
+    for e = start to stop - 1 do
+      let c = p.col.(e) in
+      rcol.(base + e) <- c;
+      rval.(base + e) <- a.(e);
+      let cl = clen.(c) in
+      if cl = stride then raise Outgrown;
+      crow.((c * stride) + cl) <- r;
+      clen.(c) <- cl + 1
+    done;
+    rlen.(r) <- stop - start;
+    pos.(r) <- r;
+    at.(r) <- r
+  done;
+  let l_ptr = Array.make (n + 1) 0 and u_ptr = Array.make (n + 1) 0 in
+  let u_diag = Array.make n 0.0 in
+  let nl = ref 0 and nu = ref 0 in
+  for k = 0 to n - 1 do
+    (* Candidates: active rows holding column k. The row at position k
+       starts as the pivot with magnitude 0 when it lacks column k, as in
+       the dense scan; a candidate wins on a larger magnitude, or on an
+       equal one at a lower position. *)
+    let nc = ref 0 in
+    let best = ref (-1) and best_pos = ref k and best_mag = ref 0.0 in
+    let cbase = k * stride in
+    for t = cbase to cbase + clen.(k) - 1 do
+      let r = crow.(t) in
+      let pr = pos.(r) in
+      if pr >= k then begin
+        let s = ref (r * stride) in
+        while rcol.(!s) <> k do incr s done;
+        cand.(!nc) <- r;
+        cand_slot.(!nc) <- !s;
+        let mag = Float.abs rval.(!s) in
+        if mag > !best_mag || (mag = !best_mag && pr < !best_pos) then begin
+          best := !nc;
+          best_pos := pr;
+          best_mag := mag
+        end;
+        incr nc
+      end
+    done;
+    if not (!best_mag > threshold) then raise Singular;
+    let rp = cand.(!best) and sp = cand_slot.(!best) in
+    let displaced = at.(k) in
+    at.(!best_pos) <- displaced;
+    pos.(displaced) <- !best_pos;
+    at.(k) <- rp;
+    pos.(rp) <- k;
+    (* The pivot row is U's row k; its off-diagonal entries go out in
+       ascending column order, the order back substitution sums them in. *)
+    let akk = rval.(sp) in
+    u_diag.(k) <- akk;
+    let u0 = !nu in
+    u_ptr.(k) <- u0;
+    let pbase = rp * stride in
+    for s = pbase to pbase + rlen.(rp) - 1 do
+      if s <> sp then begin
+        let c = rcol.(s) and v = rval.(s) in
+        let i = ref !nu in
+        while !i > u0 && ucol.(!i - 1) > c do
+          ucol.(!i) <- ucol.(!i - 1);
+          uval.(!i) <- uval.(!i - 1);
+          decr i
+        done;
+        ucol.(!i) <- c;
+        uval.(!i) <- v;
+        incr nu
+      end
+    done;
+    let u1 = !nu in
+    l_ptr.(k) <- !nl;
+    for t = 0 to !nc - 1 do
+      let i = cand.(t) in
+      if i <> rp then begin
+        let s = cand_slot.(t) in
+        let base = i * stride in
+        let l = rval.(s) /. akk in
+        (* Column k leaves the active row: it is L's now. *)
+        let len = ref (rlen.(i) - 1) in
+        rcol.(s) <- rcol.(base + !len);
+        rval.(s) <- rval.(base + !len);
+        if l <> 0. then begin
+          lrow.(!nl) <- i;
+          lval.(!nl) <- l;
+          incr nl;
+          w.stamp <- w.stamp + 1;
+          let stamp = w.stamp in
+          for e = base to base + !len - 1 do
+            let c = rcol.(e) in
+            mark.(c) <- stamp;
+            slot.(c) <- e
+          done;
+          for e = u0 to u1 - 1 do
+            let j = ucol.(e) in
+            let lu = l *. uval.(e) in
+            if mark.(j) = stamp then begin
+              let q = slot.(j) in
+              rval.(q) <- rval.(q) -. lu
+            end
+            else begin
+              if !len = stride then raise Outgrown;
+              rcol.(base + !len) <- j;
+              rval.(base + !len) <- 0.0 -. lu;
+              incr len;
+              let cl = clen.(j) in
+              if cl = stride then raise Outgrown;
+              crow.((j * stride) + cl) <- i;
+              clen.(j) <- cl + 1
+            end
+          done
+        end;
+        rlen.(i) <- !len
+      end
+    done
+  done;
+  l_ptr.(n) <- !nl;
+  u_ptr.(n) <- !nu;
+  let l_pos = Array.make !nl 0 in
+  for e = 0 to !nl - 1 do
+    l_pos.(e) <- pos.(lrow.(e))
+  done;
+  {
+    prow = Array.sub at 0 n;
+    l_ptr;
+    l_pos;
+    l_val = Array.sub lval 0 !nl;
+    u_ptr;
+    u_col = Array.sub ucol 0 !nu;
+    u_val = Array.sub uval 0 !nu;
+    u_diag;
+  }
+
+let factor_sparse (p : Pattern.t) a =
+  let n = p.Pattern.n in
+  let w = Domain.DLS.get workspace_key in
+  if w.cap < n then resize w ~cap:n ~stride:(min n (max 16 w.stride));
+  let rec attempt () =
+    match eliminate w p a with
+    | lu -> lu
+    | exception Outgrown ->
+      resize w ~cap:w.cap ~stride:(min w.cap (2 * w.stride));
+      attempt ()
+  in
+  attempt ()
+
+(* Substitution against [factor_sparse]'s factors, in position order:
+   each element receives the multiplier·value products of the dense
+   forward pass in the same (ascending step) order, and each U row is
+   summed in ascending column order, as [substitute_in_place] does. *)
+let substitute_sparse lu y =
+  let n = Array.length y in
+  let l_ptr = lu.l_ptr and l_pos = lu.l_pos and l_val = lu.l_val in
+  let u_ptr = lu.u_ptr and u_col = lu.u_col and u_val = lu.u_val in
+  for k = 0 to n - 1 do
+    let bk = y.(k) in
+    for e = l_ptr.(k) to l_ptr.(k + 1) - 1 do
+      let i = l_pos.(e) in
+      y.(i) <- y.(i) -. (l_val.(e) *. bk)
+    done
+  done;
+  for i = n - 1 downto 0 do
+    let sum = ref y.(i) in
+    for e = u_ptr.(i) to u_ptr.(i + 1) - 1 do
+      sum := !sum -. (u_val.(e) *. y.(u_col.(e)))
+    done;
+    y.(i) <- !sum /. lu.u_diag.(i)
+  done
+
 (* --- persistent factorizations ----------------------------------------- *)
 
 module Factor = struct
   type base =
-    | Dense_lu of { lu : float array array; piv : int array }
+    | Sparse_lu of sparse_lu
     | Band_lu of {
         lu : float array array;
         piv : int array;
@@ -275,41 +719,60 @@ module Factor = struct
       }
 
   (* One Sherman-Morrison term: solving through the update costs a dot
-     product and an axpy on top of the base substitution. [w] is the
-     base (plus earlier updates) solve of c*u; [denom] = 1 + v.w. *)
-  type update = { w : float array; v : float array; denom : float }
+     product over v's nonzeros and an axpy on top of the base
+     substitution. [w] is the base (plus earlier updates) solve of c*u;
+     [denom] = 1 + v.w. *)
+  type update = {
+    w : float array;
+    vi : int array;  (* v's nonzeros: indices, ascending... *)
+    vv : float array;  (* ...and values *)
+    denom : float;
+  }
 
   type t = { n : int; base : base; ups : update list }
 
   let size t = t.n
   let updates t = List.length t.ups
-  let is_banded t = match t.base with Band_lu _ -> true | Dense_lu _ -> false
+  let is_banded t = match t.base with Band_lu _ -> true | Sparse_lu _ -> false
 
-  let factor ?permute a =
-    let n = Array.length a in
-    if n > 0 && Array.length a.(0) <> n then
-      invalid_arg "Linear.Factor.factor: square matrix expected";
+  let factor_pattern ?permute (p : Pattern.t) a =
+    let n = p.Pattern.n in
+    if Array.length a <> Pattern.nnz p then
+      invalid_arg "Linear.Factor.factor_pattern: value count mismatch";
     match permute with
-    | None ->
-      let lu = Array.map Array.copy a in
-      let piv = Array.make n 0 in
-      factor_in_place lu piv;
-      { n; base = Dense_lu { lu; piv }; ups = [] }
+    | None -> { n; base = Sparse_lu (factor_sparse p a); ups = [] }
     | Some perm ->
       if Array.length perm <> n then
         invalid_arg "Linear.Factor.factor: permutation size mismatch";
-      let lu = Array.init n (fun i -> Array.init n (fun j -> a.(perm.(i)).(perm.(j)))) in
+      (* Scatter into the banded kernel's permuted dense storage:
+         original (r, c) lands at (inv r, inv c). *)
+      let inv = Array.make n 0 in
+      Array.iteri (fun i q -> inv.(q) <- i) perm;
+      let lu = Array.make_matrix n n 0.0 in
+      for r = 0 to n - 1 do
+        let row = lu.(inv.(r)) in
+        for e = p.row_ptr.(r) to p.row_ptr.(r + 1) - 1 do
+          row.(inv.(p.col.(e))) <- a.(e)
+        done
+      done;
       let bl, bu = band_limits lu in
       let bu_eff = min (max 0 (n - 1)) (bl + bu) in
       let piv = Array.make n 0 in
       factor_banded_in_place lu piv ~bl ~bu_eff;
       { n; base = Band_lu { lu; piv; perm; bl; bu_eff }; ups = [] }
 
+  let factor ?permute a =
+    let p, values = Pattern.of_dense a in
+    factor_pattern ?permute p values
+
   let base_solve t b =
     match t.base with
-    | Dense_lu { lu; piv } ->
-      let y = Array.copy b in
-      substitute_in_place lu piv y;
+    | Sparse_lu lu ->
+      let y = Array.make t.n 0.0 in
+      for i = 0 to t.n - 1 do
+        y.(i) <- b.(lu.prow.(i))
+      done;
+      substitute_sparse lu y;
       y
     | Band_lu { lu; piv; perm; bl; bu_eff } ->
       let y = Array.init t.n (fun i -> b.(perm.(i))) in
@@ -320,11 +783,15 @@ module Factor = struct
       done;
       x
 
-  let dot u v =
+  (* v·y over v's nonzeros, in ascending index: the terms a full dot
+     product adds on top are exact zeros, which leave a sum that starts
+     at +0 unchanged. *)
+  let dot vi vv y =
     let s = ref 0.0 in
-    let n = min (Array.length u) (Array.length v) in
-    for i = 0 to n - 1 do
-      s := !s +. (Array.unsafe_get u i *. Array.unsafe_get v i)
+    for t = 0 to Array.length vi - 1 do
+      s :=
+        !s
+        +. (Array.unsafe_get vv t *. Array.unsafe_get y (Array.unsafe_get vi t))
     done;
     !s
 
@@ -333,8 +800,8 @@ module Factor = struct
       invalid_arg "Linear.Factor.solve_factored: shape mismatch";
     let y = base_solve t b in
     List.iter
-      (fun { w; v; denom } ->
-        let s = dot v y /. denom in
+      (fun { w; vi; vv; denom } ->
+        let s = dot vi vv y /. denom in
         if s <> 0.0 then
           for i = 0 to t.n - 1 do
             Array.unsafe_set y i
@@ -355,12 +822,16 @@ module Factor = struct
     else begin
       let cu = Array.map (fun x -> c *. x) u in
       let w = solve_factored t cu in
-      let s = dot v w in
+      let vi =
+        Array.of_seq (Seq.filter (fun i -> v.(i) <> 0.0) (Seq.init t.n Fun.id))
+      in
+      let vv = Array.map (fun i -> v.(i)) vi in
+      let s = dot vi vv w in
       let denom = 1.0 +. s in
       if (not (Float.is_finite denom))
          || Float.abs denom <= denominator_guard *. (1.0 +. Float.abs s)
       then None
-      else Some { t with ups = t.ups @ [ { w; v = Array.copy v; denom } ] }
+      else Some { t with ups = t.ups @ [ { w; vi; vv; denom } ] }
     end
 end
 

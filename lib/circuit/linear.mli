@@ -1,11 +1,16 @@
 (** Linear algebra for MNA systems, organized around factorizations.
 
-    Circuits in this library are macro cells of a few dozen nodes, so the
-    kernels are dense LU with partial pivoting (optionally band-limited
-    under an RCM permutation). The primary surface is {!Factor}: factor a
-    matrix once, then reuse the factorization across many right-hand
-    sides and cheap Sherman–Morrison rank-1 corrections. The in-place
-    [solve] remains as a thin wrapper over the same kernels.
+    MNA matrices are mostly zeros (the comparator's n = 37 Jacobian holds
+    under a hundred nonzeros of 1,369 entries), so the factorization
+    kernel is a sparse LU with partial pivoting over a {!Pattern} of the
+    positions a matrix can hold, or a band-limited LU under an RCM
+    permutation. The sparse kernel picks the pivots of the dense kernel
+    behind [solve] and repeats its multipliers and operation order on the
+    stored entries, so for finite matrices the two agree bit for bit up
+    to the sign of an entry that is exactly zero. The primary surface is
+    {!Factor}: factor a matrix once, then reuse the factorization across
+    many right-hand sides and cheap Sherman–Morrison rank-1 corrections.
+    The in-place dense [solve] remains as the reference kernel.
 
     Singularity is judged relative to the matrix's largest entry (a pivot
     below [1e-30 · max|a_ij|] raises {!Singular}), so badly-scaled but
@@ -15,22 +20,66 @@
 
 exception Singular
 
+(** Sparsity patterns in compressed sparse row form: per row, the columns
+    of the positions a matrix may hold. Values travel separately, one per
+    slot, so a pattern compiled once serves every matrix assembled on it. *)
+module Pattern : sig
+  type t
+
+  (** [of_positions ~n iter] is the n×n pattern holding every position
+      [iter] passes to its argument as [row col], duplicates merged. Rows
+      keep their columns in ascending order. Working storage is reused
+      per domain, so only the pattern itself is allocated.
+      @raise Invalid_argument on a position out of range. *)
+  val of_positions : n:int -> ((int -> int -> unit) -> unit) -> t
+
+  (** [slot p r c] is the slot of position [(r, c)] in [p]'s value
+      array, or [-1] when [p] does not store it. *)
+  val slot : t -> int -> int -> int
+
+  (** Matrix dimension. *)
+  val size : t -> int
+
+  (** Number of stored positions (slots). *)
+  val nnz : t -> int
+
+  (** The undirected graph of the off-diagonal stored positions, each
+      edge once as a [(row, col)] pair: the graph {!rcm} orders. *)
+  val edges : t -> (int * int) list
+end
+
 (** Persistent LU factorizations with Sherman–Morrison update chains. *)
 module Factor : sig
   (** A factorization of some n×n matrix [A], immutable once built.
-      Internally: LU factors + pivot permutation (dense, or band-limited
+      Internally: LU factors + row permutation (sparse, or band-limited
       under a symmetric row/column permutation) plus a list of rank-1
       corrections applied on top. *)
   type t
 
-  (** [factor ?permute a] factors a copy of [a]; [a] is left untouched.
+  (** [factor_pattern ?permute p values] factors the matrix whose entry
+      at slot [s] of [p] is [values.(s)] (zero elsewhere); [values] is
+      left untouched.
 
-      With [~permute:p] (a symmetric ordering such as one from {!rcm}),
-      the matrix is permuted to [a.(p.(i)).(p.(j))], its bandwidth is
-      measured, and a band-limited LU is used — same pivoting rule, loops
-      bounded by the band (partial pivoting widens the upper band to at
-      most [bl + bu]). Solutions come back in the original ordering.
+      Without [~permute], a sparse LU eliminates over the pattern:
+      partial pivoting on the largest magnitude, lowest position on ties,
+      fill-in tracked in a per-domain workspace reused across calls. A
+      call does no O(n²) work and allocates only the factor's own L and U
+      arrays.
 
+      With [~permute:q] (a symmetric ordering such as one from {!rcm}),
+      the values are scattered into permuted dense storage
+      [(q⁻¹ r, q⁻¹ c)], its bandwidth is measured, and a band-limited LU
+      is used — same pivoting rule, loops bounded by the band (partial
+      pivoting widens the upper band to at most [bl + bu]). Solutions
+      come back in the original ordering.
+
+      @raise Singular when pivoting finds no usable pivot.
+      @raise Invalid_argument on a value-count or permutation-size
+      mismatch. *)
+  val factor_pattern : ?permute:int array -> Pattern.t -> float array -> t
+
+  (** [factor ?permute a] is [factor_pattern] on the pattern of [a]'s
+      nonzero entries, derived with one scan; [a] is left untouched.
       @raise Singular when pivoting finds no usable pivot.
       @raise Invalid_argument on shape or permutation-size mismatch. *)
   val factor : ?permute:int array -> float array array -> t
@@ -42,8 +91,8 @@ module Factor : sig
   val solve_factored : t -> float array -> float array
 
   (** [rank1_update t ~c ~u ~v] is a factorization of [A + c·u·vᵀ]
-      obtained by the Sherman–Morrison identity — two O(n²) solves, no
-      re-factorization. Returns [None] when the update denominator
+      obtained by the Sherman–Morrison identity — one solve through the
+      factors and a dot product over [v]'s nonzeros, no re-factorization. Returns [None] when the update denominator
       [1 + c·vᵀA⁻¹u] is too close to zero (the updated matrix is near
       singular), in which case the caller must re-factor from scratch.
       The guard is a pure function of the numbers, never of timing.

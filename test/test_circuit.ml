@@ -739,6 +739,96 @@ let test_netlist_split_via_reconnect () =
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* A deterministic LCG keeps each generated matrix a pure function of
+   the generated seed, so shrinking stays meaningful. Uniform in [0, 1]. *)
+let lcg seed =
+  let state = ref ((2 * seed) + 1) in
+  fun () ->
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    float_of_int !state /. float_of_int 0x3FFFFFFF
+
+(* A sparse n×n matrix shaped like an MNA system: a gmin diagonal on the
+   node unknowns, conductances stamped between random node pairs (ground
+   included), transconductance-like asymmetric stamps, and voltage-source
+   rows whose ±1.0 incidences and zero diagonal force row swaps and exact
+   magnitude ties. Source k drives node k against a higher node or
+   ground, so sources never form a loop. With [~tiny], gmin is the
+   engine's 1e-12, some values are that small too and now and then a
+   whole column is zeroed; without, gmin is 0.1 and the matrix stays well
+   conditioned. Values otherwise come from a small set, so ties are
+   common. Returns the matrix, a right-hand side and the number of node
+   unknowns (the source branches follow them). *)
+let mna_like ~tiny ~n ~seed =
+  let rand = lcg seed in
+  let pick k = min (k - 1) (int_of_float (rand () *. float_of_int k)) in
+  let value () =
+    match pick 5 with
+    | 0 -> 1.0
+    | 1 -> 0.5
+    | 2 -> 2.0
+    | 3 when tiny -> 1e-12
+    | _ -> 0.5 +. rand ()
+  in
+  let sources = pick (min 3 (n / 2) + 1) in
+  let nodes = n - sources in
+  let a = Array.make_matrix n n 0.0 in
+  let add r c v = if r >= 0 && c >= 0 then a.(r).(c) <- a.(r).(c) +. v in
+  let node () = pick (nodes + 1) - 1 (* -1 is ground *) in
+  for i = 0 to nodes - 1 do
+    a.(i).(i) <- (if tiny then 1e-12 else 0.1)
+  done;
+  for _ = 1 to nodes + pick ((2 * nodes) + 1) do
+    let i = node () and j = node () and g = value () in
+    add i i g;
+    add j j g;
+    add i j (-.g);
+    add j i (-.g)
+  done;
+  for _ = 1 to pick (nodes + 1) do
+    let d = node () and g = node () and s = node () and gm = value () in
+    add d g gm;
+    add d s (-.gm);
+    add s g (-.gm);
+    add s s gm
+  done;
+  for k = 0 to sources - 1 do
+    let branch = nodes + k and pos = k in
+    let neg =
+      if k + 1 >= nodes || pick 2 = 0 then -1
+      else k + 1 + pick (nodes - k - 1)
+    in
+    add pos branch 1.0;
+    add branch pos 1.0;
+    add neg branch (-1.0);
+    add branch neg (-1.0)
+  done;
+  if tiny && pick 8 = 0 then begin
+    let c = pick n in
+    Array.iter (fun row -> row.(c) <- 0.0) a
+  end;
+  a, Array.init n (fun _ -> rand () -. 0.5), nodes
+
+(* Solve [a + c·u·vᵀ] through a rank-1 update of [a]'s factorization and
+   from scratch, each entry within [tol] of the fresh solution's; a
+   tripped guard is legal (the caller re-factors). *)
+let rank1_agrees ~tol ~a ~u ~v ~c ~b =
+  let n = Array.length a in
+  let f = Linear.Factor.factor a in
+  match Linear.Factor.rank1_update f ~c ~u ~v with
+  | None -> true
+  | Some f' ->
+    let a' =
+      Array.init n (fun i ->
+          Array.init n (fun j -> a.(i).(j) +. (c *. u.(i) *. v.(j))))
+    in
+    let x = Linear.Factor.solve_factored f' b in
+    let y = solve_fresh a' b in
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      if Float.abs (x.(i) -. y.(i)) > tol y.(i) then ok := false
+    done;
+    !ok
+
 let qcheck_props =
   let open QCheck in
   [
@@ -817,13 +907,8 @@ let qcheck_props =
     Test.make ~name:"linear: rank-1 update agrees with from-scratch factor"
       (pair (int_range 2 8) (int_range 0 100_000))
       (fun (n, seed) ->
-        (* A deterministic LCG keeps the matrix a pure function of the
-           generated seed, so shrinking stays meaningful. *)
-        let state = ref ((2 * seed) + 1) in
-        let rand () =
-          state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-          (float_of_int !state /. float_of_int 0x3FFFFFFF) -. 0.5
-        in
+        let uniform = lcg seed in
+        let rand () = uniform () -. 0.5 in
         let a = Array.init n (fun _ -> Array.init n (fun _ -> rand ())) in
         (* Diagonally dominant — the SPD-ish shape gmin-stamped MNA
            matrices have, and safely far from the singularity guard. *)
@@ -835,21 +920,53 @@ let qcheck_props =
         let v = Array.init n (fun _ -> rand ()) in
         let c = rand () in
         let b = Array.init n (fun _ -> rand ()) in
-        let f = Linear.Factor.factor a in
-        (match Linear.Factor.rank1_update f ~c ~u ~v with
-        | None -> true (* guard fired: legal, the caller re-factors *)
-        | Some f' ->
-          let a' =
-            Array.init n (fun i ->
-                Array.init n (fun j -> a.(i).(j) +. (c *. u.(i) *. v.(j))))
-          in
-          let x = Linear.Factor.solve_factored f' b in
-          let y = solve_fresh a' b in
-          let ok = ref true in
-          for i = 0 to n - 1 do
-            if Float.abs (x.(i) -. y.(i)) > 1e-9 then ok := false
-          done;
-          !ok));
+        rank1_agrees ~tol:(fun _ -> 1e-9) ~a ~u ~v ~c ~b);
+    Test.make
+      ~name:"linear: rank-1 update agrees with from-scratch factor, sparse"
+      (pair (int_range 2 12) (int_range 0 100_000))
+      (fun (n, seed) ->
+        let a, b, nodes = mna_like ~tiny:false ~n ~seed in
+        (* A bridging conductance c·u·uᵀ, u = e_i − e_j, between two node
+           unknowns (or one of them and ground): the stamp shared-nominal
+           seeding chains onto a factorization. *)
+        let rand = lcg (seed + 7) in
+        let node () =
+          min nodes (int_of_float (rand () *. float_of_int (nodes + 1))) - 1
+        in
+        let u = Array.make n 0.0 in
+        let i = node () and j = node () in
+        if i >= 0 then u.(i) <- u.(i) +. 1.0;
+        if j >= 0 then u.(j) <- u.(j) -. 1.0;
+        let c = rand () +. 0.1 in
+        (* Transconductance stamps leave the matrix short of diagonal
+           dominance, so its conditioning varies: the bound scales with
+           the solution. *)
+        let tol y = 1e-9 *. (1.0 +. Float.abs y) in
+        match Linear.Factor.factor a with
+        | exception Linear.Singular -> true
+        | _ -> rank1_agrees ~tol ~a ~u ~v:u ~c ~b);
+    Test.make ~name:"linear: sparse factor repeats the dense solve exactly"
+      ~count:500
+      (pair (int_range 1 24) (int_range 0 1_000_000))
+      (fun (n, seed) ->
+        (* Same pivots, multipliers and operation order as the dense
+           kernel: every entry equal under [Float.equal] (so ±0 agree),
+           and both raise [Singular] on the same matrices. *)
+        let a, b, _ = mna_like ~tiny:true ~n ~seed in
+        let sparse =
+          match Linear.Factor.solve_factored (Linear.Factor.factor a) b with
+          | x -> Some x
+          | exception Linear.Singular -> None
+        in
+        let dense =
+          match Linear.solve (Array.map Array.copy a) (Array.copy b) with
+          | x -> Some x
+          | exception Linear.Singular -> None
+        in
+        match sparse, dense with
+        | Some x, Some y -> Array.for_all2 Float.equal x y
+        | None, None -> true
+        | Some _, None | None, Some _ -> false);
     Test.make ~name:"linear: rank-1 guard refuses singular updates"
       (int_range 2 8)
       (fun n ->
