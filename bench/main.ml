@@ -13,11 +13,11 @@
                      perf trajectory; nothing else is printed)
      --macro M       macro for --json: comparator (default) or scaled
      --bits N        size of the scaled macro: 2^N ladder taps (default 8)
-     --scaling       emit the PR-10 scaling study as one JSON object:
-                     per-N raw-solve table (dense vs rank1 vs auto vs
-                     auto+shared) plus pipeline evaluate-stage A/Bs on
-                     the n=37 comparator (quick) and the large-N scaled
-                     ADC; nothing else is printed
+     --scaling       emit the scaling study as one JSON object (schema
+                     dotest-bench/9): per-N raw-solve table (dense vs
+                     auto vs auto+shared) plus pipeline evaluate-stage
+                     A/Bs on the n=37 comparator (quick) and the large-N
+                     scaled ADC; nothing else is printed
      --serve-stress  stand up an in-process dotest service on a Unix
                      socket, hammer it with concurrent clients mixing
                      warm and cold request keys, and emit one JSON object
@@ -28,8 +28,9 @@
      --deadline S    wall-clock budget per fault-class simulation attempt
      --deadline-iterations N
                      Newton-iteration budget per attempt (deterministic)
-     --solver B      linear-solver backend: dense | rank1 | auto (default
-                     auto); all backends produce identical tables          *)
+     --solver B      Newton factorization policy: dense (re-factor every
+                     iteration) | auto (reuse, the default); both produce
+                     identical tables                                      *)
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let serve_stress = Array.exists (( = ) "--serve-stress") Sys.argv
@@ -84,7 +85,7 @@ let solver =
     else if Sys.argv.(i) = "--solver" then
       match Circuit.Engine.solver_of_string Sys.argv.(i + 1) with
       | Some s -> s
-      | None -> failwith "--solver expects dense, rank1 or auto"
+      | None -> failwith "--solver expects dense or auto"
     else scan (i + 1)
   in
   scan 1
@@ -701,12 +702,13 @@ let json_run () =
 (* ------------------------------------------------------------------ *)
 
 (* Raw-solve sweep: for each size, solve a batch of near-miss-bridge
-   variants of the generated ADC cold under every backend, then once
+   variants of the generated ADC cold under both policies, then once
    more under auto with a shared-nominal context installed (one skeleton
    derivation amortized over the whole batch + warm starts). This is the
    per-class solve pattern of the evaluate stage, isolated from
-   sprinkling and classification, so the dense-vs-banded-vs-shared
-   crossover is directly visible per N. *)
+   sprinkling and classification, so the full-Newton-vs-reuse-vs-shared
+   crossover is directly visible per N. Schema 9 dropped the rank1
+   column with the backend. *)
 let scaling_variants = 12
 
 let scaling_netlists bits =
@@ -763,7 +765,6 @@ let scaling_row bits =
     if n <= dense_max_n then timed_batch Circuit.Engine.Dense variants
     else Util.Json.Null
   in
-  let rank1 = timed_batch Circuit.Engine.Rank1 variants in
   let auto = timed_batch Circuit.Engine.Auto variants in
   let auto_shared = timed_batch ~shared:sn Circuit.Engine.Auto variants in
   Format.eprintf "scaling: bits=%d n=%d done@." bits n;
@@ -773,7 +774,6 @@ let scaling_row bits =
       "n_unknowns", Util.Json.Int n;
       "dense", dense;
       "dense_skipped", Util.Json.Bool (n > dense_max_n);
-      "rank1", rank1;
       "auto", auto;
       "auto_shared", auto_shared;
     ]
@@ -848,7 +848,7 @@ let scaling_run () =
   let json =
     Util.Json.Obj
       [
-        "schema", Util.Json.String "dotest-bench/8";
+        "schema", Util.Json.String "dotest-bench/9";
         "mode", Util.Json.String "scaling";
         "jobs", Util.Json.Int jobs;
         "quick", Util.Json.Bool quick;

@@ -89,15 +89,14 @@ let solver_arg =
   Arg.(
     value
     & opt (enum backends) Circuit.Engine.default_solver
-    & info [ "solver" ] ~docv:"BACKEND"
+    & info [ "solver" ] ~docv:"POLICY"
         ~doc:
-          "Linear-solver backend: $(b,auto) (default) reuses factorizations \
-           across Newton iterations and fault classes with rank-1 updates \
-           and picks a banded kernel when the circuit structure warrants \
-           it; $(b,rank1) is the same without the banded kernel; \
-           $(b,dense) is the historical re-factor-every-iteration \
-           reference path for bisecting solver regressions. All backends \
-           print identical tables.")
+          "Newton factorization policy: $(b,auto) (default) reuses \
+           factorizations across Newton iterations and fault classes with \
+           rank-1 updates; $(b,dense) is full Newton, re-factoring at \
+           every iteration, the reference for bisecting solver \
+           regressions. Both run the same compiled plan and print \
+           identical tables.")
 
 let strict =
   Arg.(
@@ -409,8 +408,8 @@ let scaled_cmd =
           ~doc:
             "Converter resolution: the analog core has $(b,2^B) ladder \
              segments, about $(b,2^B + 3) circuit unknowns (2..14). Sizes \
-             past ~10 bits are where the dense reference backend's n³ \
-             factorization cost separates from $(b,--solver auto).")
+             past ~10 bits are where $(b,--solver dense)'s re-factorization \
+             at every Newton iteration separates from $(b,--solver auto).")
   in
   Cmd.v
     (Cmd.info "scaled"

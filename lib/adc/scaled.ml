@@ -2,8 +2,8 @@
    segments with one readout MOSFET per interior tap, gate-coupled to the
    neighbouring tap. The netlist grows as 2^bits unknowns while keeping
    chain-local connectivity (tridiagonal-plus-gm structure), so it is the
-   workload where the banded kernel and the cross-class shared-nominal
-   factorization separate from the dense reference — the n³ term the
+   workload where factorization reuse and the cross-class shared-nominal
+   factorization separate from full Newton — a per-iteration cost the
    37-node comparator is too small to expose. The measure procedure is a
    single DC operating point, so per-class cost is dominated by exactly
    the solves the shared-nominal path accelerates. *)

@@ -6,8 +6,8 @@
     coupled to the neighbouring tap. Connectivity is chain-local, so the
     MNA matrix is banded under the natural ordering and the circuit
     grows to thousands of unknowns while staying well-conditioned — the
-    regime where O(n³) dense factorization separates from the banded
-    kernel and from cross-class shared-nominal seeding. The measure
+    regime where re-factoring at every Newton iteration separates from
+    factorization reuse and cross-class shared-nominal seeding. The measure
     procedure is a single DC operating point (plus the rail currents),
     so per-fault-class cost is dominated by the solves the
     shared-nominal path accelerates.

@@ -61,20 +61,18 @@ let with_options_override options f =
 
 (* --- solver selection -------------------------------------------------- *)
 
-type solver = Dense | Rank1 | Auto
+type solver = Dense | Auto
 
 let solver_name = function
   | Dense -> "dense"
-  | Rank1 -> "rank1"
   | Auto -> "auto"
 
 let solver_of_string = function
   | "dense" -> Some Dense
-  | "rank1" -> Some Rank1
   | "auto" -> Some Auto
   | _ -> None
 
-let all_solvers = [ Dense; Rank1; Auto ]
+let all_solvers = [ Dense; Auto ]
 let default_solver = Auto
 
 (* A separate key from [options_override]: the retry layer re-installs
@@ -184,18 +182,6 @@ let source_current sol name =
 (* Row/column index of a node in the matrix; ground contributes nothing. *)
 let idx node = node - 1
 
-let stamp_conductance a g n1 n2 =
-  if n1 <> 0 then a.(idx n1).(idx n1) <- a.(idx n1).(idx n1) +. g;
-  if n2 <> 0 then a.(idx n2).(idx n2) <- a.(idx n2).(idx n2) +. g;
-  if n1 <> 0 && n2 <> 0 then begin
-    a.(idx n1).(idx n2) <- a.(idx n1).(idx n2) -. g;
-    a.(idx n2).(idx n1) <- a.(idx n2).(idx n1) -. g
-  end
-
-let stamp_current rhs value ~into ~out_of =
-  if into <> 0 then rhs.(idx into) <- rhs.(idx into) +. value;
-  if out_of <> 0 then rhs.(idx out_of) <- rhs.(idx out_of) -. value
-
 (* voltage at a node from the current guess *)
 let v_of x node = if node = 0 then 0.0 else x.(idx node)
 
@@ -203,79 +189,24 @@ type stamp_mode =
   | Dc_mode
   | Transient_mode of { h : float; x_prev : float array }
 
-(* Build A·x_new = rhs linearized around guess [x]. [alpha] scales the
-   independent sources (source stepping). *)
-let build ~options ~mode ~alpha ~t compiled x a rhs =
-  let n = compiled.n_unknowns in
-  for i = 0 to n - 1 do
-    rhs.(i) <- 0.0;
-    let row = a.(i) in
-    Array.fill row 0 n 0.0
-  done;
-  (* gmin shunts keep floating nodes (opens) solvable. *)
-  for node = 1 to compiled.n_nodes do
-    a.(idx node).(idx node) <- a.(idx node).(idx node) +. options.gmin
-  done;
-  let stamp_device = function
-    | CResistor (n1, n2, r) -> stamp_conductance a (1.0 /. r) n1 n2
-    | CCapacitor (n1, n2, c) ->
-      (match mode with
-      | Dc_mode -> () (* open in DC *)
-      | Transient_mode { h; x_prev } ->
-        (* Backward-Euler companion: geq in parallel with a current source
-           reproducing the charge history. *)
-        let geq = c /. h in
-        stamp_conductance a geq n1 n2;
-        let v_prev = v_of x_prev n1 -. v_of x_prev n2 in
-        stamp_current rhs (geq *. v_prev) ~into:n1 ~out_of:n2)
-    | CVsource { pos; neg; wave; branch } ->
-      let value = alpha *. Waveform.value wave t in
-      if pos <> 0 then begin
-        a.(idx pos).(branch) <- a.(idx pos).(branch) +. 1.0;
-        a.(branch).(idx pos) <- a.(branch).(idx pos) +. 1.0
-      end;
-      if neg <> 0 then begin
-        a.(idx neg).(branch) <- a.(idx neg).(branch) -. 1.0;
-        a.(branch).(idx neg) <- a.(branch).(idx neg) -. 1.0
-      end;
-      rhs.(branch) <- value
-    | CIsource { pos; neg; wave } ->
-      let value = alpha *. Waveform.value wave t in
-      stamp_current rhs value ~into:pos ~out_of:neg
-    | CMosfet { d; g; s; spec } ->
-      let vgs = v_of x g -. v_of x s in
-      let vds = v_of x d -. v_of x s in
-      let op =
-        Mos_model.evaluate ~polarity:spec.polarity ~params:spec.params
-          ~w:spec.w ~l:spec.l ~vgs ~vds
-      in
-      (* Linearize: id ≈ gm·vgs + gds·vds + ieq. *)
-      let ieq = op.id -. (op.gm *. vgs) -. (op.gds *. vds) in
-      let add r c v = if r <> 0 && c <> 0 then a.(idx r).(idx c) <- a.(idx r).(idx c) +. v in
-      add d d op.gds;
-      add d g op.gm;
-      add d s (-.(op.gm +. op.gds));
-      add s d (-.op.gds);
-      add s g (-.op.gm);
-      add s s (op.gm +. op.gds);
-      stamp_current rhs ieq ~into:s ~out_of:d
-  in
-  List.iter stamp_device compiled.cdevices
+(* --- the compiled plan and its factorization ---------------------------- *)
 
-(* --- factorization reuse (rank1/auto backends) ------------------------- *)
-
-(* The fast backends keep one mutable solver state per analysis and reuse
-   the LU factorization across Newton iterations, transient steps, and
-   stepping-fallback stages. Only MOSFET stamps can change the matrix
-   between solves at a fixed (gmin, h) — sources and capacitor history
-   touch the right-hand side alone — so the state tracks each MOSFET's
-   (gm, gds) as baked into the current factorization and classifies every
-   iteration by how far the freshly evaluated linearization has moved:
+(* Every analysis keeps one mutable solver state (the plan) for its whole
+   lifetime: Newton iterations, transient steps and stepping-fallback
+   stages. The plan assembles the Jacobian on a pattern compiled once per
+   netlist and factors it with the sparse LU. Under [Dense] (full Newton)
+   every iteration re-factors. Under [Auto] (the reuse policy) the
+   factorization is kept across iterations: only MOSFET stamps can change
+   the matrix between solves at a fixed (gmin, h) — sources and capacitor
+   history touch the right-hand side alone — so the state tracks each
+   MOSFET's (gm, gds) as baked into the current factorization and
+   classifies every iteration by how far the freshly evaluated
+   linearization has moved:
 
    - nothing moved beyond tolerance: reuse the factorization as-is
      (Jacobian bypass; the chord iteration converges to the same
      nonlinear solution because ieq is built against the *baked* gm/gds,
-     see [build_rhs_reuse]);
+     see [build_rhs]);
    - a few devices moved: fold each stamp delta in as two Sherman-
      Morrison rank-1 updates, dgds·(e_d−e_s)(e_d−e_s)ᵀ +
      dgm·(e_d−e_s)(e_g−e_s)ᵀ — an exact decomposition of the stamp;
@@ -287,7 +218,7 @@ let build ~options ~mode ~alpha ~t compiled x a rhs =
 
 type rstate = {
   rn : int;
-  rpermute : int array option;
+  rfull_newton : bool;         (* [Dense]: re-factor at every iteration *)
   (* Jacobian pattern: every position a stamp can touch, compiled once.
      Matrices live as one value per slot; a slot index of -1 marks a
      stamp that touches ground. *)
@@ -297,9 +228,8 @@ type rstate = {
   rl_cap : bool array;         (* capacitor: value/h, stamped only when h > 0 *)
   rl_slots : int array;        (* four per linear device, stamping order *)
   rconst_vals : float array;   (* linear-device part of A at (gmin, h) *)
-  mutable rconst_gmin : float;
+  mutable rconst_gmin : float; (* nan until first built *)
   mutable rconst_h : float;    (* 0.0 in DC *)
-  mutable rconst_ok : bool;
   rjac_vals : float array;     (* scratch: assembled A for re-factorization *)
   mutable rfactor : Linear.Factor.t option;
   rref_gm : float array;       (* per-MOSFET values baked into rfactor *)
@@ -333,29 +263,13 @@ type rstate = {
   pc_c : float array;
 }
 
-type backend = Dense_backend | Reuse_backend of rstate
-
-(* The banded kernel wins once the permuted half-bandwidth is well under
-   the matrix size (elimination cost ~ n·b² vs n³/3); tiny systems are
-   not worth the permutation bookkeeping. Chosen per-compile, from
-   structure only: the graph is the pattern's off-diagonal positions. *)
-let auto_permutation pattern =
-  let n = Linear.Pattern.size pattern in
-  if n < 16 then None
-  else begin
-    let edges = Linear.Pattern.edges pattern in
-    let perm = Linear.rcm ~n edges in
-    let bw = Linear.bandwidth_under ~perm edges in
-    if 4 * (bw + 1) <= n then Some perm else None
-  end
-
-let make_rstate ~banded compiled =
+let make_rstate ~full_newton compiled =
   let n = compiled.n_unknowns in
   (* Every matrix position a stamp can touch, passed to [f] as row and
      column over the unknowns, -1 standing for ground. A linear device
-     touches four, in [stamp_conductance]'s order: slots 0 and 1 receive
-     +value, 2 and 3 -value, an order a voltage source's incidences
-     share. A MOSFET touches six, in [build]'s order. *)
+     touches four: slots 0 and 1 receive +value, 2 and 3 -value, a shape
+     a voltage source's ±1 incidences share. A MOSFET touches six: dd dg
+     ds sd sg ss. *)
   let linear_positions f = function
     | CResistor (n1, n2, _) | CCapacitor (n1, n2, _) ->
       let a = idx n1 and b = idx n2 in
@@ -416,7 +330,7 @@ let make_rstate ~banded compiled =
   in
   (* Pack the stamp plan. Within each device class the packing preserves
      netlist order, so the plan is a pure function of the compiled
-     netlist and every backend decision stays deterministic. *)
+     netlist and every policy decision stays deterministic. *)
   let pm_slots = slots ~per:6 mos_positions mos in
   let mos = Array.of_list mos in
   let nm = Array.length mos in
@@ -438,7 +352,7 @@ let make_rstate ~banded compiled =
   in
   {
     rn = n;
-    rpermute = (if banded then auto_permutation pattern else None);
+    rfull_newton = full_newton;
     rpattern = pattern;
     rgmin_slots = Array.init compiled.n_nodes (fun i -> slot i i);
     rl_value =
@@ -456,7 +370,6 @@ let make_rstate ~banded compiled =
     rconst_vals = Array.make (Linear.Pattern.nnz pattern) 0.0;
     rconst_gmin = Float.nan;
     rconst_h = Float.nan;
-    rconst_ok = false;
     rjac_vals = Array.make (Linear.Pattern.nnz pattern) 0.0;
     rfactor = None;
     rref_gm = Array.make nm 0.0;
@@ -497,18 +410,18 @@ let make_rstate ~banded compiled =
     pc_c = Array.of_list (List.map (fun (_, _, c) -> c) caps);
   }
 
-let make_backend compiled =
-  match current_solver () with
-  | Dense -> Dense_backend
-  | Rank1 -> Reuse_backend (make_rstate ~banded:false compiled)
-  | Auto -> Reuse_backend (make_rstate ~banded:true compiled)
+(* The plan for an analysis under the solver in effect. *)
+let make_state compiled =
+  make_rstate ~full_newton:(current_solver () = Dense) compiled
 
 let[@inline] add_slot a s v =
   if s >= 0 then Array.unsafe_set a s (Array.unsafe_get a s +. v)
 
-(* The constant part straight into the pattern's slots, each entry
-   receiving its contributions in [build]'s order: gmin first, then the
-   devices in netlist order. *)
+(* The constant part straight into the pattern's slots: gmin first, then
+   the linear devices in netlist order. [assemble] adds every MOSFET
+   stamp after all of these, so the order in which an entry receives its
+   contributions is a fixed function of the netlist, the same under both
+   policies. *)
 let rebuild_const state ~gmin ~h =
   let a = state.rconst_vals in
   Array.fill a 0 (Array.length a) 0.0;
@@ -526,8 +439,11 @@ let rebuild_const state ~gmin ~h =
   done;
   state.rconst_gmin <- gmin;
   state.rconst_h <- h;
-  state.rconst_ok <- true;
   state.rfactor <- None
+
+let ensure_const state ~gmin ~h =
+  if not (state.rconst_gmin = gmin && state.rconst_h = h) then
+    rebuild_const state ~gmin ~h
 
 (* Batched model evaluation through the stamp plan: one pass fills the
    bias scratch, one [Mos_model.evaluate_packed] call produces all
@@ -551,7 +467,9 @@ let eval_mosfets state x =
     ~beta:state.pm_beta ~lambda:state.pm_lambda ~vgs ~vds ~id:state.rcur_id
     ~gm:state.rcur_gm ~gds:state.rcur_gds
 
-let refactor state =
+(* The Jacobian at the current linearization into [rjac_vals]: the
+   constant part, then each MOSFET's six stamps in plan order. *)
+let assemble state =
   let a = state.rjac_vals in
   Array.blit state.rconst_vals 0 a 0 (Array.length a);
   let slots = state.pm_slots in
@@ -563,10 +481,11 @@ let refactor state =
     add_slot a slots.((6 * k) + 3) (-.gds);
     add_slot a slots.((6 * k) + 4) (-.gm);
     add_slot a slots.((6 * k) + 5) (gm +. gds)
-  done;
-  match
-    Linear.Factor.factor_pattern ?permute:state.rpermute state.rpattern a
-  with
+  done
+
+let refactor state =
+  assemble state;
+  match Linear.Factor.factor_pattern state.rpattern state.rjac_vals with
   | exception Linear.Singular ->
     state.rfactor <- None;
     false
@@ -582,7 +501,7 @@ let refactor state =
    The tolerance trades factorization reuse against chord-iteration
    convergence rate (contraction ~ the staleness fraction); it does not
    affect the converged solution (see the consistency argument at
-   [build_rhs_reuse]), so it can be far looser than the Newton reltol.
+   [build_rhs]), so it can be far looser than the Newton reltol.
    10% keeps quiescent stretches of a transient on the bypass path while
    the input ramp drifts the pair's gm by well under a percent per step;
    converged KCL error stays at the Newton tolerance regardless. *)
@@ -639,6 +558,7 @@ let apply_mos_updates state f changed =
 let ensure_factor state =
   match state.rfactor with
   | None -> refactor state
+  | Some _ when state.rfull_newton -> refactor state
   | Some f ->
     let changed = ref [] in
     let n_changed = ref 0 in
@@ -678,18 +598,14 @@ let ensure_factor state =
    iteration the rref terms cancel between the matrix stamps and ieq,
    leaving exactly KCL with the exact device current id(x) — the same
    nonlinear solution full Newton converges to, independent of how stale
-   the factorization is. *)
-let build_rhs_reuse state ~mode ~alpha ~t x =
-  ignore x;
+   the factorization is. Under full Newton rref is the fresh
+   linearization and this is the ordinary Newton right-hand side. *)
+let build_rhs state ~mode ~alpha ~t =
   let rhs = state.rrhs in
   Array.fill rhs 0 state.rn 0.0;
-  (* The plan groups stamps by device class (each class in netlist
-     order); accumulation into a shared node may therefore round
-     differently from the dense path's interleaved order, in the same
-     ulp-level sense in which the chord iteration already differs — the
-     converged solution is unchanged and classified tables stay
-     byte-identical across backends (enforced by CI's dense-vs-auto
-     diff). *)
+  (* Stamps go in by device class, each class in netlist order: capacitor
+     history, voltage sources, current sources, MOSFET ieq. As in the
+     matrix, the order is fixed by the netlist alone. *)
   (match mode with
   | Dc_mode -> ()
   | Transient_mode { h; x_prev } ->
@@ -741,11 +657,14 @@ let build_rhs_reuse state ~mode ~alpha ~t x =
 
 (* --- Newton-Raphson --------------------------------------------------- *)
 
-let newton_dense ~options ~mode ~alpha ~t compiled x0 =
+(* Damped Newton over the plan. The linear solve goes through
+   [ensure_factor], which re-factors every iteration under full Newton
+   and otherwise picks bypass, rank-1 chain or re-factor. *)
+let newton ~state ~options ~mode ~alpha ~t compiled x0 =
   let n = compiled.n_unknowns in
   let x = Array.copy x0 in
-  let a = Linear.matrix n in
-  let rhs = Array.make n 0.0 in
+  let h = match mode with Dc_mode -> 0.0 | Transient_mode { h; _ } -> h in
+  ensure_const state ~gmin:options.gmin ~h;
   let rec iterate remaining =
     if remaining = 0 then None
     else begin
@@ -754,64 +673,16 @@ let newton_dense ~options ~mode ~alpha ~t compiled x0 =
          (gmin/source stepping included) — a deadline is a budget for the
          whole solve, not for one Newton attempt. *)
       Util.Watchdog.tick ();
-      build ~options ~mode ~alpha ~t compiled x a rhs;
-      match Linear.solve a rhs with
-      | exception Linear.Singular -> None
-      | x_new -> begin
-        (* Damp voltage updates; branch currents move freely. *)
-        let converged = ref true in
-        for i = 0 to n - 1 do
-          let target = x_new.(i) in
-          let delta = target -. x.(i) in
-          let is_voltage = i < compiled.n_nodes in
-          let applied =
-            if is_voltage && Float.abs delta > options.max_step_voltage then begin
-              converged := false;
-              x.(i) +. (if delta > 0. then options.max_step_voltage else -.options.max_step_voltage)
-            end
-            else target
-          in
-          let tol =
-            if is_voltage then options.vntol +. (options.reltol *. Float.abs applied)
-            else options.abstol +. (options.reltol *. Float.abs applied)
-          in
-          if Float.abs (applied -. x.(i)) > tol then converged := false;
-          x.(i) <- applied
-        done;
-        if !converged then Some (x, options.max_iterations - remaining + 1)
-        else iterate (remaining - 1)
-      end
-    end
-  in
-  iterate options.max_iterations
-
-
-(* Newton against the persistent-factorization state: identical damping
-   and convergence tests to [newton_dense], but the linear solve goes
-   through [ensure_factor] (bypass / rank-1 chain / re-factor). *)
-let newton_reuse ~state ~options ~mode ~alpha ~t compiled x0 =
-  let n = compiled.n_unknowns in
-  let x = Array.copy x0 in
-  let h = match mode with Dc_mode -> 0.0 | Transient_mode { h; _ } -> h in
-  if
-    not
-      (state.rconst_ok
-      && state.rconst_gmin = options.gmin
-      && state.rconst_h = h)
-  then rebuild_const state ~gmin:options.gmin ~h;
-  let rec iterate remaining =
-    if remaining = 0 then None
-    else begin
-      Util.Watchdog.tick ();
       eval_mosfets state x;
       if not (ensure_factor state) then None
       else begin
-        build_rhs_reuse state ~mode ~alpha ~t x;
+        build_rhs state ~mode ~alpha ~t;
         let x_new =
           match state.rfactor with
           | Some f -> Linear.Factor.solve_factored f state.rrhs
           | None -> assert false
         in
+        (* Damp voltage updates; branch currents move freely. *)
         let converged = ref true in
         for i = 0 to n - 1 do
           let target = x_new.(i) in
@@ -840,19 +711,14 @@ let newton_reuse ~state ~options ~mode ~alpha ~t compiled x0 =
   in
   iterate options.max_iterations
 
-let newton ~backend ~options ~mode ~alpha ~t compiled x0 =
-  match backend with
-  | Dense_backend -> newton_dense ~options ~mode ~alpha ~t compiled x0
-  | Reuse_backend state -> newton_reuse ~state ~options ~mode ~alpha ~t compiled x0
-
 (* Solve one point, recording how many Newton iterations were spent and
    which convergence aid finally succeeded. [what] names the point for
    the failure message; it is formatted only on failure, since a
    transient solves hundreds of thousands of points per run. *)
-let solve_point_diag ~backend ~options ~mode ~t compiled x0 ~what =
+let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
   let spent = ref 0 in
   let try_newton ~options ~alpha x =
-    match newton ~backend ~options ~mode ~alpha ~t compiled x with
+    match newton ~state ~options ~mode ~alpha ~t compiled x with
     | Some (x', used) ->
       spent := !spent + used;
       Some x'
@@ -904,8 +770,8 @@ let solve_point_diag ~backend ~options ~mode ~t compiled x0 ~what =
         Util.Telemetry.count "engine.no_convergence";
         raise (No_convergence (what ()))))
 
-let solve_point ~backend ~options ~mode ~t compiled x0 ~what =
-  fst (solve_point_diag ~backend ~options ~mode ~t compiled x0 ~what)
+let solve_point ~state ~options ~mode ~t compiled x0 ~what =
+  fst (solve_point_diag ~state ~options ~mode ~t compiled x0 ~what)
 
 (* --- cross-class shared nominal factorization --------------------------- *)
 
@@ -928,7 +794,7 @@ let solve_point ~backend ~options ~mode ~t compiled x0 ~what =
 
    Soundness: the seeded factorization equals the faulty linear part plus
    MOSFET stamps at the recorded reference linearization exactly, so the
-   chord-iteration argument at [build_rhs_reuse] applies unchanged — the
+   chord-iteration argument at [build_rhs] applies unchanged — the
    converged solution is the faulty circuit's own, independent of the
    seed. A cache hit and a fresh derivation produce the same entry (the
    derivation is a pure function of skeleton and options), so results are
@@ -1075,22 +941,16 @@ let sn_derive ~options stripped =
   Util.Telemetry.silenced @@ fun () ->
   Util.Watchdog.unmetered @@ fun () ->
   let compiled = compile stripped in
-  let state = make_rstate ~banded:true compiled in
-  let backend = Reuse_backend state in
+  let state = make_rstate ~full_newton:false compiled in
   match
-    solve_point ~backend ~options ~mode:Dc_mode ~t:0.0 compiled
+    solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled
       (Array.make compiled.n_unknowns 0.0)
       ~what:(fun () -> "shared nominal derivation")
   with
   | exception No_convergence _ -> None
   | exception Linear.Singular -> None
   | x ->
-    if
-      not
-        (state.rconst_ok
-        && state.rconst_gmin = options.gmin
-        && state.rconst_h = 0.0)
-    then rebuild_const state ~gmin:options.gmin ~h:0.0;
+    ensure_const state ~gmin:options.gmin ~h:0.0;
     eval_mosfets state x;
     if refactor state then
       Some
@@ -1120,17 +980,18 @@ let sn_entry sn ~options ~stamps netlist =
     entry
 
 (* Attempt to seed the analysis's first DC solve from the shared nominal
-   context. The warm start is part of the *analysis semantics*: every
-   backend — dense included — starts Newton from the same derived
-   nominal operating point (the derivation is solver-independent, so the
-   vector is bitwise identical across backends and the cross-backend
+   context. The warm start is part of the *analysis semantics*: both
+   policies start Newton from the same derived nominal operating point
+   (the derivation always runs the reuse policy, so the vector is
+   bitwise identical under [Dense] and [Auto] and the cross-policy
    table-identity contract is preserved; a reuse-only warm start would
-   let the seeded path resolve classes the dense reference cannot, and
-   the tables would diverge). Factor seeding on top of that is a
-   reuse-backend acceleration only. Every decision here is a pure
-   function of (netlist, options), so hit/miss/fallback counters are
-   deterministic per fault class. *)
-let try_shared_seed ~netlist ~options compiled backend =
+   let the seeded path resolve classes the full-Newton reference cannot,
+   and the tables would diverge). The factor seed is installed under both
+   policies; full Newton re-factors at its first iteration, so its
+   results cannot depend on it. Every decision here is a pure function of
+   (netlist, options), so hit/miss/fallback counters are deterministic
+   per fault class. *)
+let try_shared_seed ~netlist ~options compiled state =
   match Domain.DLS.get sn_override with
   | None -> None
   | Some sn ->
@@ -1166,53 +1027,44 @@ let try_shared_seed ~netlist ~options compiled backend =
                        match d with CMosfet _ -> acc + 1 | _ -> acc)
                      0 compiled.cdevices ->
         (* Same strip predicate but a different structure: stale or
-           colliding context entry. The check is against the compiled
-           netlist (not backend state) so every backend makes the
-           identical cold-start decision. *)
+           colliding context entry. *)
         Util.Telemetry.count "engine.shared_nominal_misses";
         None
       | Some entry ->
-        let warm () =
-          Util.Telemetry.count "engine.shared_nominal_hits";
-          Some (Array.copy entry.e_x)
+        let conductance (dv : Netlist.device_view) =
+          match dv.kind with
+          | Netlist.Resistor r -> 1.0 /. r
+          | Netlist.Capacitor _ -> 0.0 (* open in DC *)
+          | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Mosfet _ -> 0.0
         in
-        (match backend with
-        | Dense_backend -> warm ()
-        | Reuse_backend state ->
-          let conductance (dv : Netlist.device_view) =
-            match dv.kind with
-            | Netlist.Resistor r -> 1.0 /. r
-            | Netlist.Capacitor _ -> 0.0 (* open in DC *)
-            | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Mosfet _ -> 0.0
-          in
-          let pin (dv : Netlist.device_view) role =
-            Netlist.index_of_node (List.assoc role dv.pin_nodes)
-          in
-          let rec chain f = function
-            | [] -> Some f
-            | dv :: rest ->
-              let g = conductance dv in
-              if g = 0.0 then chain f rest
-              else begin
-                let u = inc_vector state.rn (pin dv "+") (pin dv "-") in
-                match Linear.Factor.rank1_update f ~c:g ~u ~v:u with
-                | None -> None
-                | Some f -> chain f rest
-              end
-          in
-          (match chain entry.e_factor stamps with
-          | None ->
-            (* The stamp chain tripped the singularity guard: keep the
-               warm start (it is backend-independent), drop only the
-               factor seed — the first iteration re-factors fresh. *)
-            Util.Telemetry.count "engine.shared_nominal_fallbacks";
-            warm ()
-          | Some f ->
-            rebuild_const state ~gmin:options.gmin ~h:0.0;
-            state.rfactor <- Some f;
-            Array.blit entry.e_ref_gm 0 state.rref_gm 0 entry.e_nmos;
-            Array.blit entry.e_ref_gds 0 state.rref_gds 0 entry.e_nmos;
-            warm ()))
+        let pin (dv : Netlist.device_view) role =
+          Netlist.index_of_node (List.assoc role dv.pin_nodes)
+        in
+        let rec chain f = function
+          | [] -> Some f
+          | dv :: rest ->
+            let g = conductance dv in
+            if g = 0.0 then chain f rest
+            else begin
+              let u = inc_vector state.rn (pin dv "+") (pin dv "-") in
+              match Linear.Factor.rank1_update f ~c:g ~u ~v:u with
+              | None -> None
+              | Some f -> chain f rest
+            end
+        in
+        (match chain entry.e_factor stamps with
+        | None ->
+          (* The stamp chain tripped the singularity guard: keep the warm
+             start, drop only the factor seed — the first iteration
+             re-factors fresh. *)
+          Util.Telemetry.count "engine.shared_nominal_fallbacks"
+        | Some f ->
+          rebuild_const state ~gmin:options.gmin ~h:0.0;
+          state.rfactor <- Some f;
+          Array.blit entry.e_ref_gm 0 state.rref_gm 0 entry.e_nmos;
+          Array.blit entry.e_ref_gds 0 state.rref_gds 0 entry.e_nmos);
+        Util.Telemetry.count "engine.shared_nominal_hits";
+        Some (Array.copy entry.e_x)
     end
 
 (* --- public analyses --------------------------------------------------- *)
@@ -1223,14 +1075,14 @@ let make_solution compiled ~t x =
 let dc_operating_point_diag ?options netlist =
   let options = resolve_options options in
   let compiled = compile netlist in
-  let backend = make_backend compiled in
+  let state = make_state compiled in
   let x0 =
-    match try_shared_seed ~netlist ~options compiled backend with
+    match try_shared_seed ~netlist ~options compiled state with
     | Some warm -> warm
     | None -> Array.make compiled.n_unknowns 0.0
   in
   let x, diag =
-    solve_point_diag ~backend ~options ~mode:Dc_mode ~t:0.0 compiled x0
+    solve_point_diag ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
       ~what:(fun () -> "dc operating point")
   in
   make_solution compiled ~t:0.0 x, diag
@@ -1238,37 +1090,38 @@ let dc_operating_point_diag ?options netlist =
 let dc_operating_point ?options netlist =
   fst (dc_operating_point_diag ?options netlist)
 
-(* Diagnostic: the dense DC MNA matrix linearized at [x]. Exposed so
-   tests can check structural invariants (e.g. that a stamp-expressible
-   fault perturbs the nominal matrix by rank ≤ 2); not a hot path. *)
+(* Diagnostic: the DC Jacobian linearized at [x], assembled on the plan
+   and scattered into an n×n matrix. Exposed so tests can check
+   structural invariants (e.g. that a stamp-expressible fault perturbs
+   the nominal matrix by rank ≤ 2); not a hot path. *)
 let dense_jacobian ?options netlist ~x =
   let options = resolve_options options in
   let compiled = compile netlist in
-  let n = compiled.n_unknowns in
-  if Array.length x <> n then
+  if Array.length x <> compiled.n_unknowns then
     invalid_arg "Engine.dense_jacobian: x has the wrong length";
-  let a = Linear.matrix n in
-  let rhs = Array.make n 0.0 in
-  build ~options ~mode:Dc_mode ~alpha:1.0 ~t:0.0 compiled x a rhs;
-  a
+  let state = make_rstate ~full_newton:true compiled in
+  ensure_const state ~gmin:options.gmin ~h:0.0;
+  eval_mosfets state x;
+  assemble state;
+  Linear.Pattern.to_dense state.rpattern state.rjac_vals
 
 let transient_diag ?options netlist ~stop ~step =
   if step <= 0. || stop < step then invalid_arg "Engine.transient: bad time grid";
   let options = resolve_options options in
   let compiled = compile netlist in
-  (* One backend for the whole transient: the factorization built at the
-     first step is reused (or cheaply updated) across every subsequent
-     step and sub-step — the dominant win on long ramps where the circuit
-     sits quiescent between clock edges. *)
-  let backend = make_backend compiled in
+  (* One plan for the whole transient: under the reuse policy the
+     factorization built at the first step is reused (or cheaply updated)
+     across every subsequent step and sub-step — the dominant win on long
+     ramps where the circuit sits quiescent between clock edges. *)
+  let state = make_state compiled in
   let diag = ref no_diagnostics in
   let solve ~mode ~t x ~what =
-    let x', d = solve_point_diag ~backend ~options ~mode ~t compiled x ~what in
+    let x', d = solve_point_diag ~state ~options ~mode ~t compiled x ~what in
     diag := merge_diagnostics !diag d;
     x'
   in
   let x0 =
-    match try_shared_seed ~netlist ~options compiled backend with
+    match try_shared_seed ~netlist ~options compiled state with
     | Some warm -> warm
     | None -> Array.make compiled.n_unknowns 0.0
   in
@@ -1332,9 +1185,9 @@ let dc_sweep ?options netlist ~source ~values =
     Netlist.remove_device netlist source;
     Netlist.add_vsource netlist ~name:source ~pos ~neg (Waveform.dc value);
     let compiled = compile netlist in
-    let backend = make_backend compiled in
+    let state = make_state compiled in
     let x =
-      solve_point ~backend ~options ~mode:Dc_mode ~t:0.0 compiled seed
+      solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled seed
         ~what:(fun () -> Printf.sprintf "dc sweep %s=%g" source value)
     in
     make_solution compiled ~t:0.0 x, x
@@ -1390,9 +1243,9 @@ let ac_sweep ?options netlist ~source ~frequencies =
       (Printf.sprintf "Engine.ac_sweep: %S is not a voltage source" source);
   (* Operating point for the linearization. *)
   let x0 = Array.make compiled.n_unknowns 0.0 in
-  let backend = make_backend compiled in
+  let state = make_state compiled in
   let op =
-    solve_point ~backend ~options ~mode:Dc_mode ~t:0.0 compiled x0
+    solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
       ~what:(fun () -> "ac operating point")
   in
   let n = compiled.n_unknowns in

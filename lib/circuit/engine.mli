@@ -60,32 +60,30 @@ val with_options_override : options -> (unit -> 'a) -> 'a
 
 (** {1 Solver selection}
 
-    Every analysis allocates one solver backend per compiled netlist and
-    keeps it for the analysis's whole lifetime (all Newton iterations,
-    transient steps and stepping-fallback stages):
+    Every analysis compiles one plan per netlist — the Jacobian pattern
+    of every position a stamp can touch, the stamp slots and the packed
+    MOSFET arrays — and runs one damped Newton loop over it for the
+    analysis's whole lifetime (all Newton iterations, transient steps
+    and stepping-fallback stages). The Jacobian is assembled on the
+    pattern in an order fixed by the netlist and factored with the sparse
+    LU. The solver picks the loop's factorization policy:
 
-    - [Dense] is the historical reference path: rebuild and LU-factor the
-      full MNA matrix on every Newton iteration. Bit-identical to the
-      pre-factorization engine; the baseline for bisecting regressions.
-    - [Rank1] keeps the factorization and re-uses it while no MOSFET
-      linearization has moved beyond a tight tolerance (Jacobian bypass),
-      folds small changes in as Sherman–Morrison rank-1 updates, and
-      re-factors only when many devices move at once or an update's
-      denominator guard trips. It assembles the Jacobian into a pattern
-      of the positions its stamps can touch, compiled once per netlist,
-      and factors it with the sparse LU, which picks [Dense]'s pivots
-      and repeats its arithmetic on the stored entries.
-    - [Auto] (the default) is [Rank1] plus a per-compile structural
-      choice of LU kernel: if an RCM ordering of the pattern's graph
-      yields a half-bandwidth well under the matrix size, the band-limited
-      kernel is used instead of the sparse one.
+    - [Dense] is full Newton: re-factor at every iteration. It is the
+      reference for bisecting solver regressions.
+    - [Auto] (the default) is the reuse policy: keep the factorization
+      while no MOSFET linearization has moved beyond a tolerance
+      (Jacobian bypass), fold small changes in as Sherman–Morrison rank-1
+      updates, and re-factor only when many devices move at once or an
+      update's denominator guard trips.
 
-    All reuse/fallback decisions are pure functions of device values —
-    never of timing — so results are deterministic at any job count,
-    warm or cold. Telemetry: [engine.factorizations], [engine.rank1_solves],
-    [engine.jacobian_bypass], [engine.rank1_fallbacks]. *)
+    Both policies print identical tables. All reuse/fallback decisions
+    are pure functions of device values — never of timing — so results
+    are deterministic at any job count, warm or cold. Telemetry:
+    [engine.factorizations], [engine.rank1_solves] (Sherman–Morrison
+    updates), [engine.jacobian_bypass], [engine.rank1_fallbacks]; the
+    last three stay zero under [Dense]. *)
 
-type solver = Dense | Rank1 | Auto
+type solver = Dense | Auto
 
 val default_solver : solver
 (** [Auto]. *)
@@ -94,10 +92,10 @@ val solver_name : solver -> string
 val solver_of_string : string -> solver option
 
 val all_solvers : solver list
-(** In CLI-enumeration order: dense, rank1, auto. *)
+(** In CLI-enumeration order: dense, auto. *)
 
 (** [with_solver s f] makes every analysis started inside [f] use solver
-    backend [s]. Scoped to the current domain and the dynamic extent of
+    policy [s]. Scoped to the current domain and the dynamic extent of
     [f] (nests, exception-safe), on a separate key from
     {!with_options_override} so retry escalation cannot clobber it. Note
     domain-local state does not propagate into pool workers — parallel
@@ -120,24 +118,25 @@ val current_solver : unit -> solver
     Jacobian factorization — once per worker domain, cached by
     (skeleton, options).
 
-    The warm start is part of the analysis semantics: {e every} backend,
-    dense included, starts Newton from the derived nominal operating
-    point (the derivation is solver-independent, so the vector is
-    bitwise identical across backends — a reuse-only warm start would
-    let the seeded path resolve marginal classes the dense reference
-    cannot, and the cross-backend table-identity contract would break).
-    On top of that, reuse backends ([Rank1]/[Auto]) also chain the
-    injected conductances onto the cached factorization as rank-1
-    updates, so their first solve skips the fresh factor entirely.
+    The warm start is part of the analysis semantics: both policies
+    start Newton from the derived nominal operating point (the
+    derivation is solver-independent, so the vector is bitwise identical
+    under [Dense] and [Auto] — a reuse-only warm start would let the
+    seeded path resolve marginal classes the full-Newton reference
+    cannot, and the cross-policy table-identity contract would break).
+    On top of that, the injected conductances are chained onto the
+    cached factorization as rank-1 updates, so [Auto]'s first solve
+    skips the fresh factor entirely; [Dense] re-factors at its first
+    iteration anyway.
 
     The seed is only ever a preconditioner: the chord iteration converges
     to the faulty circuit's own solution regardless, and every
     seed/fallback decision is a pure function of (netlist, options), so
     the determinism contract is unchanged. Faults that are not pure R/C
     additions (node splits, parasitic devices) and skeletons whose
-    nominal solve fails fall back to the ordinary cold-start path on all
-    backends alike; an update-guard trip drops only the factor seed and
-    keeps the warm start.
+    nominal solve fails fall back to the ordinary cold-start path under
+    both policies alike; an update-guard trip drops only the factor seed
+    and keeps the warm start.
 
     Telemetry: [engine.shared_nominal_hits] (first solve warm-started),
     [engine.shared_nominal_misses] (context installed but the defect was
@@ -202,11 +201,12 @@ val dc_operating_point : ?options:options -> Netlist.t -> solution
 val dc_operating_point_diag :
   ?options:options -> Netlist.t -> solution * diagnostics
 
-(** [dense_jacobian ?options netlist ~x] — the dense DC MNA matrix
+(** [dense_jacobian ?options netlist ~x] — the DC MNA Jacobian
     linearized at guess [x] (length = unknowns: node voltages then
-    branch currents). A diagnostic for tests of structural invariants
-    (e.g. the rank-≤2 fault-perturbation property the shared-nominal
-    path relies on); not a hot path.
+    branch currents), assembled on the plan exactly as a Newton
+    iteration would and returned as an n×n matrix. A diagnostic for
+    tests of structural invariants (e.g. the rank-≤2 fault-perturbation
+    property the shared-nominal path relies on); not a hot path.
     @raise Invalid_argument when [x] has the wrong length. *)
 val dense_jacobian :
   ?options:options -> Netlist.t -> x:float array -> float array array

@@ -108,115 +108,11 @@ let solve a b =
   substitute_in_place a piv b;
   b
 
-(* --- banded kernels ---------------------------------------------------- *)
+(* --- sparsity patterns --------------------------------------------------- *)
 
-(* The banded variants store the matrix densely but bound every loop by
-   the band: partial pivoting within the lower band widens the effective
-   upper bandwidth to at most bl + bu (the standard growth bound), which
-   callers pass as [bu_eff]. Unlike the dense kernel, pivot swaps
-   exchange only the *active* columns [k .. k+bu_eff]: swapping full rows
-   would drag already-stored multipliers of earlier columns below the
-   lower band where band-limited substitution never visits them. Each
-   multiplier column thus stays attached to its elimination step, and
-   substitution replays the swaps in step order (the LAPACK dgbtrf/dgbtrs
-   scheme). *)
-let band_limits a =
-  let n = Array.length a in
-  let bl = ref 0 and bu = ref 0 in
-  for i = 0 to n - 1 do
-    let row = a.(i) in
-    for j = 0 to n - 1 do
-      if row.(j) <> 0.0 then
-        if i > j then bl := max !bl (i - j) else bu := max !bu (j - i)
-    done
-  done;
-  !bl, !bu
-
-let factor_banded_in_place a piv ~bl ~bu_eff =
-  let n = Array.length a in
-  let threshold = relative_pivot_floor *. matrix_scale a in
-  for k = 0 to n - 1 do
-    let ihi = min (n - 1) (k + bl) in
-    let pivot_row = ref k in
-    let pivot_mag = ref (Float.abs a.(k).(k)) in
-    for i = k + 1 to ihi do
-      let mag = Float.abs a.(i).(k) in
-      if mag > !pivot_mag then begin
-        pivot_mag := mag;
-        pivot_row := i
-      end
-    done;
-    if not (!pivot_mag > threshold) then raise Singular;
-    piv.(k) <- !pivot_row;
-    let jhi = min (n - 1) (k + bu_eff) in
-    if !pivot_row <> k then begin
-      let rk = a.(k) and rp = a.(!pivot_row) in
-      for j = k to jhi do
-        let t = rk.(j) in
-        rk.(j) <- rp.(j);
-        rp.(j) <- t
-      done
-    end;
-    let row_k = a.(k) in
-    let akk = row_k.(k) in
-    for i = k + 1 to ihi do
-      let row_i = a.(i) in
-      let factor = Array.unsafe_get row_i k /. akk in
-      Array.unsafe_set row_i k factor;
-      if factor <> 0. then
-        for j = k + 1 to jhi do
-          Array.unsafe_set row_i j
-            (Array.unsafe_get row_i j -. (factor *. Array.unsafe_get row_k j))
-        done
-    done
-  done
-
-let substitute_banded_in_place a piv ~bl ~bu_eff b =
-  let n = Array.length b in
-  for k = 0 to n - 1 do
-    if piv.(k) <> k then begin
-      let t = b.(k) in
-      b.(k) <- b.(piv.(k));
-      b.(piv.(k)) <- t
-    end;
-    let ihi = min (n - 1) (k + bl) in
-    let bk = Array.unsafe_get b k in
-    for i = k + 1 to ihi do
-      let l = Array.unsafe_get (Array.unsafe_get a i) k in
-      if l <> 0. then
-        Array.unsafe_set b i (Array.unsafe_get b i -. (l *. bk))
-    done
-  done;
-  for i = n - 1 downto 0 do
-    let row = a.(i) in
-    let sum = ref (Array.unsafe_get b i) in
-    let jhi = min (n - 1) (i + bu_eff) in
-    for j = i + 1 to jhi do
-      sum := !sum -. (Array.unsafe_get row j *. Array.unsafe_get b j)
-    done;
-    Array.unsafe_set b i (!sum /. Array.unsafe_get row i)
-  done
-
-(* --- reverse Cuthill-McKee --------------------------------------------- *)
-
-(* Insertion-sort [a.(lo) .. a.(hi - 1)] under [before]: the segments
-   sorted here (a row's columns, a vertex's neighbours) hold a handful
-   of entries. *)
-let sort_segment a lo hi before =
-  for j = lo + 1 to hi - 1 do
-    let v = a.(j) in
-    let i = ref j in
-    while !i > lo && before v a.(!i - 1) do
-      a.(!i) <- a.(!i - 1);
-      decr i
-    done;
-    a.(!i) <- v
-  done
-
-(* Sort [a.(lo) .. a.(hi - 1)] ascending, move its distinct values to
-   the front and return how many there are. The sort is [sort_segment]'s
-   with the comparison written out: it runs on every compile, and an
-   indirect call per comparison shows there. *)
+(* Sort [a.(lo) .. a.(hi - 1)] ascending by insertion (a row holds a
+   handful of columns), move its distinct values to the front and return
+   how many there are. *)
 let uniq_segment (a : int array) lo hi =
   for j = lo + 1 to hi - 1 do
     let v = a.(j) in
@@ -236,99 +132,9 @@ let uniq_segment (a : int array) lo hi =
   done;
   !k - lo
 
-let rcm ~n edges =
-  let valid a b = a <> b && a >= 0 && a < n && b >= 0 && b < n in
-  (* Undirected adjacency in CSR form: vertex i's neighbours sit in
-     [nbr.(start.(i)) .. nbr.(start.(i) + degree.(i) - 1)], deduplicated. *)
-  let start = Array.make (n + 1) 0 in
-  List.iter
-    (fun (a, b) ->
-      if valid a b then begin
-        start.(a + 1) <- start.(a + 1) + 1;
-        start.(b + 1) <- start.(b + 1) + 1
-      end)
-    edges;
-  for i = 1 to n do
-    start.(i) <- start.(i) + start.(i - 1)
-  done;
-  let nbr = Array.make start.(n) 0 in
-  let fill = Array.sub start 0 n in
-  let add a b =
-    nbr.(fill.(a)) <- b;
-    fill.(a) <- fill.(a) + 1
-  in
-  List.iter
-    (fun (a, b) ->
-      if valid a b then begin
-        add a b;
-        add b a
-      end)
-    edges;
-  let degree =
-    Array.init n (fun i -> uniq_segment nbr start.(i) start.(i + 1))
-  in
-  (* (degree, index) order, lowest first. *)
-  let before a b =
-    degree.(a) < degree.(b) || (degree.(a) = degree.(b) && a <= b)
-  in
-  (* Neighbours are visited lowest-degree first; ties break on the index,
-     so the ordering is a pure function of the graph. *)
-  for i = 0 to n - 1 do
-    sort_segment nbr start.(i) (start.(i) + degree.(i)) before
-  done;
-  let visited = Array.make n false in
-  let order = Array.make n 0 in
-  (* [order] doubles as the breadth-first queue: entries past [head]
-     are enqueued, not yet expanded. *)
-  let tail = ref 0 in
-  let push v =
-    if not visited.(v) then begin
-      visited.(v) <- true;
-      order.(!tail) <- v;
-      incr tail
-    end
-  in
-  let rec component () =
-    (* Start each component from its minimum-degree vertex. *)
-    let first = ref (-1) in
-    for i = n - 1 downto 0 do
-      if (not visited.(i)) && (!first < 0 || before i !first) then first := i
-    done;
-    if !first >= 0 then begin
-      let head = ref !tail in
-      push !first;
-      while !head < !tail do
-        let v = order.(!head) in
-        incr head;
-        for j = start.(v) to start.(v) + degree.(v) - 1 do
-          push nbr.(j)
-        done
-      done;
-      component ()
-    end
-  in
-  component ();
-  (* Reverse the Cuthill-McKee order: position i holds the original index
-     placed there. *)
-  Array.init n (fun i -> order.(n - 1 - i))
-
-let bandwidth_under ~perm edges =
-  let n = Array.length perm in
-  let inv = Array.make n 0 in
-  Array.iteri (fun i p -> inv.(p) <- i) perm;
-  List.fold_left
-    (fun acc (a, b) ->
-      if a >= 0 && a < n && b >= 0 && b < n then
-        max acc (abs (inv.(a) - inv.(b)))
-      else acc)
-    0 edges
-
-(* --- sparsity patterns --------------------------------------------------- *)
-
 module Pattern = struct
   type t = { n : int; row_ptr : int array; col : int array }
 
-  let size p = p.n
   let nnz p = Array.length p.col
 
   (* Per-domain scratch for [of_positions]: the positions as they
@@ -426,17 +232,16 @@ module Pattern = struct
     in
     scan p.row_ptr.(r)
 
-  (* Each undirected edge once: (r, c) below the diagonal only when its
-     transpose is not stored. *)
-  let edges p =
-    let acc = ref [] in
-    for r = p.n - 1 downto 0 do
-      for e = p.row_ptr.(r + 1) - 1 downto p.row_ptr.(r) do
-        let c = p.col.(e) in
-        if r < c || (r > c && slot p c r < 0) then acc := (r, c) :: !acc
+  let to_dense p values =
+    if Array.length values <> nnz p then
+      invalid_arg "Linear.Pattern.to_dense: value count mismatch";
+    let a = Array.make_matrix p.n p.n 0.0 in
+    for r = 0 to p.n - 1 do
+      for e = p.row_ptr.(r) to p.row_ptr.(r + 1) - 1 do
+        a.(r).(p.col.(e)) <- values.(e)
       done
     done;
-    !acc
+    a
 end
 
 (* --- sparse LU ---------------------------------------------------------- *)
@@ -708,16 +513,6 @@ let substitute_sparse lu y =
 (* --- persistent factorizations ----------------------------------------- *)
 
 module Factor = struct
-  type base =
-    | Sparse_lu of sparse_lu
-    | Band_lu of {
-        lu : float array array;
-        piv : int array;
-        perm : int array;
-        bl : int;
-        bu_eff : int;
-      }
-
   (* One Sherman-Morrison term: solving through the update costs a dot
      product over v's nonzeros and an axpy on top of the base
      substitution. [w] is the base (plus earlier updates) solve of c*u;
@@ -729,59 +524,27 @@ module Factor = struct
     denom : float;
   }
 
-  type t = { n : int; base : base; ups : update list }
+  type t = { n : int; lu : sparse_lu; ups : update list }
 
   let size t = t.n
   let updates t = List.length t.ups
-  let is_banded t = match t.base with Band_lu _ -> true | Sparse_lu _ -> false
 
-  let factor_pattern ?permute (p : Pattern.t) a =
-    let n = p.Pattern.n in
+  let factor_pattern (p : Pattern.t) a =
     if Array.length a <> Pattern.nnz p then
       invalid_arg "Linear.Factor.factor_pattern: value count mismatch";
-    match permute with
-    | None -> { n; base = Sparse_lu (factor_sparse p a); ups = [] }
-    | Some perm ->
-      if Array.length perm <> n then
-        invalid_arg "Linear.Factor.factor: permutation size mismatch";
-      (* Scatter into the banded kernel's permuted dense storage:
-         original (r, c) lands at (inv r, inv c). *)
-      let inv = Array.make n 0 in
-      Array.iteri (fun i q -> inv.(q) <- i) perm;
-      let lu = Array.make_matrix n n 0.0 in
-      for r = 0 to n - 1 do
-        let row = lu.(inv.(r)) in
-        for e = p.row_ptr.(r) to p.row_ptr.(r + 1) - 1 do
-          row.(inv.(p.col.(e))) <- a.(e)
-        done
-      done;
-      let bl, bu = band_limits lu in
-      let bu_eff = min (max 0 (n - 1)) (bl + bu) in
-      let piv = Array.make n 0 in
-      factor_banded_in_place lu piv ~bl ~bu_eff;
-      { n; base = Band_lu { lu; piv; perm; bl; bu_eff }; ups = [] }
+    { n = p.Pattern.n; lu = factor_sparse p a; ups = [] }
 
-  let factor ?permute a =
+  let factor a =
     let p, values = Pattern.of_dense a in
-    factor_pattern ?permute p values
+    factor_pattern p values
 
   let base_solve t b =
-    match t.base with
-    | Sparse_lu lu ->
-      let y = Array.make t.n 0.0 in
-      for i = 0 to t.n - 1 do
-        y.(i) <- b.(lu.prow.(i))
-      done;
-      substitute_sparse lu y;
-      y
-    | Band_lu { lu; piv; perm; bl; bu_eff } ->
-      let y = Array.init t.n (fun i -> b.(perm.(i))) in
-      substitute_banded_in_place lu piv ~bl ~bu_eff y;
-      let x = Array.make t.n 0.0 in
-      for i = 0 to t.n - 1 do
-        x.(perm.(i)) <- y.(i)
-      done;
-      x
+    let y = Array.make t.n 0.0 in
+    for i = 0 to t.n - 1 do
+      y.(i) <- b.(t.lu.prow.(i))
+    done;
+    substitute_sparse t.lu y;
+    y
 
   (* v·y over v's nonzeros, in ascending index: the terms a full dot
      product adds on top are exact zeros, which leave a sum that starts

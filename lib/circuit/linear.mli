@@ -1,16 +1,16 @@
 (** Linear algebra for MNA systems, organized around factorizations.
 
     MNA matrices are mostly zeros (the comparator's n = 37 Jacobian holds
-    under a hundred nonzeros of 1,369 entries), so the factorization
+    under a hundred nonzeros of 1,369 entries), so the one factorization
     kernel is a sparse LU with partial pivoting over a {!Pattern} of the
-    positions a matrix can hold, or a band-limited LU under an RCM
-    permutation. The sparse kernel picks the pivots of the dense kernel
+    positions a matrix can hold. It picks the pivots of the dense kernel
     behind [solve] and repeats its multipliers and operation order on the
     stored entries, so for finite matrices the two agree bit for bit up
     to the sign of an entry that is exactly zero. The primary surface is
     {!Factor}: factor a matrix once, then reuse the factorization across
     many right-hand sides and cheap Sherman–Morrison rank-1 corrections.
-    The in-place dense [solve] remains as the reference kernel.
+    The in-place dense [solve] remains as the reference the sparse kernel
+    is tested against.
 
     Singularity is judged relative to the matrix's largest entry (a pivot
     below [1e-30 · max|a_ij|] raises {!Singular}), so badly-scaled but
@@ -37,52 +37,37 @@ module Pattern : sig
       array, or [-1] when [p] does not store it. *)
   val slot : t -> int -> int -> int
 
-  (** Matrix dimension. *)
-  val size : t -> int
-
   (** Number of stored positions (slots). *)
   val nnz : t -> int
 
-  (** The undirected graph of the off-diagonal stored positions, each
-      edge once as a [(row, col)] pair: the graph {!rcm} orders. *)
-  val edges : t -> (int * int) list
+  (** [to_dense p values] is the n×n matrix holding [values.(s)] at slot
+      [s]'s position and zero elsewhere; for diagnostics, not hot paths.
+      @raise Invalid_argument on a value-count mismatch. *)
+  val to_dense : t -> float array -> float array array
 end
 
 (** Persistent LU factorizations with Sherman–Morrison update chains. *)
 module Factor : sig
   (** A factorization of some n×n matrix [A], immutable once built.
-      Internally: LU factors + row permutation (sparse, or band-limited
-      under a symmetric row/column permutation) plus a list of rank-1
-      corrections applied on top. *)
+      Internally: sparse LU factors + row permutation plus a list of
+      rank-1 corrections applied on top. *)
   type t
 
-  (** [factor_pattern ?permute p values] factors the matrix whose entry
-      at slot [s] of [p] is [values.(s)] (zero elsewhere); [values] is
-      left untouched.
-
-      Without [~permute], a sparse LU eliminates over the pattern:
-      partial pivoting on the largest magnitude, lowest position on ties,
-      fill-in tracked in a per-domain workspace reused across calls. A
-      call does no O(n²) work and allocates only the factor's own L and U
-      arrays.
-
-      With [~permute:q] (a symmetric ordering such as one from {!rcm}),
-      the values are scattered into permuted dense storage
-      [(q⁻¹ r, q⁻¹ c)], its bandwidth is measured, and a band-limited LU
-      is used — same pivoting rule, loops bounded by the band (partial
-      pivoting widens the upper band to at most [bl + bu]). Solutions
-      come back in the original ordering.
-
+  (** [factor_pattern p values] factors the matrix whose entry at slot
+      [s] of [p] is [values.(s)] (zero elsewhere); [values] is left
+      untouched. A sparse LU eliminates over the pattern: partial
+      pivoting on the largest magnitude, lowest position on ties, fill-in
+      tracked in a per-domain workspace reused across calls. A call does
+      no O(n²) work and allocates only the factor's own L and U arrays.
       @raise Singular when pivoting finds no usable pivot.
-      @raise Invalid_argument on a value-count or permutation-size
-      mismatch. *)
-  val factor_pattern : ?permute:int array -> Pattern.t -> float array -> t
+      @raise Invalid_argument on a value-count mismatch. *)
+  val factor_pattern : Pattern.t -> float array -> t
 
-  (** [factor ?permute a] is [factor_pattern] on the pattern of [a]'s
-      nonzero entries, derived with one scan; [a] is left untouched.
+  (** [factor a] is [factor_pattern] on the pattern of [a]'s nonzero
+      entries, derived with one scan; [a] is left untouched.
       @raise Singular when pivoting finds no usable pivot.
-      @raise Invalid_argument on shape or permutation-size mismatch. *)
-  val factor : ?permute:int array -> float array array -> t
+      @raise Invalid_argument on a non-square matrix. *)
+  val factor : float array array -> t
 
   (** [solve_factored t b] solves [A·x = b] through the stored
       factorization and update chain, returning a fresh array; [b] is
@@ -106,23 +91,7 @@ module Factor : sig
 
   (** Dimension of the factored matrix. *)
   val size : t -> int
-
-  (** Whether the base factorization uses the band-limited kernel. *)
-  val is_banded : t -> bool
 end
-
-(** [rcm ~n edges] is a reverse Cuthill–McKee ordering of the undirected
-    graph on vertices [0..n-1] with the given edges (self-loops and
-    out-of-range endpoints ignored). The result [p] maps new position to
-    original index and is deterministic: neighbours are visited in
-    (degree, index) order and each component starts from its
-    minimum-degree vertex. *)
-val rcm : n:int -> (int * int) list -> int array
-
-(** [bandwidth_under ~perm edges] is the half-bandwidth of the adjacency
-    graph after applying the symmetric ordering [perm] — the selection
-    heuristic for choosing the banded kernel. *)
-val bandwidth_under : perm:int array -> (int * int) list -> int
 
 (** [solve a b] solves [a · x = b], overwriting both [a] (with its LU
     factors) and [b] (with the solution), and returns [b].

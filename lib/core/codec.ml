@@ -654,9 +654,16 @@ let limits_of_json json =
   in
   Ok { Util.Watchdog.wall_seconds; max_iterations }
 
+(* "rank1" named a third backend, the reuse policy without the banded
+   kernel, until the two merged into [Auto]. Requests that still send it
+   decode as [Auto]; nothing emits it, so [api_version] does not move. *)
 let solver_to_json, solver_of_json =
-  enum ~what:"solver backend" ~name_of:Circuit.Engine.solver_name
-    Circuit.Engine.all_solvers
+  let encode, decode =
+    enum ~what:"solver backend" ~name_of:Circuit.Engine.solver_name
+      Circuit.Engine.all_solvers
+  in
+  ( encode,
+    function J.String "rank1" -> Ok Circuit.Engine.Auto | json -> decode json )
 
 let format_to_json, format_of_json =
   enum ~what:"format" ~name_of:Request.format_name Request.all_formats

@@ -183,8 +183,8 @@ let cache_key config (macro : Macro.Macro_cell.t) ~nominal_netlist ~cell =
       Printf.sprintf "seed=%d" config.seed;
       Printf.sprintf "max_retries=%d" config.max_retries;
       Printf.sprintf "strict=%b" config.strict;
-      (* All solver backends are required to produce identical tables;
-         the choice is still part of the content address so a backend
+      (* Both solver policies are required to produce identical tables;
+         the choice is still part of the content address so a policy
          regression can never poison a warm cache and a bisection against
          [dense] always re-simulates. *)
       "solver=" ^ Circuit.Engine.solver_name config.solver;

@@ -60,10 +60,11 @@ module Config : sig
             stored through it under the macro's key — and is inert
             without one. See {!Checkpoint}. *)
     solver : Circuit.Engine.solver;
-        (** linear-solver backend for every simulation stage (default
-            {!Circuit.Engine.default_solver} = [Auto]). All backends must
-            produce identical tables; [Dense] is the reference path for
-            bisecting solver regressions. Part of the cache key. *)
+        (** Newton factorization policy for every simulation stage
+            (default {!Circuit.Engine.default_solver} = [Auto]). Both
+            policies must produce identical tables; [Dense] (full Newton)
+            is the reference for bisecting solver regressions. Part of
+            the cache key. *)
     sprinkle_chunk : int;
         (** defect draws per sprinkle chunk (default
             {!Defect.Simulate.default_chunk_size}). Each chunk consumes

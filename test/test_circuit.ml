@@ -62,7 +62,6 @@ let test_factor_matches_fresh_solve () =
   let f = Linear.Factor.factor a in
   Alcotest.(check int) "size" 3 (Linear.Factor.size f);
   Alcotest.(check int) "no updates" 0 (Linear.Factor.updates f);
-  Alcotest.(check bool) "dense kernel" false (Linear.Factor.is_banded f);
   (* One factorization, many right-hand sides: each solve must match a
      from-scratch dense solve exactly (same kernel, same arithmetic). *)
   List.iter
@@ -113,35 +112,6 @@ let test_factor_rank1_fallback () =
   match Linear.Factor.rank1_update f ~c:0.5 ~u:e0 ~v:e0 with
   | Some _ -> ()
   | None -> Alcotest.fail "well-conditioned update must succeed"
-
-let test_factor_banded_permute () =
-  (* A chain graph presented in scrambled order: RCM recovers a
-     bandwidth-1 ordering and the band-limited kernel must agree with
-     the dense one. *)
-  let n = 8 in
-  (* label.(i) = matrix index of chain vertex i *)
-  let label = [| 3; 6; 0; 5; 1; 7; 2; 4 |] in
-  let a = Linear.matrix n in
-  for i = 0 to n - 1 do
-    a.(i).(i) <- 4.0
-  done;
-  let edges = ref [] in
-  for i = 0 to n - 2 do
-    let p = label.(i) and q = label.(i + 1) in
-    a.(p).(q) <- -1.0;
-    a.(q).(p) <- -1.0;
-    edges := (p, q) :: !edges
-  done;
-  let perm = Linear.rcm ~n !edges in
-  Alcotest.(check int) "rcm bandwidth" 1 (Linear.bandwidth_under ~perm !edges);
-  let f = Linear.Factor.factor ~permute:perm a in
-  Alcotest.(check bool) "banded kernel" true (Linear.Factor.is_banded f);
-  let b = Array.init n (fun i -> float_of_int (i - 3)) in
-  let x = Linear.Factor.solve_factored f b in
-  let y = solve_fresh a b in
-  Array.iteri
-    (fun i xi -> check_float 1e-12 (Printf.sprintf "x%d" i) y.(i) xi)
-    x
 
 (* ------------------------------------------------------------------ *)
 (* Waveform                                                            *)
@@ -557,19 +527,21 @@ let test_with_solver_scoped () =
   Engine.with_solver Engine.Dense (fun () ->
       Alcotest.(check bool) "override visible" true
         (Engine.current_solver () = Engine.Dense);
-      Engine.with_solver Engine.Rank1 (fun () ->
+      Engine.with_solver Engine.Auto (fun () ->
           Alcotest.(check bool) "nested override" true
-            (Engine.current_solver () = Engine.Rank1));
+            (Engine.current_solver () = Engine.Auto));
       Alcotest.(check bool) "inner scope popped" true
         (Engine.current_solver () = Engine.Dense));
   Alcotest.(check bool) "restored" true
     (Engine.current_solver () = Engine.default_solver)
 
 let test_solver_backends_agree () =
-  (* The inverter transient under every backend: node voltages must
-     agree to far tighter than any signature-classification threshold,
-     and the fast path must actually fire under Rank1/Auto — otherwise
-     the comparison proves nothing. *)
+  (* The inverter transient under both policies: node voltages must
+     agree to far tighter than any signature-classification threshold.
+     The two share all their code but the policy flag, so each side must
+     show its own policy: the reuse fast path fires under Auto, and
+     Dense re-factors every iteration with no bypass and no rank-1
+     update — otherwise the comparison proves nothing. *)
   let run solver =
     let nl = Netlist.create () in
     let vdd = Netlist.node nl "vdd" in
@@ -602,7 +574,13 @@ let test_solver_backends_agree () =
     in
     List.map (fun s -> Engine.time s, Engine.voltage s out) sols, counter
   in
-  let dense, _ = run Engine.Dense in
+  let dense, dense_counter = run Engine.Dense in
+  Alcotest.(check bool) "dense: factorizations counted" true
+    (dense_counter "engine.factorizations" > 0);
+  Alcotest.(check int) "dense: no jacobian bypass" 0
+    (dense_counter "engine.jacobian_bypass");
+  Alcotest.(check int) "dense: no rank-1 updates" 0
+    (dense_counter "engine.rank1_solves");
   List.iter
     (fun solver ->
       let name = Engine.solver_name solver in
@@ -623,7 +601,67 @@ let test_solver_backends_agree () =
         (name ^ ": fast path fired")
         true
         (counter "engine.jacobian_bypass" + counter "engine.rank1_solves" > 0))
-    [ Engine.Rank1; Engine.Auto ]
+    [ Engine.Auto ]
+
+let test_dense_jacobian_hand_stamp () =
+  (* One NMOS with every terminal off ground, at a fixed guess: the
+     Jacobian the plan assembles must be gmin, the two resistors, the
+     sources' ±1 incidences and the transistor's gm/gds stamp computed
+     here from [Mos_model.evaluate], entry by entry. *)
+  let nl = Netlist.create () in
+  let vdd = Netlist.node nl "vdd" and gate = Netlist.node nl "g" in
+  let drain = Netlist.node nl "d" and src = Netlist.node nl "s" in
+  Netlist.add_vsource nl ~name:"VDD" ~pos:vdd ~neg:Netlist.ground
+    (Waveform.dc 5.0);
+  Netlist.add_vsource nl ~name:"VG" ~pos:gate ~neg:Netlist.ground
+    (Waveform.dc 2.0);
+  Netlist.add_resistor nl ~name:"RL" vdd drain 10_000.0;
+  Netlist.add_resistor nl ~name:"RS" src Netlist.ground 1_000.0;
+  Netlist.add_mosfet nl ~name:"M1" ~drain ~gate ~source:src
+    ~bulk:Netlist.ground nmos_spec;
+  (* Unknowns: vdd, g, d, s, then the VDD and VG branch currents. *)
+  let x = [| 5.0; 2.0; 3.1; 0.4; -1e-4; 0.0 |] in
+  let jac = Engine.dense_jacobian nl ~x in
+  let i node = Netlist.index_of_node node - 1 in
+  let expect = Linear.matrix 6 in
+  let add r c v = expect.(r).(c) <- expect.(r).(c) +. v in
+  List.iter
+    (fun node -> add (i node) (i node) Engine.default_options.Engine.gmin)
+    [ vdd; gate; drain; src ];
+  let gl = 1.0 /. 10_000.0 in
+  add (i vdd) (i vdd) gl;
+  add (i drain) (i drain) gl;
+  add (i vdd) (i drain) (-.gl);
+  add (i drain) (i vdd) (-.gl);
+  add (i src) (i src) (1.0 /. 1_000.0);
+  add (i vdd) 4 1.0;
+  add 4 (i vdd) 1.0;
+  add (i gate) 5 1.0;
+  add 5 (i gate) 1.0;
+  let d = i drain and g = i gate and s = i src in
+  let op =
+    Mos_model.evaluate ~polarity:Mos_model.Nmos ~params:nmos ~w:10e-6 ~l:1e-6
+      ~vgs:(x.(g) -. x.(s)) ~vds:(x.(d) -. x.(s))
+  in
+  let gm = op.Mos_model.gm and gds = op.Mos_model.gds in
+  Alcotest.(check bool) "transistor conducts" true (gm > 0.0 && gds > 0.0);
+  add d d gds;
+  add d g gm;
+  add d s (-.(gm +. gds));
+  add s d (-.gds);
+  add s g (-.gm);
+  add s s (gm +. gds);
+  Alcotest.(check int) "size" 6 (Array.length jac);
+  Array.iteri
+    (fun r row ->
+      Array.iteri
+        (fun c e ->
+          check_float
+            (1e-12 *. Float.abs e)
+            (Printf.sprintf "J[%d][%d]" r c)
+            e jac.(r).(c))
+        row)
+    expect
 
 (* ------------------------------------------------------------------ *)
 (* Engine: AC                                                          *)
@@ -829,9 +867,110 @@ let rank1_agrees ~tol ~a ~u ~v ~c ~b =
     done;
     !ok
 
+(* A random linear netlist and its MNA system, stamped here without the
+   engine: gmin on every node diagonal, resistor conductances, injected
+   currents and ±1 source incidences. A resistor spanning tree ties
+   every node to ground and extra resistors close loops; one or two
+   voltage sources drive node k against ground or a higher node, so they
+   never form a loop. Node unknowns come first, as in the engine; branch
+   k is source k. Returns the netlist, its nodes (ground first), the
+   source names, the matrix and the right-hand side. *)
+let random_linear_circuit ~nodes ~seed =
+  let rand = lcg seed in
+  let pick k = min (k - 1) (int_of_float (rand () *. float_of_int k)) in
+  let nl = Netlist.create () in
+  let node_of =
+    Array.init (nodes + 1) (fun k ->
+        if k = 0 then Netlist.ground
+        else Netlist.node nl (Printf.sprintf "n%d" k))
+  in
+  let sources = 1 + pick 2 in
+  let n = nodes + sources in
+  let a = Linear.matrix n and b = Array.make n 0.0 in
+  (* Matrix row of node k, -1 for ground. *)
+  let row k = Netlist.index_of_node node_of.(k) - 1 in
+  let add r c v = if r >= 0 && c >= 0 then a.(r).(c) <- a.(r).(c) +. v in
+  for k = 1 to nodes do
+    add (row k) (row k) Engine.default_options.Engine.gmin
+  done;
+  let resistor name i j =
+    let r = 10.0 ** (2.0 +. (3.0 *. rand ())) in
+    Netlist.add_resistor nl ~name node_of.(i) node_of.(j) r;
+    let g = 1.0 /. r in
+    add (row i) (row i) g;
+    add (row j) (row j) g;
+    add (row i) (row j) (-.g);
+    add (row j) (row i) (-.g)
+  in
+  for k = 1 to nodes do
+    resistor (Printf.sprintf "T%d" k) k (pick k)
+  done;
+  for e = 1 to pick (nodes + 1) do
+    let i = pick (nodes + 1) and j = pick (nodes + 1) in
+    if i <> j then resistor (Printf.sprintf "X%d" e) i j
+  done;
+  for e = 1 to pick 3 do
+    let i = pick (nodes + 1) and j = pick (nodes + 1) in
+    let amps = (rand () -. 0.5) *. 2e-4 in
+    Netlist.add_isource nl ~name:(Printf.sprintf "I%d" e) ~pos:node_of.(i)
+      ~neg:node_of.(j) (Waveform.dc amps);
+    if i > 0 then b.(row i) <- b.(row i) +. amps;
+    if j > 0 then b.(row j) <- b.(row j) -. amps
+  done;
+  let names =
+    List.init sources (fun k ->
+        let pos = k + 1 in
+        let neg =
+          if pos + 1 > nodes || pick 2 = 0 then 0
+          else pos + 1 + pick (nodes - pos)
+        in
+        let volts = (rand () -. 0.5) *. 6.0 in
+        let name = Printf.sprintf "V%d" pos in
+        Netlist.add_vsource nl ~name ~pos:node_of.(pos) ~neg:node_of.(neg)
+          (Waveform.dc volts);
+        let branch = nodes + k in
+        add (row pos) branch 1.0;
+        add branch (row pos) 1.0;
+        add (row neg) branch (-1.0);
+        add branch (row neg) (-1.0);
+        b.(branch) <- volts;
+        name)
+  in
+  nl, node_of, names, a, b
+
 let qcheck_props =
   let open QCheck in
   [
+    Test.make ~name:"engine: linear dc matches an independent MNA solve"
+      (pair (int_range 2 10) (int_range 0 1_000_000))
+      (fun (nodes, seed) ->
+        (* Both policies share one assembly, so their agreement alone
+           says nothing about stamping; this reference does not share
+           it. Node voltages and source currents must match within 1e-9
+           of the largest reference value of their kind. *)
+        let nl, node_of, names, a, b = random_linear_circuit ~nodes ~seed in
+        let x = Linear.solve a b in
+        let volts =
+          List.init nodes (fun k ->
+              x.(Netlist.index_of_node node_of.(k + 1) - 1))
+        in
+        (* [source_current] is the current delivered from the + terminal,
+           the negated MNA branch unknown. *)
+        let amps = List.mapi (fun k _ -> -.x.(nodes + k)) names in
+        let scale = List.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 in
+        let close expected actual =
+          let tol = 1e-9 *. scale expected in
+          List.for_all2 (fun e g -> Float.abs (e -. g) <= tol) expected actual
+        in
+        List.for_all
+          (fun solver ->
+            let sol =
+              Engine.with_solver solver (fun () -> Engine.dc_operating_point nl)
+            in
+            close volts
+              (List.init nodes (fun k -> Engine.voltage sol node_of.(k + 1)))
+            && close amps (List.map (Engine.source_current sol) names))
+          Engine.all_solvers);
     Test.make ~name:"dc: series resistor chain divides proportionally"
       (pair (int_range 2 8) (float_range 1.0 10.0))
       (fun (n, v) ->
@@ -1007,7 +1146,6 @@ let suites =
           test_factor_matches_fresh_solve;
         Alcotest.test_case "rank-1 agrees" `Quick test_factor_rank1_agrees;
         Alcotest.test_case "rank-1 fallback" `Quick test_factor_rank1_fallback;
-        Alcotest.test_case "banded permute" `Quick test_factor_banded_permute;
       ] );
     ( "circuit.waveform",
       [
@@ -1053,6 +1191,8 @@ let suites =
         Alcotest.test_case "names round-trip" `Quick test_solver_names_roundtrip;
         Alcotest.test_case "with_solver scoped" `Quick test_with_solver_scoped;
         Alcotest.test_case "backends agree" `Quick test_solver_backends_agree;
+        Alcotest.test_case "jacobian is the hand stamp" `Quick
+          test_dense_jacobian_hand_stamp;
       ] );
     ( "circuit.engine.ac",
       [

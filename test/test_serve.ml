@@ -418,6 +418,29 @@ let test_handle_line_matches_submit () =
   | Error e -> Alcotest.fail e.Request.message
   | Ok wire -> check_tables "wire" direct.Request.tables wire
 
+let test_rank1_decodes_as_auto () =
+  (* "rank1" named a solver backend that has since merged into auto. A
+     request still spelling it decodes as [Auto], re-encodes as "auto"
+     and addresses the same result as the same request sent as "auto". *)
+  let decode solver =
+    let line =
+      Printf.sprintf
+        "{\"api\":\"dotest-api/1\",\"target\":\"global\",\"defects\":500,\"solver\":%S}"
+        solver
+    in
+    match Result.bind (Util.Json.of_string line) Codec.request_of_json with
+    | Ok r -> r
+    | Error e -> Alcotest.fail ("request line does not decode: " ^ e)
+  in
+  let legacy = decode "rank1" and auto = decode "auto" in
+  Alcotest.(check string) "decodes as auto" "auto"
+    (Circuit.Engine.solver_name legacy.Request.solver);
+  Alcotest.(check bool) "re-encodes as auto" true
+    (Util.Json.member "solver" (Codec.request_to_json legacy)
+    = Some (Util.Json.String "auto"));
+  Alcotest.(check string) "same fingerprint" (Request.fingerprint auto)
+    (Request.fingerprint legacy)
+
 let test_address_parsing () =
   let round s = Result.map Service.address_to_string (Service.address_of_string s) in
   Alcotest.(check bool) "unix prefix" true
@@ -440,6 +463,8 @@ let suites =
         test_default_pins_config
       :: Alcotest.test_case "hostile wire lines" `Quick test_handle_line_errors
       :: Alcotest.test_case "address parsing" `Quick test_address_parsing
+      :: Alcotest.test_case "rank1 decodes as auto" `Quick
+           test_rank1_decodes_as_auto
       :: List.map QCheck_alcotest.to_alcotest qcheck_props );
     ( "serve.service",
       [
