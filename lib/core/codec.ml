@@ -550,26 +550,7 @@ let netlist_fingerprint nl =
     :: List.map (Circuit.Netlist.node_name nl) (Circuit.Netlist.nodes nl)
     @ List.map device_part (Circuit.Netlist.devices nl))
 
-let owner_part = function
-  | Layout.Cell.Wire net -> "wire " ^ net
-  | Layout.Cell.Device_terminal { device; terminal } ->
-    Printf.sprintf "pin %s.%s" device terminal
-  | Layout.Cell.Gate { device } -> "gate " ^ device
-  | Layout.Cell.Channel { device } -> "channel " ^ device
-  | Layout.Cell.Cut { connects_up } ->
-    if connects_up then "cut up" else "cut down"
-
-let cell_fingerprint cell =
-  let shape_part (s : Layout.Cell.shape) =
-    Printf.sprintf "%d %s (%d,%d)-(%d,%d) %s" s.Layout.Cell.id
-      (Process.Layer.name s.Layout.Cell.layer)
-      s.Layout.Cell.rect.Geometry.Rect.x0 s.Layout.Cell.rect.Geometry.Rect.y0
-      s.Layout.Cell.rect.Geometry.Rect.x1 s.Layout.Cell.rect.Geometry.Rect.y1
-      (owner_part s.Layout.Cell.owner)
-  in
-  Util.Cache.fingerprint
-    ("cell" :: Layout.Cell.name cell
-    :: (Array.to_list (Layout.Cell.shapes cell) |> List.map shape_part))
+let cell_fingerprint = Layout.Cell.fingerprint
 
 (* --- rendered-report surface -------------------------------------------- *)
 

@@ -110,6 +110,10 @@ val stats_fingerprint : Process.Defect_stats.t -> string
     the leaky flipflop) fingerprint differently. *)
 val netlist_fingerprint : Circuit.Netlist.t -> string
 
+(** [cell_fingerprint cell] is {!Layout.Cell.fingerprint}: the digest of
+    the cell's name and shape list, computed once per cell value. A
+    service that keeps its macros therefore spells a layout out once,
+    not on every lookup. *)
 val cell_fingerprint : Layout.Cell.t -> string
 
 (** {1 The request/response wire format}

@@ -37,9 +37,19 @@ type t = {
   changed : Condition.t;  (* flight completion, drain entry *)
   flights : (string, flight) Hashtbl.t;  (* keyed by Request.fingerprint *)
   exec : Mutex.t;  (* the single execution lane *)
+  comparator : bool -> Macro.Macro_cell.t;  (* by [dft]; lane only *)
+  global_set : bool -> Macro.Macro_cell.t list;  (* by [dft]; lane only *)
   mutable draining_ : bool;
   mutable s : stats;
 }
+
+(* Each DfT variant is built on first use and kept for the service's
+   lifetime, with the layouts its macros synthesize and the cell
+   fingerprints memoized on them: a warm hit then rebuilds neither.
+   Only the execution lane forces these. *)
+let by_dft build =
+  let plain = lazy (build false) and dft = lazy (build true) in
+  fun d -> Lazy.force (if d then dft else plain)
 
 let create ?cache ?jobs ?(telemetry = Util.Telemetry.null) ?failure_budget
     ?(max_pending = 16) () =
@@ -53,6 +63,15 @@ let create ?cache ?jobs ?(telemetry = Util.Telemetry.null) ?failure_budget
     changed = Condition.create ();
     flights = Hashtbl.create 16;
     exec = Mutex.create ();
+    comparator =
+      by_dft (fun dft ->
+          Adc.Comparator.macro
+            (if dft then Adc.Comparator.dft_options
+             else Adc.Comparator.default_options));
+    global_set =
+      by_dft (fun dft ->
+          Dft.Measures.macro_set
+            ~measures:(if dft then Dft.Measures.all_measures else []));
     draining_ = false;
     s =
       {
@@ -106,16 +125,13 @@ let config_of t (r : Request.t) =
    serve-vs-CLI byte-identity contract). Execution-dependent output —
    cache stats, run survival, metrics — is deliberately not a table;
    its serve-side analogues are the reply counters and telemetry. *)
-let tables_of config (r : Request.t) =
+let tables_of t config (r : Request.t) =
   let render title table =
     { Request.title; body = Report.render ~format:r.format table }
   in
   match r.target with
   | Request.Comparator { dft } ->
-    let options =
-      if dft then Adc.Comparator.dft_options else Adc.Comparator.default_options
-    in
-    let analysis = Pipeline.analyze config (Adc.Comparator.macro options) in
+    let analysis = Pipeline.analyze config (t.comparator dft) in
     [
       render "Table 1: catastrophic faults and fault classes"
         (Report.table1 analysis);
@@ -126,9 +142,7 @@ let tables_of config (r : Request.t) =
       render "Run health" (Report.run_health (Pipeline.run_health [ analysis ]));
     ]
   | Request.Global { dft } ->
-    let measures = if dft then Dft.Measures.all_measures else [] in
-    let macros = Dft.Measures.macro_set ~measures in
-    let analyses = Pipeline.analyze_all config macros in
+    let analyses = Pipeline.analyze_all config (t.global_set dft) in
     let g = Global.combine analyses in
     [
       render
@@ -178,7 +192,7 @@ let execute t ~queue_seconds (r : Request.t) =
     (* Config telemetry stays null: the service already installed its
        sink as ambient for the span above, and [Pipeline] leaves the
        ambient sink untouched when the config's own sink is null. *)
-    try Ok (tables_of (config_of t r) r) with e -> Error e
+    try Ok (tables_of t (config_of t r) r) with e -> Error e
   in
   let evaluate_seconds = Unix.gettimeofday () -. started in
   let after = cache_stats () in

@@ -32,6 +32,16 @@
     are byte-identical to the equivalent CLI run's, whichever lane,
     thread or flight produced them.
 
+    {2 What a service keeps}
+
+    The macros of each target ([comparator] and [global], each with and
+    without [dft]) are built on the first request for that target and
+    kept until the service is dropped, with their synthesized layouts
+    and the layouts' cache-key fingerprints. A warm hit therefore
+    neither re-synthesizes nor re-fingerprints a layout; it still
+    rebuilds each macro's nominal netlist for the key and decodes the
+    cached payload.
+
     {2 Shutdown}
 
     {!initiate_shutdown} (the CLI routes the first SIGTERM/SIGINT here)

@@ -7,11 +7,17 @@ type 'a t = {
   rows : int;
   buckets : 'a entry list array;
   mutable count : int;
-  mutable stamp : int;
-  (* Deduplication scratch: seen.(id) = stamp means the entry was already
-     visited during the current query. Grown on demand. *)
-  mutable seen : int array;
 }
+
+(* Deduplication marks: seen.(id) = stamp means entry [id] was already
+   visited by the current query. Several domains query one index at once
+   (the sprinkle chunks, and the re-extractions of wire-severing spots),
+   so the marks live in domain-local scratch, never in the index. Stamps
+   only grow, so one array serves every index its domain queries. *)
+type scratch = { mutable stamp : int; mutable seen : int array; mutable busy : bool }
+
+let fresh_scratch () = { stamp = 0; seen = [||]; busy = false }
+let scratch_key = Domain.DLS.new_key fresh_scratch
 
 let create ~bounds ~cell_size =
   if cell_size <= 0 then invalid_arg "Spatial_index.create: cell_size";
@@ -24,8 +30,6 @@ let create ~bounds ~cell_size =
     rows;
     buckets = Array.make (cols * rows) [];
     count = 0;
-    stamp = 0;
-    seen = Array.make 64 0;
   }
 
 let length t = t.count
@@ -40,11 +44,6 @@ let bucket_range t (r : Rect.t) =
 let insert t rect payload =
   let id = t.count in
   t.count <- t.count + 1;
-  if id >= Array.length t.seen then begin
-    let bigger = Array.make (2 * Array.length t.seen) 0 in
-    Array.blit t.seen 0 bigger 0 (Array.length t.seen);
-    t.seen <- bigger
-  end;
   let entry = { id; rect; payload } in
   let c0, r0, c1, r1 = bucket_range t rect in
   for row = r0 to r1 do
@@ -55,21 +54,34 @@ let insert t rect payload =
   done
 
 let visit t region keep f =
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp in
+  let shared = Domain.DLS.get scratch_key in
+  (* A query made from inside another query's callback gets marks of its
+     own, so the outer query's survive. *)
+  let s = if shared.busy then fresh_scratch () else shared in
+  if Array.length s.seen < t.count then s.seen <- Array.make t.count 0;
+  s.stamp <- s.stamp + 1;
+  let stamp = s.stamp and seen = s.seen in
   let c0, r0, c1, r1 = bucket_range t region in
-  for row = r0 to r1 do
-    for col = c0 to c1 do
-      let bucket = t.buckets.((row * t.cols) + col) in
-      List.iter
-        (fun e ->
-          if t.seen.(e.id) <> stamp then begin
-            t.seen.(e.id) <- stamp;
-            if keep e.rect then f e.rect e.payload
-          end)
-        bucket
+  let scan () =
+    for row = r0 to r1 do
+      for col = c0 to c1 do
+        let bucket = t.buckets.((row * t.cols) + col) in
+        List.iter
+          (fun e ->
+            if seen.(e.id) <> stamp then begin
+              seen.(e.id) <- stamp;
+              if keep e.rect then f e.rect e.payload
+            end)
+          bucket
+      done
     done
-  done
+  in
+  s.busy <- true;
+  match scan () with
+  | () -> s.busy <- false
+  | exception e ->
+    s.busy <- false;
+    raise e
 
 let query_rect t rect f = visit t rect (Rect.touches_or_overlaps rect) f
 

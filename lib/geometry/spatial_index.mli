@@ -3,7 +3,12 @@
     Defect sprinkling queries "which shapes does this disc touch?" millions
     of times; a bucket grid over the cell bounding box turns that from
     O(shapes) into O(1) for realistic layouts. Values of type ['a] are the
-    caller's shape payloads (layer, net, device terminal…). *)
+    caller's shape payloads (layer, net, device terminal…).
+
+    Once built, an index may be queried from several domains at once:
+    each query keeps its visited marks in domain-local scratch, not in
+    the index. A callback may itself query. Inserting while another
+    domain queries is not supported. *)
 
 type 'a t
 

@@ -17,6 +17,7 @@ type t = {
   cell_shapes : shape array;
   cell_bounds : Geometry.Rect.t;
   mutable cached_index : int Geometry.Spatial_index.t option;
+  mutable cached_fingerprint : string option;
 }
 
 type builder = { b_name : string; mutable rev_shapes : shape list; mutable next : int }
@@ -36,7 +37,13 @@ let finish b =
     Geometry.Rect.bounding_box
       (Array.to_list (Array.map (fun s -> s.rect) cell_shapes))
   in
-  { cell_name = b.b_name; cell_shapes; cell_bounds; cached_index = None }
+  {
+    cell_name = b.b_name;
+    cell_shapes;
+    cell_bounds;
+    cached_index = None;
+    cached_fingerprint = None;
+  }
 
 let name t = t.cell_name
 let shapes t = t.cell_shapes
@@ -62,6 +69,35 @@ let index t =
     Array.iter (fun s -> Geometry.Spatial_index.insert idx s.rect s.id) t.cell_shapes;
     t.cached_index <- Some idx;
     idx
+
+let owner_part = function
+  | Wire net -> "wire " ^ net
+  | Device_terminal { device; terminal } ->
+    Printf.sprintf "pin %s.%s" device terminal
+  | Gate { device } -> "gate " ^ device
+  | Channel { device } -> "channel " ^ device
+  | Cut { connects_up } -> if connects_up then "cut up" else "cut down"
+
+let shape_part s =
+  Printf.sprintf "%d %s (%d,%d)-(%d,%d) %s" s.id (Process.Layer.name s.layer)
+    s.rect.Geometry.Rect.x0 s.rect.Geometry.Rect.y0 s.rect.Geometry.Rect.x1
+    s.rect.Geometry.Rect.y1 (owner_part s.owner)
+
+(* Spelling the shapes out costs milliseconds on a macro of a few
+   thousand shapes, and a finished cell's shapes never change, so the
+   digest is kept like the index. Racing domains compute equal strings;
+   either write is fine. *)
+let fingerprint t =
+  match t.cached_fingerprint with
+  | Some fp -> fp
+  | None ->
+    let fp =
+      Util.Cache.fingerprint
+        ("cell" :: t.cell_name
+        :: (Array.to_list t.cell_shapes |> List.map shape_part))
+    in
+    t.cached_fingerprint <- Some fp;
+    fp
 
 let pp_summary ppf t =
   Format.fprintf ppf "cell %s: %d shapes, %dx%d nm" t.cell_name

@@ -58,4 +58,11 @@ val area : t -> int
     built lazily and cached. *)
 val index : t -> int Geometry.Spatial_index.t
 
+(** [fingerprint t] is the hex digest of the cell's name and every shape
+    (id, layer, corners, owner), the layout part of a result-cache key
+    ([Core.Codec.cell_fingerprint]). Computed on the first call for a
+    cell value and kept, like {!index}; two cells with the same name and
+    shapes have the same fingerprint. *)
+val fingerprint : t -> string
+
 val pp_summary : Format.formatter -> t -> unit

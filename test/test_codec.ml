@@ -301,6 +301,71 @@ let test_mechanism_encoding_injective () =
       | Error e -> Alcotest.failf "decode failed: %s" e)
     [ a; b ]
 
+(* --- cache-key golden values ---------------------------------------------- *)
+
+(* Every result-cache key is built from these digests. They were recorded
+   before the cell fingerprint was memoized and must never move by
+   accident: a changed value silently turns every warm cache cold. A
+   deliberate change re-records them and says why. *)
+let paper_macros () =
+  Dft.Measures.macro_set ~measures:[]
+  @ [ Adc.Comparator.macro Adc.Comparator.dft_options ]
+
+let golden_fingerprints =
+  [
+    ( "comparator",
+      "bf8bd03103068c36c88c83ac625fc79f",
+      "7593db0821ec26ba852dd01d14ea9619" );
+    ( "ladder",
+      "2f95e6b06ea9eeac80812b86a05a949f",
+      "21e8e0ca5b0499b4a6c1274fe3b6ad70" );
+    ( "bias generator",
+      "7a3c115b46bfda9782566c17f497a49a",
+      "a00aa3d87d9f706bc447baf67f6c7a43" );
+    ( "clock generator",
+      "17dbc1c5eb848702bcbe7bbc7579a0a5",
+      "90fe8f4136c402bbb506ac8ae05ae45c" );
+    ( "decoder",
+      "3d81456159880e60a40c2c0853b30d4d",
+      "2754f24f82b382368665ca2e2bed77ca" );
+    ( "comparator",
+      "0fecc85dce6d52c00b306138fa948765",
+      "38ac726c6f315bd71fa908f682080975" );
+  ]
+
+let test_cache_keys_pinned () =
+  let config = Core.Pipeline.Config.default in
+  let cell (m : Macro.Macro_cell.t) = Lazy.force m.Macro.Macro_cell.cell in
+  let memoized = paper_macros () and fresh = paper_macros () in
+  List.iteri
+    (fun i ((m : Macro.Macro_cell.t), (name, cell_hex, netlist_hex)) ->
+      let what = Printf.sprintf "%d %s" i name in
+      Alcotest.(check string) (what ^ ": name") name m.Macro.Macro_cell.name;
+      Alcotest.(check string)
+        (what ^ ": cell")
+        cell_hex
+        (Core.Codec.cell_fingerprint (cell m));
+      Alcotest.(check string)
+        (what ^ ": netlist")
+        netlist_hex
+        (Core.Codec.netlist_fingerprint
+           (m.Macro.Macro_cell.build (Process.Variation.nominal config.tech))))
+    (List.combine memoized golden_fingerprints);
+  (* The first call memoized each digest; a newly synthesized copy of the
+     same layout must spell out to the same bytes. *)
+  List.iter2
+    (fun (m : Macro.Macro_cell.t) (copy : Macro.Macro_cell.t) ->
+      Alcotest.(check bool) "a distinct cell value" true (cell m != cell copy);
+      Alcotest.(check string)
+        (m.Macro.Macro_cell.name ^ ": fresh copy")
+        (Core.Codec.cell_fingerprint (cell m))
+        (Core.Codec.cell_fingerprint (cell copy)))
+    memoized fresh;
+  Alcotest.(check string) "tech" "db5621bd1ceaacc6d03e1a28d34574ab"
+    (Core.Codec.tech_fingerprint config.tech);
+  Alcotest.(check string) "defect statistics" "74b0cd4b2de5ba538ac9285b33898faa"
+    (Core.Codec.stats_fingerprint config.stats)
+
 let test_version_stamp_shape () =
   Alcotest.(check bool) "version is non-empty" true
     (String.length Core.Codec.version > 0)
@@ -315,5 +380,6 @@ let suites =
           Alcotest.test_case "mechanism encoding injective" `Quick
             test_mechanism_encoding_injective;
           Alcotest.test_case "version stamp" `Quick test_version_stamp_shape;
+          Alcotest.test_case "cache keys pinned" `Quick test_cache_keys_pinned;
         ] );
   ]

@@ -153,6 +153,56 @@ let test_index_outside_bounds_clamped () =
       incr hits);
   Alcotest.(check int) "clamped entry still found" 1 !hits
 
+(* Every payload a query reports, duplicates kept, in a canonical order. *)
+let answer idx probe =
+  let found = ref [] in
+  Spatial_index.query_rect idx probe (fun _ i -> found := i :: !found);
+  List.sort compare !found
+
+let test_index_concurrent_queries () =
+  (* Defect sprinkling queries one cell's index from several domains.
+     Long queries over shapes that span many buckets make any sharing of
+     the visited marks show up as skipped or repeated payloads. *)
+  let rng = Random.State.make [| 1995 |] in
+  let random_rect ~max_side =
+    Rect.of_size
+      ~x:(Random.State.int rng 10_000)
+      ~y:(Random.State.int rng 10_000)
+      ~w:(1 + Random.State.int rng max_side)
+      ~h:(1 + Random.State.int rng max_side)
+  in
+  let bounds = rect ~x0:0 ~y0:0 ~x1:11_000 ~y1:11_000 in
+  let idx = Spatial_index.create ~bounds ~cell_size:100 in
+  for i = 0 to 1_999 do
+    Spatial_index.insert idx (random_rect ~max_side:1_000) i
+  done;
+  let probes = Array.init 200 (fun _ -> random_rect ~max_side:3_000) in
+  let expected = Array.map (answer idx) probes in
+  let worker offset () =
+    let wrong = ref 0 in
+    for round = 0 to 1_999 do
+      let k = (round + offset) mod Array.length probes in
+      if answer idx probes.(k) <> expected.(k) then incr wrong
+    done;
+    !wrong
+  in
+  let other = Domain.spawn (worker 100) in
+  let here = worker 0 () in
+  Alcotest.(check (pair int int)) "no answer differs from the sequential one"
+    (0, 0) (here, Domain.join other)
+
+let test_index_nested_query () =
+  let bounds = rect ~x0:0 ~y0:0 ~x1:100 ~y1:100 in
+  let idx = Spatial_index.create ~bounds ~cell_size:10 in
+  Spatial_index.insert idx (rect ~x0:0 ~y0:0 ~x1:90 ~y1:90) 0;
+  Spatial_index.insert idx (rect ~x0:5 ~y0:5 ~x1:95 ~y1:95) 1;
+  let everything = rect ~x0:0 ~y0:0 ~x1:100 ~y1:100 in
+  let outer = ref [] in
+  Spatial_index.query_rect idx everything (fun _ i ->
+      Alcotest.(check (list int)) "inner query" [ 0; 1 ] (answer idx everything);
+      outer := i :: !outer);
+  Alcotest.(check (list int)) "outer query" [ 0; 1 ] (List.sort compare !outer)
+
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -237,6 +287,9 @@ let suites =
         Alcotest.test_case "no duplicates" `Quick test_index_no_duplicates;
         Alcotest.test_case "circle query" `Quick test_index_circle_query;
         Alcotest.test_case "outside bounds clamped" `Quick test_index_outside_bounds_clamped;
+        Alcotest.test_case "concurrent queries match sequential" `Quick
+          test_index_concurrent_queries;
+        Alcotest.test_case "nested query" `Quick test_index_nested_query;
       ] );
     "geometry.properties", List.map QCheck_alcotest.to_alcotest qcheck_props;
   ]

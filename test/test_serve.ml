@@ -229,8 +229,9 @@ let small_request =
     |> with_target (Comparator { dft = false })
     |> with_defects 400 |> with_good_space_dies 6)
 
-(* What the CLI's [comparator] command prints for these parameters, in
-   print order — the reference for the byte-identity contract. *)
+(* What the CLI prints for the request's target and parameters, in print
+   order, from macros of its own — the reference for the byte-identity
+   contract. *)
 let expected_tables (r : Request.t) =
   let config =
     Pipeline.Config.(
@@ -239,21 +240,43 @@ let expected_tables (r : Request.t) =
       |> with_sigma r.Request.sigma |> with_seed r.Request.seed
       |> with_solver r.Request.solver)
   in
-  let analysis =
-    Pipeline.analyze config (Adc.Comparator.macro Adc.Comparator.default_options)
-  in
   let render title table =
     { Request.title; body = Report.render ~format:r.Request.format table }
   in
-  [
-    render "Table 1: catastrophic faults and fault classes"
-      (Report.table1 analysis);
-    render "Table 2: voltage fault signatures" (Report.table2 analysis);
-    render "Table 3: current fault signatures" (Report.table3 analysis);
-    render "Fig. 3: detectability of catastrophic faults"
-      (Report.figure3 analysis);
-    render "Run health" (Report.run_health (Pipeline.run_health [ analysis ]));
-  ]
+  match r.Request.target with
+  | Request.Comparator { dft } ->
+    let analysis =
+      Pipeline.analyze config
+        (Adc.Comparator.macro
+           (if dft then Adc.Comparator.dft_options
+            else Adc.Comparator.default_options))
+    in
+    [
+      render "Table 1: catastrophic faults and fault classes"
+        (Report.table1 analysis);
+      render "Table 2: voltage fault signatures" (Report.table2 analysis);
+      render "Table 3: current fault signatures" (Report.table3 analysis);
+      render "Fig. 3: detectability of catastrophic faults"
+        (Report.figure3 analysis);
+      render "Run health" (Report.run_health (Pipeline.run_health [ analysis ]));
+    ]
+  | Request.Global { dft } ->
+    let analyses =
+      Pipeline.analyze_all config
+        (Dft.Measures.macro_set
+           ~measures:(if dft then Dft.Measures.all_measures else []))
+    in
+    let g = Global.combine analyses in
+    [
+      render
+        (if dft then "Fig. 5: global detectability after DfT"
+         else "Fig. 4: global detectability")
+        (Report.figure4 g);
+      render "Per-macro current detectability" (Report.macro_current g);
+      render "Summary" (Report.summary g);
+      render "Run health" (Report.run_health (Pipeline.run_health analyses));
+      render "Coverage bounds" (Report.coverage_bounds g);
+    ]
 
 let check_tables what expected (reply : Request.reply) =
   Alcotest.(check int)
@@ -401,6 +424,54 @@ let test_submit_coalesces_and_sheds () =
     Alcotest.(check int) "one completed" 1 s.Service.completed
   | _ -> Alcotest.fail "leader or twin did not complete"
 
+(* Cache entries a run of [small_request]'s parameters leaves for the
+   four targets, recorded before the service kept its macros: the full
+   cache keys of the five paper macros and the DfT comparator. *)
+let small_request_keys =
+  [
+    "010d4fe066545e542b2202f598dcd320.json";
+    "274a21c498bd920fbb920fc249e9f18c.json";
+    "7b0b005a0b20c9e8c105ed2ff97c55e5.json";
+    "afa9e2cd9dedf257d750189291bb7398.json";
+    "b53fd2491cef50922a9ef60b195f7d41.json";
+    "ca23c037b0494239ddc04706fef7af57.json";
+  ]
+
+let test_service_keeps_targets_apart () =
+  (* One service keeps a macro set per target; a later request for one
+     variant must never be answered from another's. *)
+  let dir = temp_dir "dotest-serve-targets" in
+  let cache_dir = Filename.concat dir "cache" in
+  let cache = Util.Cache.create ~dir:cache_dir ~version:Codec.version () in
+  let service = Service.create ~cache () in
+  (* A cold macro misses twice: its result, then its checkpoint. *)
+  let steps =
+    Request.
+      [
+        "global", Global { dft = false }, (0, 10);
+        (* Only the DfT comparator differs from the plain set. *)
+        "global --dft", Global { dft = true }, (4, 2);
+        "comparator", Comparator { dft = false }, (1, 0);
+        "comparator --dft", Comparator { dft = true }, (1, 0);
+        "global again", Global { dft = false }, (5, 0);
+      ]
+  in
+  List.iter
+    (fun (what, target, hits_misses) ->
+      let r = Request.with_target target small_request in
+      match Service.submit service r with
+      | Error e -> Alcotest.failf "%s failed: %s" what e.Request.message
+      | Ok reply ->
+        check_tables what (expected_tables r) reply;
+        Alcotest.(check (pair int int))
+          (what ^ ": cache hits, misses")
+          hits_misses
+          (reply.Request.cache_hits, reply.Request.cache_misses))
+    steps;
+  Alcotest.(check (list string))
+    "cache keys unchanged" small_request_keys
+    (List.sort compare (Array.to_list (Sys.readdir cache_dir)))
+
 let test_handle_line_matches_submit () =
   (* The wire entry point returns the same reply as a direct submit,
      modulo the execution-dependent counters. *)
@@ -474,5 +545,7 @@ let suites =
           test_submit_coalesces_and_sheds;
         Alcotest.test_case "wire equals direct submit" `Slow
           test_handle_line_matches_submit;
+        Alcotest.test_case "target variants kept apart" `Slow
+          test_service_keeps_targets_apart;
       ] );
   ]

@@ -832,6 +832,141 @@ let test_cache_remove_retires_entry () =
   (* Removing an absent entry is a no-op, not an error. *)
   Cache.remove c ~key
 
+(* Envelope fuzzing: the bytes of one entry file are replaced, then read
+   through a fresh handle so no in-memory entry can mask the file. *)
+
+let fuzz_key = Cache.fingerprint [ "fuzz" ]
+
+let entry_file dir = Filename.concat dir (fuzz_key ^ ".json")
+
+let read_entry dir =
+  In_channel.with_open_bin (entry_file dir) In_channel.input_all
+
+let find_entry_bytes dir bytes =
+  Out_channel.with_open_bin (entry_file dir) (fun oc ->
+      Out_channel.output_string oc bytes);
+  let c = Cache.create ~dir ~version:"v1" () in
+  let found = Cache.find c ~key:fuzz_key in
+  found, Cache.stats c
+
+let gen_payload =
+  QCheck.Gen.(
+    sized_size (0 -- 2) @@ fix (fun self n ->
+        let leaf =
+          oneof
+            [
+              return Json.Null;
+              map (fun i -> Json.Int i) small_signed_int;
+              map (fun f -> Json.Float f) (float_range (-1e6) 1e6);
+              map (fun s -> Json.String s) (string_size ~gen:printable (0 -- 6));
+            ]
+        in
+        if n = 0 then leaf
+        else
+          oneof
+            [
+              leaf;
+              map (fun l -> Json.List l) (list_size (0 -- 3) (self (n - 1)));
+              map
+                (fun l -> Json.Obj l)
+                (list_size (0 -- 3)
+                   (pair (string_size ~gen:printable (1 -- 4)) (self (n - 1))));
+            ]))
+
+(* Mostly near-misses: envelopes with a wrong, mistyped or missing field,
+   fields in any order, and cut, spliced or noisy copies of them. Pure
+   noise alone would never reach the field checks. *)
+let gen_entry_bytes ~schema =
+  let open QCheck.Gen in
+  let field name ~right ~wrong =
+    frequency
+      [
+        8, return [ name, Json.String right ];
+        1, return [ name, Json.String wrong ];
+        1, return [ name, Json.Int 1 ];
+        1, return [];
+      ]
+  in
+  let envelope =
+    let* s = field "schema" ~right:schema ~wrong:"dotest-cache/0" in
+    let* v = field "version" ~right:"v1" ~wrong:"v2" in
+    let* k = field "key" ~right:fuzz_key ~wrong:(Cache.fingerprint [ "other" ]) in
+    let* p =
+      frequency [ 5, map (fun j -> [ "payload", j ]) gen_payload; 1, return [] ]
+    in
+    let* fields = shuffle_l (s @ v @ k @ p) in
+    return (Json.to_string (Json.Obj fields) ^ "\n")
+  in
+  let mutate bytes =
+    let n = String.length bytes in
+    let* i = 0 -- n in
+    let* noise = string_size ~gen:char (1 -- 8) in
+    frequencyl
+      [
+        3, bytes;
+        1, String.sub bytes 0 i;
+        1, String.sub bytes 0 i ^ noise ^ String.sub bytes i (n - i);
+        ( 1,
+          let j = min n (i + String.length noise) in
+          String.sub bytes 0 i ^ String.sub bytes j (n - j) );
+      ]
+  in
+  frequency [ 1, string_size ~gen:char (0 -- 64); 5, envelope >>= mutate ]
+
+(* What [find] may answer: the payload of an envelope with this schema,
+   version and key, and nothing for any other bytes. *)
+let envelope_payload ~schema bytes =
+  match Json.of_string bytes with
+  | Error _ -> None
+  | Ok json ->
+    let field name = Option.bind (Json.member name json) Json.to_str in
+    if
+      field "schema" = Some schema
+      && field "version" = Some "v1"
+      && field "key" = Some fuzz_key
+    then Json.member "payload" json
+    else None
+
+let schema_of_stored dir =
+  let c = Cache.create ~dir ~version:"v1" () in
+  Cache.store c ~key:fuzz_key payload;
+  match Json.of_string (read_entry dir) with
+  | Ok json -> Option.get (Option.bind (Json.member "schema" json) Json.to_str)
+  | Error e -> Alcotest.fail e
+
+let fuzz_rand () = Random.State.make [| 1995 |]
+
+let test_cache_fuzzed_entries () =
+  with_cache_dir @@ fun dir ->
+  let schema = schema_of_stored dir in
+  QCheck.Test.check_exn ~rand:(fuzz_rand ())
+    (QCheck.Test.make ~name:"fuzzed entry bytes" ~count:1000
+       (QCheck.make ~print:String.escaped (gen_entry_bytes ~schema))
+       (fun bytes ->
+         let found, s = find_entry_bytes dir bytes in
+         found = envelope_payload ~schema bytes
+         &&
+         match found with
+         | Some _ -> s.Cache.hits = 1 && s.Cache.stale = 0
+         | None -> s.Cache.misses = 1 && s.Cache.stale = 1))
+
+let test_cache_truncated_entries () =
+  with_cache_dir @@ fun dir ->
+  QCheck.Test.check_exn ~rand:(fuzz_rand ())
+    (QCheck.Test.make ~name:"truncated entries" ~count:300
+       (QCheck.make
+          ~print:(fun (p, cut) ->
+            Printf.sprintf "cut %d of %s" cut (Json.to_string p))
+          QCheck.Gen.(pair gen_payload nat))
+       (fun (p, cut) ->
+         let c = Cache.create ~dir ~version:"v1" () in
+         Cache.store c ~key:fuzz_key p;
+         let whole = read_entry dir in
+         (* Any cut before the trailing newline loses part of the JSON. *)
+         let cut = cut mod (String.length whole - 1) in
+         let found, s = find_entry_bytes dir (String.sub whole 0 cut) in
+         found = None && s.Cache.stale = 1 && s.Cache.misses = 1))
+
 (* ------------------------------------------------------------------ *)
 (* Watchdog                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1121,6 +1256,10 @@ let suites =
           test_cache_write_failure_degrades;
         Alcotest.test_case "remove retires entry" `Quick
           test_cache_remove_retires_entry;
+        Alcotest.test_case "fuzzed entry bytes never raise" `Quick
+          test_cache_fuzzed_entries;
+        Alcotest.test_case "truncated entries are stale" `Quick
+          test_cache_truncated_entries;
       ] );
     ( "util.watchdog",
       [
