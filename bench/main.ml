@@ -1,15 +1,15 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation section, prints paper-reported values next to measured ones,
-   runs the ablation studies listed in DESIGN.md §6, and (with --timings)
-   times the computational kernels with bechamel.
+   and runs the ablation studies listed in DESIGN.md §6. The repository
+   benchmark (end-to-end timings, the daemon under load) is perfbench/.
 
    Flags:
      --quick         smaller defect counts (fast smoke run)
-     --timings       include bechamel micro-benchmarks + parallel scaling
      --no-ablations  skip the ablation sweeps
      --jobs N        worker domains (default: cores-1, min 1; DOTEST_JOBS)
      --json          emit per-stage timings of one macro pipeline as one
-                     JSON object on stdout and exit (machine-readable
+                     JSON object (schema dotest-bench/10, history at
+                     json_run) on stdout and exit (machine-readable
                      perf trajectory; nothing else is printed)
      --macro M       macro for --json: comparator (default) or scaled
      --bits N        size of the scaled macro: 2^N ladder taps (default 8)
@@ -18,11 +18,6 @@
                      auto vs auto+shared) plus pipeline evaluate-stage
                      A/Bs on the n=37 comparator (quick) and the large-N
                      scaled ADC; nothing else is printed
-     --serve-stress  stand up an in-process dotest service on a Unix
-                     socket, hammer it with concurrent clients mixing
-                     warm and cold request keys, and emit one JSON object
-                     (schema dotest-bench/7) with latency percentiles,
-                     cache hit rate and shed/coalesced counts
      --cache DIR     persist per-macro results under DIR; a warm --json
                      run reports cache "warm" with nonzero hits
      --deadline S    wall-clock budget per fault-class simulation attempt
@@ -33,8 +28,6 @@
                      identical tables                                      *)
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
-let serve_stress = Array.exists (( = ) "--serve-stress") Sys.argv
-let timings = Array.exists (( = ) "--timings") Sys.argv
 let no_ablations = Array.exists (( = ) "--no-ablations") Sys.argv
 let json_mode = Array.exists (( = ) "--json") Sys.argv
 let scaling_mode = Array.exists (( = ) "--scaling") Sys.argv
@@ -409,134 +402,6 @@ let ablation_defect_count () =
   print_table t
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_timings () =
-  banner "Kernel timings (bechamel)";
-  let open Bechamel in
-  let macro = Adc.Comparator.macro Adc.Comparator.default_options in
-  let cell = Lazy.force macro.Macro.Macro_cell.cell in
-  let netlist =
-    macro.Macro.Macro_cell.build
-      (Process.Variation.nominal Process.Tech.cmos1um)
-  in
-  let instances =
-    (Defect.Simulate.run ~tech:Process.Tech.cmos1um
-       ~stats:Process.Defect_stats.default ~cell ~netlist
-       (Util.Prng.create 5) ~n:25_000)
-      .Defect.Simulate.instances
-  in
-  let ladder_netlist =
-    Adc.Ladder.bench_netlist (Process.Variation.nominal Process.Tech.cmos1um)
-  in
-  let tests =
-    [
-      ( "defect-sprinkle-25k (T1)",
-        fun () ->
-          ignore
-            (Defect.Simulate.run ~tech:Process.Tech.cmos1um
-               ~stats:Process.Defect_stats.default ~cell ~netlist
-               (Util.Prng.create 5) ~n:25_000) );
-      ( "fault-collapse (T1)",
-        fun () -> ignore (Fault.Collapse.collapse instances) );
-      ( "comparator-measure (T2/T3)",
-        fun () -> ignore (macro.Macro.Macro_cell.measure netlist) );
-      ( "ladder-dc-solve (X1)",
-        fun () -> ignore (Circuit.Engine.dc_operating_point ladder_netlist) );
-      ( "behavioural-ramp-1000 (F4)",
-        fun () ->
-          ignore
-            (Adc.Flash_adc.missing_codes Adc.Flash_adc.ideal
-               (Util.Prng.create 7) ~samples:1000) );
-      ( "layout-extraction (T1)",
-        fun () -> ignore (Layout.Extract.extract cell) );
-    ]
-  in
-  let analyze =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) ()
-  in
-  List.iter
-    (fun (name, run) ->
-      let test = Test.make ~name (Staged.stage run) in
-      let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test in
-      let results = Analyze.all analyze Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun _key result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Format.printf "  %-32s %12.1f us/run@." name (est /. 1e3)
-          | Some _ | None -> Format.printf "  %-32s (no estimate)@." name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Parallel scaling (--timings)                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* One rendering of everything the coverage analysis produced — including
-   the run-health counters, but NOT the stage wall-clock times; two runs
-   are equivalent iff these strings are byte-identical. *)
-let coverage_fingerprint (a : Core.Pipeline.macro_analysis) =
-  String.concat "\n"
-    [
-      Util.Table.render (Core.Report.table1 a);
-      Util.Table.render (Core.Report.table2 a);
-      Util.Table.render (Core.Report.table3 a);
-      Util.Table.render (Core.Report.figure3 a);
-      Util.Table.render (Core.Report.run_health (Core.Pipeline.run_health [ a ]));
-    ]
-
-let parallel_scaling () =
-  banner "Parallel scaling: comparator pipeline (jobs=1 vs --jobs)";
-  let macro = Adc.Comparator.macro Adc.Comparator.default_options in
-  ignore (Lazy.force macro.Macro.Macro_cell.cell);
-  let timed j =
-    Util.Pool.set_jobs j;
-    seconds (fun () -> Core.Pipeline.analyze config macro)
-  in
-  let a1, t1 = timed 1 in
-  let an, tn = timed jobs in
-  Util.Pool.set_jobs jobs;
-  note "jobs=1: %.2f s    jobs=%d: %.2f s    speedup: %.2fx@." t1 jobs tn
-    (t1 /. tn);
-  if coverage_fingerprint a1 = coverage_fingerprint an then
-    note "coverage tables + health counters: byte-identical across job counts@."
-  else begin
-    note "coverage tables: MISMATCH between jobs=1 and jobs=%d@." jobs;
-    exit 1
-  end;
-  (* Same invariance with the containment paths actually exercised: a
-     degraded run (injected convergence failures) must produce identical
-     health counters and coverage bounds for any job count. *)
-  let degraded_config =
-    Core.Pipeline.Config.(
-      config |> with_defects 2_000
-      |> with_inject_failures (Some 0.2)
-      |> with_max_retries 2)
-  in
-  let degraded j =
-    Util.Pool.set_jobs j;
-    let a = Core.Pipeline.analyze degraded_config macro in
-    let g = Core.Global.combine [ a ] in
-    coverage_fingerprint a
-    ^ "\n"
-    ^ Util.Table.render (Core.Report.coverage_bounds g)
-  in
-  let d1 = degraded 1 in
-  let dn = degraded jobs in
-  Util.Pool.set_jobs jobs;
-  if d1 = dn then
-    note "degraded run (20%% injected failures): byte-identical across job counts@."
-  else begin
-    note "degraded run: MISMATCH between jobs=1 and jobs=%d@." jobs;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable timings (--json)                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -557,7 +422,10 @@ let parallel_scaling () =
    comparator|scaled with "bits" for the generated ADC), the
    shared-nominal counters in "solver", and the "throughput" object
    (classes_per_s / solves_per_s are wall-clock-derived and vary run to
-   run; newton_iterations_per_class is deterministic). *)
+   run; newton_iterations_per_class is deterministic); schema 10 (9 is
+   --scaling's) drops the shared-nominal fallback count from "solver":
+   the shared nominal is only a warm start now, with no factor seed
+   whose guard could trip. *)
 let bench_macro_cell () =
   match bench_macro with
   | `Comparator -> Adc.Comparator.macro Adc.Comparator.default_options
@@ -605,7 +473,7 @@ let json_run () =
   let json =
     Util.Json.Obj
       [
-        "schema", Util.Json.String "dotest-bench/8";
+        "schema", Util.Json.String "dotest-bench/10";
         "macro", Util.Json.String macro.Macro.Macro_cell.name;
         ( "bits",
           match bench_macro with
@@ -661,8 +529,6 @@ let json_run () =
                 Util.Json.Int (counter "engine.shared_nominal_hits") );
               ( "shared_nominal_misses",
                 Util.Json.Int (counter "engine.shared_nominal_misses") );
-              ( "shared_nominal_fallbacks",
-                Util.Json.Int (counter "engine.shared_nominal_fallbacks") );
             ] );
         ( "throughput",
           Util.Json.Obj
@@ -869,149 +735,9 @@ let scaling_run () =
   print_endline (Util.Json.to_string json)
 
 (* ------------------------------------------------------------------ *)
-(* Service stress (--serve-stress)                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Concurrency benchmark of the PR-9 analysis service: one serve loop on
-   a Unix socket, [clients] threads each sending [per_client] requests
-   over the versioned wire API. The key mix is deliberate: even slots
-   repeat the warmup request (pure result-cache hits), odd slots share a
-   per-slot cold seed across all clients (so concurrent duplicates
-   coalesce onto one flight). Schema 7 = this run's latency percentiles
-   plus the service's own counters. *)
-let serve_stress_run () =
-  let clients = 8 in
-  let per_client = if quick then 2 else 4 in
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dotest-serve-bench-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir tmp 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let cache =
-    match cache with
-    | Some c -> c
-    | None ->
-      Util.Cache.create
-        ~dir:(Filename.concat tmp "cache")
-        ~version:Core.Codec.version ()
-  in
-  let service = Core.Service.create ~cache ~jobs ~max_pending:64 () in
-  let address = Core.Service.Unix_socket (Filename.concat tmp "bench.sock") in
-  let ready = Mutex.create () and ready_cond = Condition.create () in
-  let listening = ref false in
-  let server =
-    Thread.create
-      (fun () ->
-        Core.Service.serve
-          ~on_ready:(fun _ ->
-            Mutex.lock ready;
-            listening := true;
-            Condition.broadcast ready_cond;
-            Mutex.unlock ready)
-          service address)
-      ()
-  in
-  Mutex.lock ready;
-  while not !listening do
-    Condition.wait ready_cond ready
-  done;
-  Mutex.unlock ready;
-  let base =
-    Core.Request.(
-      default
-      |> with_target (Global { dft = false })
-      |> with_defects (if quick then 200 else 500)
-      |> with_good_space_dies (if quick then 4 else 8))
-  in
-  let request_for ~client ~slot =
-    let r =
-      if slot mod 2 = 0 then base
-      else Core.Request.with_seed (31 + slot) base
-    in
-    Core.Request.with_id
-      (Some (Printf.sprintf "c%d-r%d" client slot))
-      r
-  in
-  (* Warm the even-slot key so the stressed run sees real cross-request
-     cache hits, not just a cold start. *)
-  (match Core.Service.call address base with
-  | Ok _ -> ()
-  | Error e ->
-    Printf.eprintf "bench: warmup failed: %s\n%!" e.Core.Request.message;
-    exit 1);
-  let latencies = Array.make (clients * per_client) 0.0 in
-  let ok = Atomic.make 0 and errors = Atomic.make 0 in
-  let client_thread client =
-    Thread.create
-      (fun () ->
-        for slot = 0 to per_client - 1 do
-          let t0 = Unix.gettimeofday () in
-          let response =
-            Core.Service.call address (request_for ~client ~slot)
-          in
-          latencies.((client * per_client) + slot) <-
-            Unix.gettimeofday () -. t0;
-          match response with
-          | Ok _ -> Atomic.incr ok
-          | Error _ -> Atomic.incr errors
-        done)
-      ()
-  in
-  let threads = List.init clients client_thread in
-  List.iter Thread.join threads;
-  Core.Service.initiate_shutdown service;
-  Thread.join server;
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
-  let percentile p =
-    sorted.(int_of_float (p *. float_of_int (Array.length sorted - 1)))
-  in
-  let s = Core.Service.stats service in
-  let hit_rate =
-    let total = s.Core.Service.cache_hits + s.Core.Service.cache_misses in
-    if total = 0 then 0.0
-    else float_of_int s.Core.Service.cache_hits /. float_of_int total
-  in
-  let json =
-    Util.Json.Obj
-      [
-        "schema", Util.Json.String "dotest-bench/7";
-        "mode", Util.Json.String (if quick then "quick" else "full");
-        "jobs", Util.Json.Int jobs;
-        "clients", Util.Json.Int clients;
-        "requests_per_client", Util.Json.Int per_client;
-        "requests", Util.Json.Int (clients * per_client);
-        "ok", Util.Json.Int (Atomic.get ok);
-        "errors", Util.Json.Int (Atomic.get errors);
-        ( "latency",
-          Util.Json.Obj
-            [
-              "p50_s", Util.Json.Float (percentile 0.50);
-              "p99_s", Util.Json.Float (percentile 0.99);
-              "max_s", Util.Json.Float sorted.(Array.length sorted - 1);
-            ] );
-        ( "service",
-          Util.Json.Obj
-            [
-              "submitted", Util.Json.Int s.Core.Service.submitted;
-              "completed", Util.Json.Int s.Core.Service.completed;
-              "failed", Util.Json.Int s.Core.Service.failed;
-              "shed", Util.Json.Int s.Core.Service.shed;
-              "coalesced", Util.Json.Int s.Core.Service.coalesced;
-              "cache_hits", Util.Json.Int s.Core.Service.cache_hits;
-              "cache_misses", Util.Json.Int s.Core.Service.cache_misses;
-              "cache_hit_rate", Util.Json.Float hit_rate;
-            ] );
-      ]
-  in
-  print_endline (Util.Json.to_string json)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
-  if serve_stress then serve_stress_run ()
-  else if scaling_mode then scaling_run ()
+  if scaling_mode then scaling_run ()
   else if json_mode then json_run ()
   else begin
     Format.printf
@@ -1028,10 +754,6 @@ let () =
       ablation_samples ();
       ablation_near_miss ();
       ablation_defect_count ()
-    end;
-    if timings then begin
-      parallel_scaling ();
-      bechamel_timings ()
     end;
     Format.printf "@.done.@."
   end

@@ -2,11 +2,11 @@
    segments with one readout MOSFET per interior tap, gate-coupled to the
    neighbouring tap. The netlist grows as 2^bits unknowns while keeping
    chain-local connectivity (tridiagonal-plus-gm structure), so it is the
-   workload where factorization reuse and the cross-class shared-nominal
-   factorization separate from full Newton — a per-iteration cost the
-   37-node comparator is too small to expose. The measure procedure is a
-   single DC operating point, so per-class cost is dominated by exactly
-   the solves the shared-nominal path accelerates. *)
+   workload where factorization reuse separates from full Newton — a
+   per-iteration cost the 37-node comparator is too small to expose. The
+   measure procedure is a single DC operating point, so per-class cost is
+   dominated by exactly the solves the shared-nominal warm start
+   shortens. *)
 
 let segment_resistance = 125.0
 

@@ -7,10 +7,9 @@
     MNA matrix is banded under the natural ordering and the circuit
     grows to thousands of unknowns while staying well-conditioned — the
     regime where re-factoring at every Newton iteration separates from
-    factorization reuse and cross-class shared-nominal seeding. The measure
-    procedure is a single DC operating point (plus the rail currents),
-    so per-fault-class cost is dominated by the solves the
-    shared-nominal path accelerates.
+    factorization reuse. The measure procedure is a single DC operating
+    point (plus the rail currents), so per-fault-class cost is dominated
+    by the solves the cross-class shared-nominal warm start shortens.
 
     This is a benchmarking/scaling macro: it runs through the full
     pipeline (layout synthesis, defect sprinkling, fault classes,

@@ -773,41 +773,34 @@ let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
 let solve_point ~state ~options ~mode ~t compiled x0 ~what =
   fst (solve_point_diag ~state ~options ~mode ~t compiled x0 ~what)
 
-(* --- cross-class shared nominal factorization --------------------------- *)
+(* --- cross-class shared nominal warm start ------------------------------ *)
 
 (* Most injected defects only *add* two-terminal R/C stamps between
    pre-existing nodes (bridges, pinholes, junction leaks, DS shorts and
-   their derived near-misses): the faulty MNA matrix is the nominal
-   matrix plus a rank-≤2 symmetric perturbation, and the faulty circuit's
-   operating point is usually a small excursion from the nominal one.
-   [Macro.Evaluate] installs a [shared_nominal] context around each fault
-   class; the analyses then seed their first DC solve by
+   their derived near-misses), so the faulty circuit's operating point is
+   usually a small excursion from the nominal one. [Macro.Evaluate]
+   installs a [shared_nominal] context around each fault class; the
+   analyses then warm-start their first DC solve by
 
    - stripping the injected stamps (recognized by the context's [strip]
      predicate) from the faulty netlist to recover its nominal skeleton,
    - deriving — once per worker domain, cached by (skeleton fingerprint,
-     options) — the skeleton's DC operating point and the exact LU
-     factorization of its Jacobian at that point,
-   - chaining the injected conductance stamps onto that factorization as
-     Sherman–Morrison rank-1 updates (g·(e_a−e_b)(e_a−e_b)ᵀ each), and
-   - warm-starting Newton from the nominal operating point.
+     options) — the skeleton's DC operating point, and
+   - starting Newton from that point instead of from zero.
 
-   Soundness: the seeded factorization equals the faulty linear part plus
-   MOSFET stamps at the recorded reference linearization exactly, so the
-   chord-iteration argument at [build_rhs] applies unchanged — the
-   converged solution is the faulty circuit's own, independent of the
-   seed. A cache hit and a fresh derivation produce the same entry (the
-   derivation is a pure function of skeleton and options), so results are
-   byte-identical at any [--jobs]; the derivation itself runs
-   [Util.Telemetry.silenced] (its occurrence count is per-worker, not
-   per-input) and [Util.Watchdog.unmetered] (its cost must not charge
-   whichever class happens to run first on the worker).
+   The warm start moves only Newton's first guess: the solve is the
+   ordinary one and builds its first factorization fresh. A cache hit
+   and a fresh derivation produce the same vector (the derivation is a
+   pure function of skeleton and options), so results are byte-identical
+   at any [--jobs]; the derivation itself runs [Util.Telemetry.silenced]
+   (its occurrence count is per-worker, not per-input) and
+   [Util.Watchdog.unmetered] (its cost must not charge whichever class
+   happens to run first on the worker).
 
-   Fallbacks are counted and harmless: a defect that is not a pure R/C
+   Misses are counted and harmless: a defect that is not a pure R/C
    addition ([Node_split] changes the incidence structure,
-   [Parasitic_mos] adds a nonlinear device), a skeleton whose nominal
-   solve fails, or an update denominator tripping the singularity guard
-   all land on the ordinary fresh-factor path. *)
+   [Parasitic_mos] adds a nonlinear device) or a skeleton whose nominal
+   solve fails starts cold, from zero. *)
 
 type shared_nominal = { sn_id : int; sn_strip : string -> bool }
 
@@ -824,20 +817,11 @@ let with_shared_nominal sn f =
   Domain.DLS.set sn_override (Some sn);
   Fun.protect ~finally:(fun () -> Domain.DLS.set sn_override saved) f
 
-type sn_entry = {
-  e_n : int;                    (* unknowns of the skeleton *)
-  e_nmos : int;
-  e_x : float array;            (* converged nominal operating point *)
-  e_factor : Linear.Factor.t;   (* exact Jacobian factorization at e_x *)
-  e_ref_gm : float array;       (* linearizations baked into e_factor *)
-  e_ref_gds : float array;
-}
-
-(* Per-domain derived-entry cache. Entries are immutable and the factor
-   type is persistent, so chaining fault stamps onto a cached factor
-   never mutates it. [None] caches a failed derivation (skeleton did not
-   converge) so it is not retried for every class. *)
-let sn_cache : (int * (string, sn_entry option) Hashtbl.t) option Domain.DLS.key =
+(* Per-domain cache of derived nominal operating points. A hit hands out
+   a copy, so Newton never mutates a cached vector. [None] caches a
+   failed derivation (skeleton did not converge) so it is not retried
+   for every class. *)
+let sn_cache : (int * (string, float array option) Hashtbl.t) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let sn_cache_for sn =
@@ -849,7 +833,7 @@ let sn_cache_for sn =
     tbl
 
 (* Bound the per-worker cache: a measure procedure with an unbounded
-   family of source mutations must not pin one factorization per value.
+   family of source mutations must not pin one operating point per value.
    Reset is deterministic per worker and never affects results — only
    how often the derivation re-runs. *)
 let sn_cache_limit = 32
@@ -934,9 +918,9 @@ let fingerprint ~(options : options) netlist =
     devices;
   Buffer.contents b
 
-(* Derive the skeleton's entry: solve its DC operating point, then
-   factor the Jacobian exactly at the converged point under the target
-   (gmin, h=0). Quiet and unmetered — see the section comment. *)
+(* Derive the skeleton's DC operating point. It always runs the reuse
+   policy, so the vector is bitwise identical under [Dense] and [Auto].
+   Quiet and unmetered — see the section comment. *)
 let sn_derive ~options stripped =
   Util.Telemetry.silenced @@ fun () ->
   Util.Watchdog.unmetered @@ fun () ->
@@ -949,20 +933,7 @@ let sn_derive ~options stripped =
   with
   | exception No_convergence _ -> None
   | exception Linear.Singular -> None
-  | x ->
-    ensure_const state ~gmin:options.gmin ~h:0.0;
-    eval_mosfets state x;
-    if refactor state then
-      Some
-        {
-          e_n = compiled.n_unknowns;
-          e_nmos = Array.length state.pm_d;
-          e_x = x;
-          e_factor = (match state.rfactor with Some f -> f | None -> assert false);
-          e_ref_gm = Array.copy state.rref_gm;
-          e_ref_gds = Array.copy state.rref_gds;
-        }
-    else None
+  | x -> Some x
 
 let sn_entry sn ~options ~stamps netlist =
   let stripped = Netlist.copy netlist in
@@ -979,19 +950,16 @@ let sn_entry sn ~options ~stamps netlist =
     Hashtbl.add cache key entry;
     entry
 
-(* Attempt to seed the analysis's first DC solve from the shared nominal
-   context. The warm start is part of the *analysis semantics*: both
-   policies start Newton from the same derived nominal operating point
-   (the derivation always runs the reuse policy, so the vector is
-   bitwise identical under [Dense] and [Auto] and the cross-policy
-   table-identity contract is preserved; a reuse-only warm start would
-   let the seeded path resolve classes the full-Newton reference cannot,
-   and the tables would diverge). The factor seed is installed under both
-   policies; full Newton re-factors at its first iteration, so its
-   results cannot depend on it. Every decision here is a pure function of
-   (netlist, options), so hit/miss/fallback counters are deterministic
-   per fault class. *)
-let try_shared_seed ~netlist ~options compiled state =
+(* The warm start for the analysis's first DC solve, if the shared
+   nominal context offers one. It is part of the *analysis semantics*:
+   both policies start Newton from the same derived nominal operating
+   point (see [sn_derive]), so the cross-policy table-identity contract
+   holds; a reuse-only warm start would let the warm path resolve
+   classes the full-Newton reference cannot, and the tables would
+   diverge. Every decision here is a pure function of (netlist,
+   options), so the hit/miss counters are deterministic per fault
+   class. *)
+let try_shared_seed ~netlist ~options compiled =
   match Domain.DLS.get sn_override with
   | None -> None
   | Some sn ->
@@ -1010,62 +978,16 @@ let try_shared_seed ~netlist ~options compiled state =
                false)
            stamps
     in
-    if not expressible then begin
+    let warm = if expressible then sn_entry sn ~options ~stamps netlist else None in
+    match warm with
+    (* A vector of another length would be a stale or colliding context
+       entry: same strip predicate, different structure. *)
+    | Some x when Array.length x = compiled.n_unknowns ->
+      Util.Telemetry.count "engine.shared_nominal_hits";
+      Some (Array.copy x)
+    | Some _ | None ->
       Util.Telemetry.count "engine.shared_nominal_misses";
       None
-    end
-    else begin
-      match sn_entry sn ~options ~stamps netlist with
-      | None ->
-        Util.Telemetry.count "engine.shared_nominal_misses";
-        None
-      | Some entry
-        when entry.e_n <> compiled.n_unknowns
-             || entry.e_nmos
-                <> List.fold_left
-                     (fun acc d ->
-                       match d with CMosfet _ -> acc + 1 | _ -> acc)
-                     0 compiled.cdevices ->
-        (* Same strip predicate but a different structure: stale or
-           colliding context entry. *)
-        Util.Telemetry.count "engine.shared_nominal_misses";
-        None
-      | Some entry ->
-        let conductance (dv : Netlist.device_view) =
-          match dv.kind with
-          | Netlist.Resistor r -> 1.0 /. r
-          | Netlist.Capacitor _ -> 0.0 (* open in DC *)
-          | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Mosfet _ -> 0.0
-        in
-        let pin (dv : Netlist.device_view) role =
-          Netlist.index_of_node (List.assoc role dv.pin_nodes)
-        in
-        let rec chain f = function
-          | [] -> Some f
-          | dv :: rest ->
-            let g = conductance dv in
-            if g = 0.0 then chain f rest
-            else begin
-              let u = inc_vector state.rn (pin dv "+") (pin dv "-") in
-              match Linear.Factor.rank1_update f ~c:g ~u ~v:u with
-              | None -> None
-              | Some f -> chain f rest
-            end
-        in
-        (match chain entry.e_factor stamps with
-        | None ->
-          (* The stamp chain tripped the singularity guard: keep the warm
-             start, drop only the factor seed — the first iteration
-             re-factors fresh. *)
-          Util.Telemetry.count "engine.shared_nominal_fallbacks"
-        | Some f ->
-          rebuild_const state ~gmin:options.gmin ~h:0.0;
-          state.rfactor <- Some f;
-          Array.blit entry.e_ref_gm 0 state.rref_gm 0 entry.e_nmos;
-          Array.blit entry.e_ref_gds 0 state.rref_gds 0 entry.e_nmos);
-        Util.Telemetry.count "engine.shared_nominal_hits";
-        Some (Array.copy entry.e_x)
-    end
 
 (* --- public analyses --------------------------------------------------- *)
 
@@ -1077,7 +999,7 @@ let dc_operating_point_diag ?options netlist =
   let compiled = compile netlist in
   let state = make_state compiled in
   let x0 =
-    match try_shared_seed ~netlist ~options compiled state with
+    match try_shared_seed ~netlist ~options compiled with
     | Some warm -> warm
     | None -> Array.make compiled.n_unknowns 0.0
   in
@@ -1091,9 +1013,8 @@ let dc_operating_point ?options netlist =
   fst (dc_operating_point_diag ?options netlist)
 
 (* Diagnostic: the DC Jacobian linearized at [x], assembled on the plan
-   and scattered into an n×n matrix. Exposed so tests can check
-   structural invariants (e.g. that a stamp-expressible fault perturbs
-   the nominal matrix by rank ≤ 2); not a hot path. *)
+   and scattered into an n×n matrix. Exposed so tests can check the
+   assembly against stamps they build by hand; not a hot path. *)
 let dense_jacobian ?options netlist ~x =
   let options = resolve_options options in
   let compiled = compile netlist in
@@ -1121,7 +1042,7 @@ let transient_diag ?options netlist ~stop ~step =
     x'
   in
   let x0 =
-    match try_shared_seed ~netlist ~options compiled state with
+    match try_shared_seed ~netlist ~options compiled with
     | Some warm -> warm
     | None -> Array.make compiled.n_unknowns 0.0
   in

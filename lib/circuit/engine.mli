@@ -105,44 +105,33 @@ val with_solver : solver -> (unit -> 'a) -> 'a
 val current_solver : unit -> solver
 (** The solver in effect: innermost {!with_solver}, else {!default_solver}. *)
 
-(** {1 Cross-class shared nominal factorization}
+(** {1 Cross-class shared nominal warm start}
 
     Most injected defects only {e add} two-terminal R/C stamps between
-    pre-existing nodes, so the faulty MNA matrix is the nominal matrix
-    plus a rank-≤2 symmetric perturbation and the faulty operating point
-    is usually a small excursion from the nominal one. When a
-    [shared_nominal] context is installed, {!dc_operating_point} and
-    {!transient} seed their first DC solve by stripping the injected
-    stamps (per the context's [strip] predicate) to recover the nominal
-    skeleton and deriving that skeleton's operating point and exact
-    Jacobian factorization — once per worker domain, cached by
-    (skeleton, options).
+    pre-existing nodes, so the faulty operating point is usually a small
+    excursion from the nominal one. When a [shared_nominal] context is
+    installed, {!dc_operating_point} and {!transient} warm-start their
+    first DC solve: they strip the injected stamps (per the context's
+    [strip] predicate) to recover the nominal skeleton, derive that
+    skeleton's operating point — once per worker domain, cached by
+    (skeleton, options) — and start Newton from it instead of from zero.
+    The solve itself is unchanged and builds its first factorization
+    fresh.
 
     The warm start is part of the analysis semantics: both policies
     start Newton from the derived nominal operating point (the
     derivation is solver-independent, so the vector is bitwise identical
     under [Dense] and [Auto] — a reuse-only warm start would let the
-    seeded path resolve marginal classes the full-Newton reference
-    cannot, and the cross-policy table-identity contract would break).
-    On top of that, the injected conductances are chained onto the
-    cached factorization as rank-1 updates, so [Auto]'s first solve
-    skips the fresh factor entirely; [Dense] re-factors at its first
-    iteration anyway.
-
-    The seed is only ever a preconditioner: the chord iteration converges
-    to the faulty circuit's own solution regardless, and every
-    seed/fallback decision is a pure function of (netlist, options), so
-    the determinism contract is unchanged. Faults that are not pure R/C
+    warm path resolve marginal classes the full-Newton reference cannot,
+    and the cross-policy table-identity contract would break). Every
+    decision is a pure function of (netlist, options), so the
+    determinism contract is unchanged. Faults that are not pure R/C
     additions (node splits, parasitic devices) and skeletons whose
-    nominal solve fails fall back to the ordinary cold-start path under
-    both policies alike; an update-guard trip drops only the factor seed
-    and keeps the warm start.
+    nominal solve fails start cold under both policies alike.
 
-    Telemetry: [engine.shared_nominal_hits] (first solve warm-started),
-    [engine.shared_nominal_misses] (context installed but the defect was
-    not stamp-expressible, or no usable skeleton entry),
-    [engine.shared_nominal_fallbacks] (stamp chaining tripped the
-    singularity guard; counted alongside the hit). All three are
+    Telemetry: [engine.shared_nominal_hits] (first solve warm-started)
+    and [engine.shared_nominal_misses] (context installed but the defect
+    was not a pure R/C addition, or no usable skeleton entry). Both are
     per-class deterministic; the per-worker derivation itself is
     telemetry-silenced and watchdog-unmetered so counter totals and
     iteration-budget outcomes stay byte-identical at any [--jobs]. *)
@@ -151,7 +140,7 @@ type shared_nominal
 
 (** [shared_nominal ~strip ()] — a context whose [strip] predicate
     recognizes injected-device names (e.g. [Fault.Inject.is_fault_device]).
-    Create once per run; the derived-factorization cache is per worker
+    Create once per run; the derived operating-point cache is per worker
     domain and keyed to the context identity. *)
 val shared_nominal : strip:(string -> bool) -> unit -> shared_nominal
 
@@ -205,8 +194,8 @@ val dc_operating_point_diag :
     linearized at guess [x] (length = unknowns: node voltages then
     branch currents), assembled on the plan exactly as a Newton
     iteration would and returned as an n×n matrix. A diagnostic for
-    tests of structural invariants (e.g. the rank-≤2 fault-perturbation
-    property the shared-nominal path relies on); not a hot path.
+    tests that check the assembly against hand-built stamps; not a hot
+    path.
     @raise Invalid_argument when [x] has the wrong length. *)
 val dense_jacobian :
   ?options:options -> Netlist.t -> x:float array -> float array array

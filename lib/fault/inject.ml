@@ -101,10 +101,3 @@ let fault_prefix = "FLT_"
 let is_fault_device name =
   String.length name >= String.length fault_prefix
   && String.sub name 0 (String.length fault_prefix) = fault_prefix
-
-let stamp_expressible (fault : Types.fault) =
-  match fault with
-  | Types.Bridge _ | Types.Bridge_cluster _ | Types.Gate_pinhole _
-  | Types.Junction_leak _ | Types.Device_ds_short _ ->
-    true
-  | Types.Node_split _ | Types.Parasitic_mos _ -> false

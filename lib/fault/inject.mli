@@ -29,15 +29,6 @@ val inject_instance : Circuit.Netlist.t -> Types.instance -> Circuit.Netlist.t
 (** [is_fault_device name] — whether a device name carries the reserved
     ["FLT_"] injection prefix. [Circuit.Engine]'s shared-nominal path
     uses this predicate (passed in by [Macro.Evaluate]) to strip injected
-    stamps from a faulty netlist and recover its nominal skeleton. *)
+    stamps from a faulty netlist, recover its nominal skeleton and
+    warm-start the faulty solve from that skeleton's operating point. *)
 val is_fault_device : string -> bool
-
-(** [stamp_expressible fault] — whether injecting [fault] only *adds*
-    two-terminal R/C elements between pre-existing nodes. Such a fault's
-    compiled MNA matrix is the nominal matrix plus a rank-≤2 symmetric
-    perturbation (each added conductance g contributes
-    g·(e_a−e_b)(e_a−e_b)ᵀ), which is what lets the engine seed its first
-    Newton solve from a shared nominal factorization via rank-1 updates.
-    False exactly for [Node_split] (changes the incidence structure and
-    the unknown count) and [Parasitic_mos] (adds a nonlinear device). *)
-val stamp_expressible : Types.fault -> bool

@@ -143,12 +143,13 @@ let run ?jobs ?retries ?inject ?deadline ?resume ?on_outcome
     Circuit.Engine.with_solver solver (fun () ->
         macro.Macro_cell.measure nominal)
   in
-  (* Cross-class factorization sharing: the context taught to recognize
+  (* Cross-class nominal warm start: the context taught to recognize
      injected devices is created once here; each worker domain derives
-     (and caches) the actual nominal factorizations on first use — the
+     (and caches) the actual nominal operating points on first use — the
      derived state is domain-local because DLS does not propagate into
      pool workers. Installed per class, around the whole retry ladder, so
-     escalated attempts seed against their own escalated options. *)
+     escalated attempts warm-start from a nominal point solved under
+     their own escalated options. *)
   let shared =
     Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device ()
   in

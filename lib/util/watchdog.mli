@@ -74,7 +74,7 @@ val armed : unit -> bool
 (** [unmetered f] runs [f] with the calling domain's armed deadline
     masked: {!tick}s inside [f] spend nothing and cannot expire. For
     amortized per-worker work (e.g. deriving the shared nominal
-    factorization) that would otherwise charge its cost to whichever
+    operating point) that would otherwise charge its cost to whichever
     fault class happened to run first on the worker — under an
     iteration budget that would make outcomes depend on scheduling and
     break the byte-identity contract. The wall clock keeps running:

@@ -1066,8 +1066,9 @@ let qcheck_props =
       (fun (n, seed) ->
         let a, b, nodes = mna_like ~tiny:false ~n ~seed in
         (* A bridging conductance c·u·uᵀ, u = e_i − e_j, between two node
-           unknowns (or one of them and ground): the stamp shared-nominal
-           seeding chains onto a factorization. *)
+           unknowns (or one of them and ground): an incidence-shaped
+           update like the ones the reuse policy's Newton loop folds in
+           for a moved MOSFET, whose left factor is e_d − e_s. *)
         let rand = lcg (seed + 7) in
         let node () =
           min nodes (int_of_float (rand () *. float_of_int (nodes + 1))) - 1

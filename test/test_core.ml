@@ -843,6 +843,88 @@ let test_reports_render () =
       Core.Report.summary original;
     ]
 
+(* --- golden paper run -------------------------------------------------- *)
+
+(* A quoted literal opens with a newline for readability; drop it. *)
+let pinned s = String.sub s 1 (String.length s - 1)
+
+(* The paper's Fig. 4 and Fig. 5 runs at [Config.default] (seed 1995,
+   25,000 defects per macro, 48 good-space dies), pinned as rendered.
+   These are the numbers EXPERIMENTS.md reports: a change that moves one
+   changes the reproduction record and must update it. The tables are
+   jobs-invariant, so any worker count prints these bytes. *)
+let test_paper_run_golden () =
+  let original, improved =
+    let saved = Util.Pool.jobs () in
+    Util.Pool.set_jobs 2;
+    Fun.protect
+      ~finally:(fun () -> Util.Pool.set_jobs saved)
+      (fun () -> Core.Global.compare_coverage ~config:Core.Pipeline.Config.default ())
+  in
+  let check name expected table =
+    Alcotest.(check string) name (pinned expected) (Util.Table.render table)
+  in
+  check "Fig. 4" {|
++------------------+--------------+-------+--------------+------------+----------+
+| fault set        | voltage only |  both | current only | undetected | coverage |
++------------------+--------------+-------+--------------+------------+----------+
+| catastrophic     |        14.5% | 50.6% |        27.0% |       7.9% |    92.1% |
+| non-catastrophic |        14.3% | 38.4% |        39.2% |       8.1% |    91.9% |
++------------------+--------------+-------+--------------+------------+----------+|}
+    (Core.Report.figure4 original);
+  check "Fig. 5" {|
++------------------+--------------+-------+--------------+------------+----------+
+| fault set        | voltage only |  both | current only | undetected | coverage |
++------------------+--------------+-------+--------------+------------+----------+
+| catastrophic     |        16.5% | 49.3% |        30.3% |       3.9% |    96.1% |
+| non-catastrophic |        16.0% | 37.3% |        42.7% |       4.0% |    96.0% |
++------------------+--------------+-------+--------------+------------+----------+|}
+    (Core.Report.figure4 improved);
+  check "per-macro current detectability" {|
++-----------------+-------------+--------------------+
+| macro           | area weight | current detectable |
++-----------------+-------------+--------------------+
+| comparator      |       69.3% |              74.0% |
+| ladder          |        8.9% |              86.6% |
+| bias generator  |        0.1% |              30.9% |
+| clock generator |        0.1% |              87.4% |
+| decoder         |       21.5% |              85.8% |
++-----------------+-------------+--------------------+|}
+    (Core.Report.macro_current original);
+  check "summary" {|
++-----------------------------+---------+
+| metric                      |   value |
++-----------------------------+---------+
+| coverage (catastrophic)     |   92.1% |
+| coverage (non-catastrophic) |   91.9% |
+| IDDQ-only share             |    3.5% |
+| current-only share          |   27.0% |
+| simple-test time            | 1200 us |
++-----------------------------+---------+|}
+    (Core.Report.summary original);
+  check "run health" {|
++-----------------+---------+---------+----------+------------+
+| macro           | classes | retried | degraded | unresolved |
++-----------------+---------+---------+----------+------------+
+| comparator      |     212 |       0 |        0 |          0 |
+| ladder          |     361 |       0 |        0 |          0 |
+| bias generator  |      30 |       0 |        0 |          0 |
+| clock generator |     135 |       0 |        0 |          0 |
+| decoder         |     290 |       6 |        0 |          6 |
++-----------------+---------+---------+----------+------------+
+| total           |    1028 |       6 |        0 |          6 |
++-----------------+---------+---------+----------+------------+|}
+    (Core.Report.run_health
+       (Core.Pipeline.run_health (Core.Global.analyses original)));
+  check "coverage bounds" {|
++------------------+-------------+----------+------------+
+| fault set        | pessimistic | coverage | optimistic |
++------------------+-------------+----------+------------+
+| catastrophic     |       91.4% |    92.1% |      92.1% |
+| non-catastrophic |       91.9% |    91.9% |      91.9% |
++------------------+-------------+----------+------------+|}
+    (Core.Report.coverage_bounds original)
+
 let test_dft_guidelines_exist () =
   Alcotest.(check bool) "guidelines" true (List.length Dft.Measures.guidelines >= 2);
   List.iter
@@ -878,6 +960,7 @@ let suites =
         Alcotest.test_case "partition normalized" `Slow test_global_partition_normalized;
         Alcotest.test_case "coverage sane" `Slow test_global_coverage_sane;
         Alcotest.test_case "DfT improves coverage" `Slow test_dft_improves_coverage;
+        Alcotest.test_case "paper run tables pinned" `Slow test_paper_run_golden;
       ] );
     ( "core.telemetry",
       [

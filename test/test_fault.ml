@@ -414,59 +414,19 @@ let test_defect_directed_open () =
   | _ -> Alcotest.fail "expected two out risers"
 
 (* ------------------------------------------------------------------ *)
-(* Shared-nominal structural invariants                                *)
+(* Shared-nominal warm start                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* The scaled-3b analog core: 11 unknowns with every net (vrl, tap1..7,
-   vrh) and device (RSEG0..7, MRD1..7) name known, so fault generators
-   can aim at real structure. *)
+   vrh) and device (RSEG0..7, MRD1..7) name known, so faults can aim at
+   real structure. *)
 let scaled_nominal () =
   Adc.Scaled.bench_netlist ~bits:3
     (Process.Variation.nominal Process.Tech.cmos1um)
 
-let scaled_unknowns nl = Circuit.Netlist.node_count nl + 2
-
-(* Numerical rank via Gaussian elimination with partial pivoting,
-   pivot threshold relative to the largest entry. *)
-let matrix_rank a =
-  let n = Array.length a in
-  let m = Array.map Array.copy a in
-  let maxabs =
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) acc row)
-      0.0 m
-  in
-  if maxabs = 0.0 then 0
-  else begin
-    let tol = 1e-9 *. maxabs in
-    let rank = ref 0 in
-    for col = 0 to n - 1 do
-      if !rank < n then begin
-        let piv = ref !rank in
-        for r = !rank + 1 to n - 1 do
-          if Float.abs m.(r).(col) > Float.abs m.(!piv).(col) then piv := r
-        done;
-        if Float.abs m.(!piv).(col) > tol then begin
-          let tmp = m.(!rank) in
-          m.(!rank) <- m.(!piv);
-          m.(!piv) <- tmp;
-          for r = !rank + 1 to n - 1 do
-            let f = m.(r).(col) /. m.(!rank).(col) in
-            for c = col to n - 1 do
-              m.(r).(c) <- m.(r).(c) -. (f *. m.(!rank).(c))
-            done
-          done;
-          incr rank
-        end
-      end
-    done;
-    !rank
-  end
-
 (* Regression for the shared-nominal miss path: faults that are not a
    pure R/C addition (an open's node split, a parasitic transistor) must
-   get a fresh factorization — counted as misses, never chained. *)
+   start cold — counted as misses, never warm-started. *)
 let test_shared_nominal_inexpressible_fresh () =
   let memory = Util.Telemetry.in_memory () in
   (* Counter deltas are buffered per domain and flushed when [with_sink]
@@ -489,12 +449,10 @@ let test_shared_nominal_inexpressible_fresh () =
    solve (Fault.Types.Node_split { net = "tap2"; far_pins = [ "RSEG2", "+" ] }));
   let counters = (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters in
   let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
-  Alcotest.(check int) "bridge seeds off the shared nominal" 1
+  Alcotest.(check int) "bridge warm-starts from the shared nominal" 1
     (counter "engine.shared_nominal_hits");
-  Alcotest.(check int) "open and parasitic mos get fresh factorizations" 2
-    (counter "engine.shared_nominal_misses");
-  Alcotest.(check int) "no guard trips" 0
-    (counter "engine.shared_nominal_fallbacks")
+  Alcotest.(check int) "open and parasitic mos start cold" 2
+    (counter "engine.shared_nominal_misses")
 
 (* ------------------------------------------------------------------ *)
 (* QCheck                                                              *)
@@ -538,82 +496,6 @@ let qcheck_props =
             classes
         in
         List.length keys = List.length (List.sort_uniq compare keys));
-    (* The structural property the shared-nominal rank-1 chaining relies
-       on: every stamp-expressible fault perturbs the DC MNA matrix by a
-       matrix of rank at most 2 (one conductance stamp per added
-       resistor; a channel pinhole or a 3-net cluster contributes two),
-       at any identical linearization point. *)
-    (let scaled_nets =
-       [| "vrl"; "tap1"; "tap2"; "tap3"; "tap4"; "tap5"; "tap6"; "tap7"; "vrh" |]
-     in
-     let scaled_mos =
-       [| "MRD1"; "MRD2"; "MRD3"; "MRD4"; "MRD5"; "MRD6"; "MRD7" |]
-     in
-     let arb_stamp_fault =
-       QCheck.make ~print:Fault.Types.canonical_key
-         Gen.(
-           let nets = Array.length scaled_nets in
-           let net = map (Array.get scaled_nets) (int_range 0 (nets - 1)) in
-           let device = map (Array.get scaled_mos) (int_range 0 6) in
-           let* r = float_range 10.0 100_000.0 in
-           oneof
-             [
-               (let* i = int_range 0 (nets - 1) in
-                let* k = int_range 1 (nets - 1) in
-                let* c = oneofl [ None; Some 1e-15 ] in
-                return
-                  (Fault.Types.Bridge
-                     { net_a = scaled_nets.(i);
-                       net_b = scaled_nets.((i + k) mod nets);
-                       resistance = r; capacitance = c;
-                       origin = Fault.Types.Short }));
-               (let* i = int_range 0 (nets - 3) in
-                return
-                  (Fault.Types.Bridge_cluster
-                     { nets =
-                         [ scaled_nets.(i); scaled_nets.(i + 1);
-                           scaled_nets.(i + 2) ];
-                       resistance = r; capacitance = None;
-                       origin = Fault.Types.Extra_contact }));
-               (let* d = device in
-                let* site =
-                  oneofl
-                    Fault.Types.[ To_source; To_drain; To_channel ]
-                in
-                return
-                  (Fault.Types.Gate_pinhole
-                     { device = d; site; resistance = r }));
-               (let* n = net in
-                return
-                  (Fault.Types.Junction_leak
-                     { net = n; bulk_net = "0"; resistance = r }));
-               (let* d = device in
-                return (Fault.Types.Device_ds_short { device = d; resistance = r }));
-             ])
-     in
-     Test.make ~count:200
-       ~name:"inject: stamp-expressible faults perturb the jacobian by rank <= 2"
-       arb_stamp_fault
-       (fun fault ->
-         assume (Fault.Inject.stamp_expressible fault);
-         let nominal = scaled_nominal () in
-         let faulty = Fault.Inject.inject nominal fault in
-         let n = scaled_unknowns nominal in
-         (* Same unknowns: a stamp-expressible fault adds no node or
-            branch, so both jacobians are n x n and comparable. *)
-         if scaled_unknowns faulty <> n then false
-         else begin
-           let x =
-             Array.init n (fun i -> 0.25 +. (0.17 *. float_of_int (i mod 7)))
-           in
-           let jn = Circuit.Engine.dense_jacobian nominal ~x in
-           let jf = Circuit.Engine.dense_jacobian faulty ~x in
-           let d =
-             Array.init n (fun i ->
-                 Array.init n (fun k -> jf.(i).(k) -. jn.(i).(k)))
-           in
-           matrix_rank d <= 2
-         end));
   ]
 
 let suites =
