@@ -413,6 +413,42 @@ let test_defect_directed_open () =
       Alcotest.(check bool) "reports the open" true (List.exists is_open faults))
   | _ -> Alcotest.fail "expected two out risers"
 
+let test_defect_open_anchor_tie () =
+  (* A labelled wire with a pin at each end, cut in the middle into two
+     halves of equal wire area: neither side outweighs the other, so the
+     side holding the lowest shape id stays the net and the far pin is
+     the one on the higher-id side. *)
+  let metal1 = Process.Layer.Metal1 in
+  let b = Layout.Cell.builder "tie" in
+  let add x w owner =
+    ignore
+      (Layout.Cell.add_shape b ~layer:metal1
+         ~rect:(Geometry.Rect.of_size ~x ~y:0 ~w ~h:10) ~owner)
+  in
+  add 0 10 (Layout.Cell.Device_terminal { device = "R1"; terminal = "p" });
+  add 10 100 (Layout.Cell.Wire "n");
+  add 110 20 (Layout.Cell.Wire "n");
+  add 130 100 (Layout.Cell.Wire "n");
+  add 230 10 (Layout.Cell.Device_terminal { device = "R2"; terminal = "p" });
+  let cell = Layout.Cell.finish b in
+  let faults =
+    Defect.Simulate.analyze ~tech:Process.Tech.cmos1um ~cell
+      ~netlist:(Circuit.Netlist.create ())
+      ~extraction:(Layout.Extract.extract cell)
+      (Process.Defect_stats.Missing_material metal1)
+      (Geometry.Circle.create ~cx:120 ~cy:5 ~radius:9.0)
+  in
+  let splits =
+    List.filter_map
+      (fun (i : Fault.Types.instance) ->
+        match i.fault with
+        | Fault.Types.Node_split { net; far_pins } -> Some (net, far_pins)
+        | _ -> None)
+      faults
+  in
+  Alcotest.(check (list (pair string (list (pair string string)))))
+    "far pin on the higher-id side" [ "n", [ "R2", "p" ] ] splits
+
 (* ------------------------------------------------------------------ *)
 (* Shared-nominal warm start                                           *)
 (* ------------------------------------------------------------------ *)
@@ -535,6 +571,7 @@ let suites =
         Alcotest.test_case "miss is benign" `Quick test_defect_analyze_miss_is_benign;
         Alcotest.test_case "directed short" `Quick test_defect_directed_short;
         Alcotest.test_case "directed open" `Quick test_defect_directed_open;
+        Alcotest.test_case "open anchor tie" `Quick test_defect_open_anchor_tie;
       ] );
     ( "fault.shared_nominal",
       [
