@@ -873,11 +873,10 @@ let fingerprint_wave b w =
     Buffer.add_char b 'P';
     List.iter (key_float b) [ v0; v1; delay; rise; fall; width; period ]
 
-(* Value-level fingerprint of a netlist under [options]: the options,
-   then device names, kinds, parameters and pin indices. Used only as a
-   cache key for derived nominal entries. *)
-let fingerprint ~(options : options) netlist =
-  let devices = Netlist.devices netlist in
+(* Value-level fingerprint of a netlist's [devices] under [options]: the
+   options, then device names, kinds, parameters and pin indices. Used
+   only as a cache key for derived nominal entries. *)
+let fingerprint ~(options : options) devices =
   let b = Buffer.create (64 * (List.length devices + 1)) in
   List.iter (key_float b)
     [ options.gmin; options.abstol; options.vntol; options.reltol;
@@ -935,17 +934,20 @@ let sn_derive ~options stripped =
   | exception Linear.Singular -> None
   | x -> Some x
 
-let sn_entry sn ~options ~stamps netlist =
-  let stripped = Netlist.copy netlist in
-  List.iter
-    (fun (dv : Netlist.device_view) -> Netlist.remove_device stripped dv.dev_name)
-    stamps;
-  let key = fingerprint ~options stripped in
+(* The skeleton is keyed by the faulty netlist's own devices less the
+   stamps: [Netlist.remove_device] keeps node indices, so these are the
+   bytes the stripped copy would give. The copy is made only on a miss. *)
+let sn_entry sn ~options ~stamps ~skeleton netlist =
+  let key = fingerprint ~options skeleton in
   let cache = sn_cache_for sn in
   match Hashtbl.find_opt cache key with
   | Some entry -> entry
   | None ->
     if Hashtbl.length cache >= sn_cache_limit then Hashtbl.reset cache;
+    let stripped = Netlist.copy netlist in
+    List.iter
+      (fun (dv : Netlist.device_view) -> Netlist.remove_device stripped dv.dev_name)
+      stamps;
     let entry = sn_derive ~options stripped in
     Hashtbl.add cache key entry;
     entry
@@ -963,8 +965,8 @@ let try_shared_seed ~netlist ~options compiled =
   match Domain.DLS.get sn_override with
   | None -> None
   | Some sn ->
-    let stamps =
-      List.filter
+    let stamps, skeleton =
+      List.partition
         (fun (dv : Netlist.device_view) -> sn.sn_strip dv.dev_name)
         (Netlist.devices netlist)
     in
@@ -978,7 +980,9 @@ let try_shared_seed ~netlist ~options compiled =
                false)
            stamps
     in
-    let warm = if expressible then sn_entry sn ~options ~stamps netlist else None in
+    let warm =
+      if expressible then sn_entry sn ~options ~stamps ~skeleton netlist else None
+    in
     match warm with
     (* A vector of another length would be a stale or colliding context
        entry: same strip predicate, different structure. *)
