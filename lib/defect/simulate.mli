@@ -8,7 +8,9 @@
     - extra conducting material bridging shapes of distinct nets → short
       (or a drain-source device short, or a parasitic gate over a channel);
     - missing material severing a wire → open, with the severed-off pins
-      computed by re-extracting the damaged layout;
+      computed by re-connecting the nets the spot cuts
+      ({!Layout.Extract.split}; each such spot counts as telemetry
+      [severing_spots]);
     - gate-oxide pinholes over a channel → gate leak whose site follows
       the spot position along the channel;
     - junction pinholes over source/drain diffusion → leak to the bulk;

@@ -63,10 +63,10 @@ let index t =
   match t.cached_index with
   | Some idx -> idx
   | None ->
-    let span = max (Geometry.Rect.width t.cell_bounds) (Geometry.Rect.height t.cell_bounds) in
-    let cell_size = max 1000 (span / 64) in
-    let idx = Geometry.Spatial_index.create ~bounds:t.cell_bounds ~cell_size in
-    Array.iter (fun s -> Geometry.Spatial_index.insert idx s.rect s.id) t.cell_shapes;
+    let idx =
+      Geometry.Spatial_index.of_array ~bounds:t.cell_bounds
+        (Array.map (fun s -> s.rect, s.id) t.cell_shapes)
+    in
     t.cached_index <- Some idx;
     idx
 

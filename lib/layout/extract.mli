@@ -7,28 +7,37 @@
     analyzer relies on when deciding whether a spot changed the circuit.
 
     The extraction is also the reference for fault analysis on a damaged
-    cell: [extract_without] recomputes nets with some shapes removed,
-    which is how opens (severed wires, missing contacts) are classified. *)
+    cell: [split] re-connects the nets that lose shapes, which is how opens
+    (severed wires, missing contacts) are classified. It costs the size of
+    those nets, not of the cell. *)
 
 type t
 
-(** Net identifiers are small ints, stable for one extraction only. *)
+(** A net is identified by the lowest id among its member shapes, so ids
+    do not depend on the order extraction visits shapes. *)
 type net = int
 
 val extract : Cell.t -> t
 
-(** [extract_without cell ~removed] extracts pretending the listed shape
-    ids do not exist. *)
-val extract_without : Cell.t -> removed:int list -> t
+(** [split t ~removed] is what removing the listed shape ids does to the
+    nets that own them. [t] must be the clean extraction of the cell. For
+    each such net, ascending, it lists the net's surviving member shapes
+    partitioned into connected groups: every group ascends, and the groups
+    come in order of their lowest member. The result equals extracting
+    the cell without the removed shapes, since removing shapes can split
+    a net but never join two; only the cut nets' members are
+    re-connected. Removed ids that own no net (channels, out of range)
+    are ignored. *)
+val split : t -> removed:int list -> (net * int list list) list
 
 (** [net_of_shape t id] is the net of a conducting or cut shape; [None]
-    for channels, wells, or removed shapes. *)
+    for channels and wells. *)
 val net_of_shape : t -> int -> net option
 
-(** All nets, each listed once. *)
+(** All nets, each listed once, ascending. *)
 val nets : t -> net list
 
-(** [shapes_of_net t net] — member shape ids. *)
+(** [shapes_of_net t net] — member shape ids, ascending. *)
 val shapes_of_net : t -> net -> int list
 
 (** [net_name t net] is the name carried by the net's [Wire] labels;
@@ -38,11 +47,6 @@ val net_name : t -> net -> string option
 
 (** [net_of_name t name] — reverse lookup over wire labels. *)
 val net_of_name : t -> string -> net option
-
-(** [terminals_of_net t net] lists the [(device, terminal)] pins bonded to
-    the net through [Device_terminal] and [Gate] shapes (gates report
-    terminal ["g"]). *)
-val terminals_of_net : t -> net -> (string * string) list
 
 (** [check_against t netlist] verifies the layout implements the netlist:
     every wire-labelled net is internally consistent (a single name), and
