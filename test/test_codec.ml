@@ -366,6 +366,186 @@ let test_cache_keys_pinned () =
   Alcotest.(check string) "defect statistics" "74b0cd4b2de5ba538ac9285b33898faa"
     (Core.Codec.stats_fingerprint config.stats)
 
+(* --- encoded bytes pinned ---------------------------------------------------- *)
+
+(* The round-trip properties above would still pass if an encoding
+   changed in both directions at once. Cache entries and checkpoint
+   partials written by an older build, and every client of the wire
+   protocol, read these exact bytes, so they are pinned here: a change
+   that moves one of them must bump [Codec.version] (payloads) or
+   [Codec.api_version] (wire lines) and re-record the string. The
+   fixtures reach every case and every optional member of each schema. *)
+let golden_outcomes =
+  let open Fault.Types in
+  let module D = Process.Defect_stats in
+  let outcome fault severity mechanism count voltage currents status =
+    {
+      Macro.Evaluate.fault_class =
+        { Fault.Collapse.representative = { fault; severity; mechanism }; count };
+      signature = { Macro.Signature.voltage; currents };
+      status;
+    }
+  in
+  [
+    outcome
+      (Bridge
+         { net_a = "inp"; net_b = "leakmid"; resistance = 0.2;
+           capacitance = None; origin = Extra_contact })
+      Catastrophic D.Extra_contact 15 Macro.Signature.Output_stuck_at
+      [ Macro.Signature.IVdd; Macro.Signature.Iinput ] Macro.Evaluate.Converged;
+    outcome
+      (Bridge
+         { net_a = "a\"b"; net_b = "c\nd"; resistance = 500.0;
+           capacitance = Some 1e-15; origin = Short })
+      Non_catastrophic (D.Extra_material Process.Layer.Metal1) 3
+      Macro.Signature.Offset_too_large [] (Macro.Evaluate.Recovered { attempts = 2 });
+    outcome
+      (Bridge_cluster
+         { nets = [ "n1"; "n2"; "n3" ]; resistance = 0.1;
+           capacitance = Some 2.5e-3; origin = Thick_oxide_pinhole })
+      Catastrophic D.Thick_oxide_pinhole 1 Macro.Signature.Mixed
+      [ Macro.Signature.IDDQ ]
+      (Macro.Evaluate.Unresolved { attempts = 2; error = "no DC operating point" });
+    outcome
+      (Node_split { net = "out"; far_pins = [ "M1", "d"; "RL", "-" ] })
+      Catastrophic (D.Missing_material Process.Layer.Poly) 7
+      Macro.Signature.Clock_value [] Macro.Evaluate.Converged;
+    outcome
+      (Gate_pinhole { device = "M3"; site = To_drain; resistance = 2000.0 })
+      Catastrophic D.Gate_oxide_pinhole 4 Macro.Signature.No_voltage_deviation
+      [ Macro.Signature.IVdd ] Macro.Evaluate.Converged;
+    outcome
+      (Junction_leak { net = "tail"; bulk_net = "gnd"; resistance = 6.02e23 })
+      Catastrophic D.Junction_pinhole 2 Macro.Signature.Output_stuck_at []
+      Macro.Evaluate.Converged;
+    outcome
+      (Device_ds_short { device = "M9"; resistance = -7.25 })
+      Catastrophic D.Missing_contact 9 Macro.Signature.Mixed [] Macro.Evaluate.Converged;
+    outcome
+      (Parasitic_mos { gate_net = "clk"; net_a = "x"; net_b = "y" })
+      Catastrophic (D.Extra_material Process.Layer.Poly) 1
+      Macro.Signature.Output_stuck_at [] Macro.Evaluate.Converged;
+  ]
+
+(* The first two outcomes, as a one-class-per-severity analysis. *)
+let golden_analysis =
+  let cat = List.nth golden_outcomes 0 and ncat = List.nth golden_outcomes 1 in
+  {
+    Core.Codec.sprinkled = 25_000;
+    effective = 1_234;
+    good =
+      Macro.Good_space.of_windows
+        [
+          "vout", { Util.Stats.low = -0.1; high = 3.0 };
+          "ivdd", { Util.Stats.low = 1e-6; high = 0.00125 };
+        ];
+    classes_catastrophic = [ cat.Macro.Evaluate.fault_class ];
+    classes_non_catastrophic = [ ncat.Macro.Evaluate.fault_class ];
+    outcomes_catastrophic = [ cat ];
+    outcomes_non_catastrophic = [ ncat ];
+  }
+
+(* Every outcome, so every fault kind, mechanism and status is pinned. *)
+let golden_partials =
+  List.mapi
+    (fun i outcome ->
+      {
+        Core.Codec.section = (if i = 1 then "ncat" else "cat");
+        index = 7 * i;
+        outcome;
+      })
+    golden_outcomes
+
+let full_request =
+  Core.Request.(
+    default
+    |> with_id (Some "req-1")
+    |> with_target (Comparator { dft = true })
+    |> with_defects 400 |> with_good_space_dies 6 |> with_sigma 2.5
+    |> with_seed 7 |> with_max_retries 3 |> with_strict true
+    |> with_inject_failures (Some 0.25)
+    |> with_deadline
+         (Some { Util.Watchdog.wall_seconds = Some 1.5; max_iterations = Some 800 })
+    |> with_solver Circuit.Engine.Dense
+    |> with_format `Csv)
+
+let ok_response : Core.Request.response =
+  Ok
+    {
+      Core.Request.reply_id = Some "r-9";
+      tables =
+        [
+          { Core.Request.title = "Summary"; body = "a | b\n\"q\"\t1" };
+          { Core.Request.title = "Run health"; body = "" };
+        ];
+      cache_hits = 5;
+      cache_misses = 0;
+      coalesced = true;
+      queue_seconds = 0.125;
+      evaluate_seconds = 3.0;
+    }
+
+let error_response : Core.Request.response =
+  Error
+    {
+      Core.Request.error_id = None;
+      code = Core.Request.Overloaded;
+      message = "16 analyses already pending; try again later";
+      retry_after = Some 8.0;
+    }
+
+(* [codec_golden.txt] holds one "name json" line per fixture. *)
+let golden_lines =
+  lazy
+    (In_channel.with_open_text "codec_golden.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.index_opt line ' ' with
+           | Some i ->
+             Some
+               ( String.sub line 0 i,
+                 String.sub line (i + 1) (String.length line - i - 1) )
+           | None -> None))
+
+let test_encoded_bytes_pinned () =
+  let pin name json decode value =
+    let line = Util.Json.to_string json in
+    (match List.assoc_opt name (Lazy.force golden_lines) with
+    | Some expected -> Alcotest.(check string) (name ^ ": bytes") expected line
+    | None -> Alcotest.failf "%s: no golden line" name);
+    match Result.bind (Util.Json.of_string line) decode with
+    | Ok v -> Alcotest.(check bool) (name ^ ": decodes back") true (v = value)
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  pin "analysis"
+    (Core.Codec.analysis_to_json golden_analysis)
+    Core.Codec.analysis_of_json golden_analysis;
+  pin "partials"
+    (Core.Codec.partial_outcomes_to_json golden_partials)
+    Core.Codec.partial_outcomes_of_json golden_partials;
+  pin "default-request"
+    (Core.Codec.request_to_json Core.Request.default)
+    Core.Codec.request_of_json Core.Request.default;
+  pin "full-request"
+    (Core.Codec.request_to_json full_request)
+    Core.Codec.request_of_json full_request;
+  pin "ok-response"
+    (Core.Codec.response_to_json ok_response)
+    Core.Codec.response_of_json ok_response;
+  pin "error-response"
+    (Core.Codec.response_to_json error_response)
+    Core.Codec.response_of_json error_response;
+  (* A minimal request: every member but "api" and "target" defaults. *)
+  match
+    Result.bind
+      (Util.Json.of_string {|{"api":"dotest-api/1","target":"global"}|})
+      Core.Codec.request_of_json
+  with
+  | Ok r ->
+    Alcotest.(check bool) "minimal request is the default" true
+      (r = Core.Request.default)
+  | Error e -> Alcotest.failf "minimal request: %s" e
+
 let test_version_stamp_shape () =
   Alcotest.(check bool) "version is non-empty" true
     (String.length Core.Codec.version > 0)
@@ -381,5 +561,7 @@ let suites =
             test_mechanism_encoding_injective;
           Alcotest.test_case "version stamp" `Quick test_version_stamp_shape;
           Alcotest.test_case "cache keys pinned" `Quick test_cache_keys_pinned;
+          Alcotest.test_case "encoded bytes pinned" `Quick
+            test_encoded_bytes_pinned;
         ] );
   ]
