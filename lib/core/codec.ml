@@ -11,368 +11,374 @@ type 'a decoder = J.t -> ('a, string) result
       backends), which changes which marginal classes resolve. *)
 let version = "dotest-codec/3"
 
-(* --- decoder plumbing --------------------------------------------------- *)
+(* --- two-way codecs ----------------------------------------------------- *)
+
+(* A schema is one value used in both directions: every member name, case
+   tag and member order below is written once. *)
+type 'a t = { enc : 'a -> J.t; dec : 'a decoder }
 
 let ( let* ) = Result.bind
 
 let error_at what json =
   Error (Printf.sprintf "%s, got %s" what (J.to_string json))
 
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> error_at (Printf.sprintf "expected field %S" name) json
+let scalar what enc read =
+  {
+    enc;
+    dec =
+      (fun json ->
+        match read json with
+        | Some v -> Ok v
+        | None -> error_at ("expected " ^ what) json);
+  }
 
-let as_int json =
-  match J.to_int json with
-  | Some n -> Ok n
-  | None -> error_at "expected an integer" json
+let int = scalar "an integer" (fun n -> J.Int n) J.to_int
 
-let as_float json =
-  match J.to_float json with
-  | Some x -> Ok x
-  | None -> error_at "expected a number" json
+(* [Json] prints the shortest representation that parses back to the
+   identical double; an integral float prints as an [Int], which
+   [to_float] accepts, so floats round-trip exactly. *)
+let float = scalar "a number" (fun x -> J.Float x) J.to_float
+let string = scalar "a string" (fun s -> J.String s) J.to_str
+let bool = scalar "a boolean" (fun b -> J.Bool b) J.to_bool
 
-let as_str json =
-  match J.to_str json with
-  | Some s -> Ok s
-  | None -> error_at "expected a string" json
+let list c =
+  {
+    enc = (fun vs -> J.List (List.map c.enc vs));
+    dec =
+      (fun json ->
+        match J.to_list json with
+        | None -> error_at "expected a list" json
+        | Some items ->
+          let rec go i acc = function
+            | [] -> Ok (List.rev acc)
+            | item :: rest ->
+              (match c.dec item with
+              | Ok v -> go (i + 1) (v :: acc) rest
+              | Error e -> Error (Printf.sprintf "element %d: %s" i e))
+          in
+          go 0 [] items);
+  }
 
-let int_field name json = Result.bind (field name json) as_int
-let float_field name json = Result.bind (field name json) as_float
-let str_field name json = Result.bind (field name json) as_str
-
-(* [Float] must survive exactly; [Json] already prints the shortest
-   representation that parses back to the identical double, but an
-   integral float would print as an [Int] and decode as one, which
-   [to_float] accepts — so floats round-trip through [as_float]. *)
-let list_of dec json =
-  match J.to_list json with
-  | None -> error_at "expected a list" json
-  | Some items ->
-    let rec go i acc = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest ->
-        (match dec item with
-        | Ok v -> go (i + 1) (v :: acc) rest
-        | Error e -> Error (Printf.sprintf "element %d: %s" i e))
-    in
-    go 0 [] items
-
-let list_field name dec json = Result.bind (field name json) (list_of dec)
-
-(* Optional float field encoded as absence. *)
-let opt_float_field name json =
-  match J.member name json with
-  | None | Some J.Null -> Ok None
-  | Some v ->
-    let* x = as_float v in
-    Ok (Some x)
+(* [None] is [null]. *)
+let nullable c =
+  {
+    enc = (function None -> J.Null | Some v -> c.enc v);
+    dec = (function J.Null -> Ok None | json -> Result.map Option.some (c.dec json));
+  }
 
 (* An enumeration keyed by a naming function. *)
 let enum ~what ~name_of all =
-  let encode v = J.String (name_of v) in
-  let decode json =
-    let* s = as_str json in
-    match List.find_opt (fun v -> name_of v = s) all with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "unknown %s %S" what s)
-  in
-  encode, decode
+  {
+    enc = (fun v -> J.String (name_of v));
+    dec =
+      (fun json ->
+        let* s = string.dec json in
+        match List.find_opt (fun v -> name_of v = s) all with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "unknown %s %S" what s));
+  }
+
+let conv to_ of_ c =
+  { enc = (fun v -> c.enc (to_ v)); dec = (fun json -> Result.map of_ (c.dec json)) }
+
+(* --- objects ------------------------------------------------------------ *)
+
+(* Members of an object: [put] renders part of an ['o] as members, [get]
+   reads an ['a] out of the whole object. An [('a, 'a) members] is the
+   complete schema of an object; [obj] makes it a codec. *)
+type ('o, 'a) members = {
+  put : 'o -> (string * J.t) list;
+  get : J.t -> ('a, string) result;
+}
+
+let obj m = { enc = (fun v -> J.Obj (m.put v)); dec = m.get }
+
+let req name c =
+  {
+    put = (fun v -> [ name, c.enc v ]);
+    get =
+      (fun json ->
+        match J.member name json with
+        | Some v -> c.dec v
+        | None -> error_at (Printf.sprintf "expected field %S" name) json);
+  }
+
+(* Omitted when [None]; absent and null both read as [None]. *)
+let opt name c =
+  {
+    put = (function None -> [] | Some v -> [ name, c.enc v ]);
+    get =
+      (fun json ->
+        match J.member name json with
+        | None | Some J.Null -> Ok None
+        | Some v -> Result.map Option.some (c.dec v));
+  }
+
+(* Always written; absent and null both read as [default]. *)
+let dft name c default =
+  {
+    put = (fun v -> [ name, c.enc v ]);
+    get =
+      (fun json ->
+        match J.member name json with
+        | None | Some J.Null -> Ok default
+        | Some v -> c.dec v);
+  }
+
+(* Members side by side, as a pair; for case payloads, which have no
+   record type to project from. *)
+let ( *** ) a b =
+  {
+    put = (fun (x, y) -> a.put x @ b.put y);
+    get =
+      (fun json ->
+        let* x = a.get json in
+        let* y = b.get json in
+        Ok (x, y));
+  }
+
+(* A record, member by member in wire order: [record make] starts from the
+   record's constructor and each [field m proj] adds the next argument,
+   read by [m] and projected out by [proj]. *)
+let record make = { put = (fun _ -> []); get = (fun _ -> Ok make) }
+
+let field m proj r =
+  {
+    put = (fun o -> r.put o @ m.put (proj o));
+    get =
+      (fun json ->
+        let* f = r.get json in
+        let* a = m.get json in
+        Ok (f a));
+  }
+
+(* --- tagged variants ---------------------------------------------------- *)
+
+(* A case: its tag, its payload members and how a payload becomes the
+   variant. [tagged c p] encodes payload [p] as case [c]; [branch c] is
+   the case's decoder. *)
+type ('a, 'p) case = {
+  tag : string;
+  payload : ('p, 'p) members;
+  inject : 'p -> 'a;
+}
+
+let case tag payload inject = { tag; payload; inject }
+let bare tag v = case tag (record ()) (fun () -> v)
+let tagged c p = c.tag, c.payload.put p
+let branch c = c.tag, fun json -> Result.map c.inject (c.payload.get json)
+
+(* Member [key] holds the tag and the payload members follow it.
+   [select] maps every value to its tagged payload. *)
+let variant ?(key = "kind") ~what branches select =
+  let tag = req key string in
+  {
+    put =
+      (fun v ->
+        let t, members = select v in
+        tag.put t @ members);
+    get =
+      (fun json ->
+        let* t = tag.get json in
+        match List.assoc_opt t branches with
+        | Some dec -> dec json
+        | None -> Error (Printf.sprintf "unknown %s %S" what t));
+  }
 
 (* --- signatures --------------------------------------------------------- *)
 
-let voltage_to_json, voltage_of_json =
+let voltage =
   enum ~what:"voltage signature" ~name_of:Macro.Signature.voltage_name
     Macro.Signature.all_voltage
 
-let current_kind_to_json, current_kind_of_json =
+let current_kind =
   enum ~what:"current kind" ~name_of:Macro.Signature.current_name
     Macro.Signature.all_current
 
-let signature_to_json (s : Macro.Signature.t) =
-  J.Obj
-    [
-      "voltage", voltage_to_json s.Macro.Signature.voltage;
-      "currents", J.List (List.map current_kind_to_json s.Macro.Signature.currents);
-    ]
-
-let signature_of_json json =
-  let* voltage = Result.bind (field "voltage" json) voltage_of_json in
-  let* currents = list_field "currents" current_kind_of_json json in
-  Ok { Macro.Signature.voltage; currents }
+let signature =
+  record (fun voltage currents -> { Macro.Signature.voltage; currents })
+  |> field (req "voltage" voltage) (fun s -> s.Macro.Signature.voltage)
+  |> field (req "currents" (list current_kind)) (fun s -> s.Macro.Signature.currents)
+  |> obj
 
 (* --- faults ------------------------------------------------------------- *)
 
-let layer_to_json, layer_of_json =
-  enum ~what:"layer" ~name_of:Process.Layer.name Process.Layer.all
+let layer = enum ~what:"layer" ~name_of:Process.Layer.name Process.Layer.all
 
-let fault_type_to_json, fault_type_of_json =
+let fault_type =
   enum ~what:"fault type" ~name_of:Fault.Types.fault_type_name
     Fault.Types.all_fault_types
 
-let site_name = function
-  | Fault.Types.To_source -> "source"
-  | Fault.Types.To_drain -> "drain"
-  | Fault.Types.To_channel -> "channel"
-
-let site_to_json, site_of_json =
-  enum ~what:"pinhole site" ~name_of:site_name
+let site =
+  enum ~what:"pinhole site"
+    ~name_of:(function
+      | Fault.Types.To_source -> "source"
+      | Fault.Types.To_drain -> "drain"
+      | Fault.Types.To_channel -> "channel")
     [ Fault.Types.To_source; Fault.Types.To_drain; Fault.Types.To_channel ]
 
-let severity_name = function
-  | Fault.Types.Catastrophic -> "catastrophic"
-  | Fault.Types.Non_catastrophic -> "non-catastrophic"
-
-let severity_to_json, severity_of_json =
-  enum ~what:"severity" ~name_of:severity_name
+let severity =
+  enum ~what:"severity"
+    ~name_of:(function
+      | Fault.Types.Catastrophic -> "catastrophic"
+      | Fault.Types.Non_catastrophic -> "non-catastrophic")
     [ Fault.Types.Catastrophic; Fault.Types.Non_catastrophic ]
 
 (* [Defect_stats.mechanism_name] is not injective ([Extra_material
    Contact] and [Extra_contact] both render "extra-contact"), so the
    mechanism is encoded structurally. *)
-let mechanism_to_json (m : Process.Defect_stats.mechanism) =
-  match m with
-  | Process.Defect_stats.Extra_material layer ->
-    J.Obj [ "kind", J.String "extra-material"; "layer", layer_to_json layer ]
-  | Process.Defect_stats.Missing_material layer ->
-    J.Obj [ "kind", J.String "missing-material"; "layer", layer_to_json layer ]
-  | Process.Defect_stats.Gate_oxide_pinhole ->
-    J.Obj [ "kind", J.String "gate-oxide-pinhole" ]
-  | Process.Defect_stats.Junction_pinhole ->
-    J.Obj [ "kind", J.String "junction-pinhole" ]
-  | Process.Defect_stats.Thick_oxide_pinhole ->
-    J.Obj [ "kind", J.String "thick-oxide-pinhole" ]
-  | Process.Defect_stats.Extra_contact ->
-    J.Obj [ "kind", J.String "extra-contact" ]
-  | Process.Defect_stats.Missing_contact ->
-    J.Obj [ "kind", J.String "missing-contact" ]
-
-let mechanism_of_json json =
-  let* kind = str_field "kind" json in
-  let layered f = Result.map f (Result.bind (field "layer" json) layer_of_json) in
-  match kind with
-  | "extra-material" ->
-    layered (fun l -> Process.Defect_stats.Extra_material l)
-  | "missing-material" ->
-    layered (fun l -> Process.Defect_stats.Missing_material l)
-  | "gate-oxide-pinhole" -> Ok Process.Defect_stats.Gate_oxide_pinhole
-  | "junction-pinhole" -> Ok Process.Defect_stats.Junction_pinhole
-  | "thick-oxide-pinhole" -> Ok Process.Defect_stats.Thick_oxide_pinhole
-  | "extra-contact" -> Ok Process.Defect_stats.Extra_contact
-  | "missing-contact" -> Ok Process.Defect_stats.Missing_contact
-  | other -> Error (Printf.sprintf "unknown defect mechanism %S" other)
-
-let capacitance_fields = function
-  | None -> []
-  | Some c -> [ "capacitance", J.Float c ]
-
-let fault_to_json (f : Fault.Types.fault) =
-  match f with
-  | Fault.Types.Bridge { net_a; net_b; resistance; capacitance; origin } ->
-    J.Obj
-      ([
-         "kind", J.String "bridge";
-         "net_a", J.String net_a;
-         "net_b", J.String net_b;
-         "resistance", J.Float resistance;
-       ]
-      @ capacitance_fields capacitance
-      @ [ "origin", fault_type_to_json origin ])
-  | Fault.Types.Bridge_cluster { nets; resistance; capacitance; origin } ->
-    J.Obj
-      ([
-         "kind", J.String "bridge-cluster";
-         "nets", J.List (List.map (fun n -> J.String n) nets);
-         "resistance", J.Float resistance;
-       ]
-      @ capacitance_fields capacitance
-      @ [ "origin", fault_type_to_json origin ])
-  | Fault.Types.Node_split { net; far_pins } ->
-    J.Obj
-      [
-        "kind", J.String "node-split";
-        "net", J.String net;
-        ( "far_pins",
-          J.List
-            (List.map
-               (fun (device, terminal) ->
-                 J.List [ J.String device; J.String terminal ])
-               far_pins) );
-      ]
-  | Fault.Types.Gate_pinhole { device; site; resistance } ->
-    J.Obj
-      [
-        "kind", J.String "gate-pinhole";
-        "device", J.String device;
-        "site", site_to_json site;
-        "resistance", J.Float resistance;
-      ]
-  | Fault.Types.Junction_leak { net; bulk_net; resistance } ->
-    J.Obj
-      [
-        "kind", J.String "junction-leak";
-        "net", J.String net;
-        "bulk_net", J.String bulk_net;
-        "resistance", J.Float resistance;
-      ]
-  | Fault.Types.Device_ds_short { device; resistance } ->
-    J.Obj
-      [
-        "kind", J.String "device-ds-short";
-        "device", J.String device;
-        "resistance", J.Float resistance;
-      ]
-  | Fault.Types.Parasitic_mos { gate_net; net_a; net_b } ->
-    J.Obj
-      [
-        "kind", J.String "parasitic-mos";
-        "gate_net", J.String gate_net;
-        "net_a", J.String net_a;
-        "net_b", J.String net_b;
-      ]
-
-let far_pin_of_json json =
-  match J.to_list json with
-  | Some [ d; t ] ->
-    let* device = as_str d in
-    let* terminal = as_str t in
-    Ok (device, terminal)
-  | Some _ | None -> error_at "expected a [device, terminal] pair" json
-
-let fault_of_json json =
-  let* kind = str_field "kind" json in
-  match kind with
-  | "bridge" ->
-    let* net_a = str_field "net_a" json in
-    let* net_b = str_field "net_b" json in
-    let* resistance = float_field "resistance" json in
-    let* capacitance = opt_float_field "capacitance" json in
-    let* origin = Result.bind (field "origin" json) fault_type_of_json in
-    Ok (Fault.Types.Bridge { net_a; net_b; resistance; capacitance; origin })
-  | "bridge-cluster" ->
-    let* nets = list_field "nets" as_str json in
-    let* resistance = float_field "resistance" json in
-    let* capacitance = opt_float_field "capacitance" json in
-    let* origin = Result.bind (field "origin" json) fault_type_of_json in
-    Ok (Fault.Types.Bridge_cluster { nets; resistance; capacitance; origin })
-  | "node-split" ->
-    let* net = str_field "net" json in
-    let* far_pins = list_field "far_pins" far_pin_of_json json in
-    Ok (Fault.Types.Node_split { net; far_pins })
-  | "gate-pinhole" ->
-    let* device = str_field "device" json in
-    let* site = Result.bind (field "site" json) site_of_json in
-    let* resistance = float_field "resistance" json in
-    Ok (Fault.Types.Gate_pinhole { device; site; resistance })
-  | "junction-leak" ->
-    let* net = str_field "net" json in
-    let* bulk_net = str_field "bulk_net" json in
-    let* resistance = float_field "resistance" json in
-    Ok (Fault.Types.Junction_leak { net; bulk_net; resistance })
-  | "device-ds-short" ->
-    let* device = str_field "device" json in
-    let* resistance = float_field "resistance" json in
-    Ok (Fault.Types.Device_ds_short { device; resistance })
-  | "parasitic-mos" ->
-    let* gate_net = str_field "gate_net" json in
-    let* net_a = str_field "net_a" json in
-    let* net_b = str_field "net_b" json in
-    Ok (Fault.Types.Parasitic_mos { gate_net; net_a; net_b })
-  | other -> Error (Printf.sprintf "unknown fault kind %S" other)
-
-let instance_to_json (i : Fault.Types.instance) =
-  J.Obj
+let mechanism =
+  let open Process.Defect_stats in
+  let on_layer = req "layer" layer in
+  let extra = case "extra-material" on_layer (fun l -> Extra_material l)
+  and missing = case "missing-material" on_layer (fun l -> Missing_material l)
+  and gate_oxide = bare "gate-oxide-pinhole" Gate_oxide_pinhole
+  and junction = bare "junction-pinhole" Junction_pinhole
+  and thick_oxide = bare "thick-oxide-pinhole" Thick_oxide_pinhole
+  and extra_contact = bare "extra-contact" Extra_contact
+  and missing_contact = bare "missing-contact" Missing_contact in
+  variant ~what:"defect mechanism"
     [
-      "fault", fault_to_json i.Fault.Types.fault;
-      "severity", severity_to_json i.Fault.Types.severity;
-      "mechanism", mechanism_to_json i.Fault.Types.mechanism;
+      branch extra;
+      branch missing;
+      branch gate_oxide;
+      branch junction;
+      branch thick_oxide;
+      branch extra_contact;
+      branch missing_contact;
     ]
+    (function
+      | Extra_material l -> tagged extra l
+      | Missing_material l -> tagged missing l
+      | Gate_oxide_pinhole -> tagged gate_oxide ()
+      | Junction_pinhole -> tagged junction ()
+      | Thick_oxide_pinhole -> tagged thick_oxide ()
+      | Extra_contact -> tagged extra_contact ()
+      | Missing_contact -> tagged missing_contact ())
+  |> obj
 
-let instance_of_json json =
-  let* fault = Result.bind (field "fault" json) fault_of_json in
-  let* severity = Result.bind (field "severity" json) severity_of_json in
-  let* mechanism = Result.bind (field "mechanism" json) mechanism_of_json in
-  Ok { Fault.Types.fault; severity; mechanism }
+(* A severed pin is a two-element array. *)
+let far_pin =
+  {
+    enc = (fun (device, terminal) -> J.List [ string.enc device; string.enc terminal ]);
+    dec =
+      (fun json ->
+        match J.to_list json with
+        | Some [ d; t ] ->
+          let* device = string.dec d in
+          let* terminal = string.dec t in
+          Ok (device, terminal)
+        | Some _ | None -> error_at "expected a [device, terminal] pair" json);
+  }
 
-let fault_class_to_json (fc : Fault.Collapse.fault_class) =
-  J.Obj
-    [
-      "representative", instance_to_json fc.Fault.Collapse.representative;
-      "count", J.Int fc.Fault.Collapse.count;
-    ]
-
-let fault_class_of_json json =
-  let* representative =
-    Result.bind (field "representative" json) instance_of_json
+let fault =
+  let open Fault.Types in
+  let net_a = req "net_a" string and net_b = req "net_b" string in
+  let net = req "net" string and device = req "device" string in
+  let resistance = req "resistance" float in
+  let capacitance = opt "capacitance" float in
+  let origin = req "origin" fault_type in
+  let bridge =
+    case "bridge" (net_a *** net_b *** resistance *** capacitance *** origin)
+      (fun (net_a, (net_b, (resistance, (capacitance, origin)))) ->
+        Bridge { net_a; net_b; resistance; capacitance; origin })
+  and cluster =
+    case "bridge-cluster"
+      (req "nets" (list string) *** resistance *** capacitance *** origin)
+      (fun (nets, (resistance, (capacitance, origin))) ->
+        Bridge_cluster { nets; resistance; capacitance; origin })
+  and split =
+    case "node-split" (net *** req "far_pins" (list far_pin))
+      (fun (net, far_pins) -> Node_split { net; far_pins })
+  and pinhole =
+    case "gate-pinhole" (device *** req "site" site *** resistance)
+      (fun (device, (site, resistance)) -> Gate_pinhole { device; site; resistance })
+  and leak =
+    case "junction-leak" (net *** req "bulk_net" string *** resistance)
+      (fun (net, (bulk_net, resistance)) -> Junction_leak { net; bulk_net; resistance })
+  and ds_short =
+    case "device-ds-short" (device *** resistance)
+      (fun (device, resistance) -> Device_ds_short { device; resistance })
+  and parasitic =
+    case "parasitic-mos" (req "gate_net" string *** net_a *** net_b)
+      (fun (gate_net, (net_a, net_b)) -> Parasitic_mos { gate_net; net_a; net_b })
   in
-  let* count = int_field "count" json in
-  Ok { Fault.Collapse.representative; count }
+  variant ~what:"fault kind"
+    [
+      branch bridge;
+      branch cluster;
+      branch split;
+      branch pinhole;
+      branch leak;
+      branch ds_short;
+      branch parasitic;
+    ]
+    (function
+      | Bridge { net_a; net_b; resistance; capacitance; origin } ->
+        tagged bridge (net_a, (net_b, (resistance, (capacitance, origin))))
+      | Bridge_cluster { nets; resistance; capacitance; origin } ->
+        tagged cluster (nets, (resistance, (capacitance, origin)))
+      | Node_split { net; far_pins } -> tagged split (net, far_pins)
+      | Gate_pinhole { device; site; resistance } ->
+        tagged pinhole (device, (site, resistance))
+      | Junction_leak { net; bulk_net; resistance } ->
+        tagged leak (net, (bulk_net, resistance))
+      | Device_ds_short { device; resistance } -> tagged ds_short (device, resistance)
+      | Parasitic_mos { gate_net; net_a; net_b } ->
+        tagged parasitic (gate_net, (net_a, net_b)))
+  |> obj
+
+let instance =
+  record (fun fault severity mechanism -> { Fault.Types.fault; severity; mechanism })
+  |> field (req "fault" fault) (fun i -> i.Fault.Types.fault)
+  |> field (req "severity" severity) (fun i -> i.Fault.Types.severity)
+  |> field (req "mechanism" mechanism) (fun i -> i.Fault.Types.mechanism)
+  |> obj
+
+let fault_class =
+  record (fun representative count -> { Fault.Collapse.representative; count })
+  |> field (req "representative" instance) (fun c -> c.Fault.Collapse.representative)
+  |> field (req "count" int) (fun c -> c.Fault.Collapse.count)
+  |> obj
 
 (* --- evaluation outcomes ------------------------------------------------ *)
 
-let status_to_json (s : Macro.Evaluate.status) =
-  match s with
-  | Macro.Evaluate.Converged -> J.Obj [ "kind", J.String "converged" ]
-  | Macro.Evaluate.Recovered { attempts } ->
-    J.Obj [ "kind", J.String "recovered"; "attempts", J.Int attempts ]
-  | Macro.Evaluate.Unresolved { attempts; error } ->
-    J.Obj
-      [
-        "kind", J.String "unresolved";
-        "attempts", J.Int attempts;
-        "error", J.String error;
-      ]
+let status =
+  let open Macro.Evaluate in
+  let attempts = req "attempts" int in
+  let converged = bare "converged" Converged
+  and recovered = case "recovered" attempts (fun attempts -> Recovered { attempts })
+  and unresolved =
+    case "unresolved" (attempts *** req "error" string) (fun (attempts, error) ->
+        Unresolved { attempts; error })
+  in
+  variant ~what:"outcome status"
+    [ branch converged; branch recovered; branch unresolved ]
+    (function
+      | Converged -> tagged converged ()
+      | Recovered { attempts } -> tagged recovered attempts
+      | Unresolved { attempts; error } -> tagged unresolved (attempts, error))
+  |> obj
 
-let status_of_json json =
-  let* kind = str_field "kind" json in
-  match kind with
-  | "converged" -> Ok Macro.Evaluate.Converged
-  | "recovered" ->
-    let* attempts = int_field "attempts" json in
-    Ok (Macro.Evaluate.Recovered { attempts })
-  | "unresolved" ->
-    let* attempts = int_field "attempts" json in
-    let* error = str_field "error" json in
-    Ok (Macro.Evaluate.Unresolved { attempts; error })
-  | other -> Error (Printf.sprintf "unknown outcome status %S" other)
-
-let outcome_to_json (o : Macro.Evaluate.outcome) =
-  J.Obj
-    [
-      "fault_class", fault_class_to_json o.Macro.Evaluate.fault_class;
-      "signature", signature_to_json o.Macro.Evaluate.signature;
-      "status", status_to_json o.Macro.Evaluate.status;
-    ]
-
-let outcome_of_json json =
-  let* fault_class = Result.bind (field "fault_class" json) fault_class_of_json in
-  let* signature = Result.bind (field "signature" json) signature_of_json in
-  let* status = Result.bind (field "status" json) status_of_json in
-  Ok { Macro.Evaluate.fault_class; signature; status }
+let outcome =
+  record (fun fault_class signature status ->
+      { Macro.Evaluate.fault_class; signature; status })
+  |> field (req "fault_class" fault_class) (fun o -> o.Macro.Evaluate.fault_class)
+  |> field (req "signature" signature) (fun o -> o.Macro.Evaluate.signature)
+  |> field (req "status" status) (fun o -> o.Macro.Evaluate.status)
+  |> obj
 
 (* --- good-signature space ----------------------------------------------- *)
 
-let good_space_to_json good =
-  J.List
-    (List.map
-       (fun (name, (w : Util.Stats.window)) ->
-         J.Obj
-           [
-             "name", J.String name;
-             "low", J.Float w.Util.Stats.low;
-             "high", J.Float w.Util.Stats.high;
-           ])
-       (Macro.Good_space.windows good))
-
-let good_space_of_json json =
-  let window json =
-    let* name = str_field "name" json in
-    let* low = float_field "low" json in
-    let* high = float_field "high" json in
-    Ok (name, { Util.Stats.low; high })
+let good_space =
+  let window =
+    record (fun name low high -> name, { Util.Stats.low; high })
+    |> field (req "name" string) fst
+    |> field (req "low" float) (fun (_, w) -> w.Util.Stats.low)
+    |> field (req "high" float) (fun (_, w) -> w.Util.Stats.high)
+    |> obj
   in
-  Result.map Macro.Good_space.of_windows (list_of window json)
+  conv Macro.Good_space.windows Macro.Good_space.of_windows (list window)
 
 (* --- the per-macro analysis payload ------------------------------------- *)
 
@@ -386,48 +392,41 @@ type analysis = {
   outcomes_non_catastrophic : Macro.Evaluate.outcome list;
 }
 
-let analysis_to_json a =
-  J.Obj
-    [
-      "sprinkled", J.Int a.sprinkled;
-      "effective", J.Int a.effective;
-      "good", good_space_to_json a.good;
-      ( "classes_catastrophic",
-        J.List (List.map fault_class_to_json a.classes_catastrophic) );
-      ( "classes_non_catastrophic",
-        J.List (List.map fault_class_to_json a.classes_non_catastrophic) );
-      ( "outcomes_catastrophic",
-        J.List (List.map outcome_to_json a.outcomes_catastrophic) );
-      ( "outcomes_non_catastrophic",
-        J.List (List.map outcome_to_json a.outcomes_non_catastrophic) );
-    ]
+let analysis =
+  record
+    (fun
+      sprinkled
+      effective
+      good
+      classes_catastrophic
+      classes_non_catastrophic
+      outcomes_catastrophic
+      outcomes_non_catastrophic
+    ->
+      {
+        sprinkled;
+        effective;
+        good;
+        classes_catastrophic;
+        classes_non_catastrophic;
+        outcomes_catastrophic;
+        outcomes_non_catastrophic;
+      })
+  |> field (req "sprinkled" int) (fun a -> a.sprinkled)
+  |> field (req "effective" int) (fun a -> a.effective)
+  |> field (req "good" good_space) (fun a -> a.good)
+  |> field (req "classes_catastrophic" (list fault_class)) (fun a ->
+         a.classes_catastrophic)
+  |> field (req "classes_non_catastrophic" (list fault_class)) (fun a ->
+         a.classes_non_catastrophic)
+  |> field (req "outcomes_catastrophic" (list outcome)) (fun a ->
+         a.outcomes_catastrophic)
+  |> field (req "outcomes_non_catastrophic" (list outcome)) (fun a ->
+         a.outcomes_non_catastrophic)
+  |> obj
 
-let analysis_of_json json =
-  let* sprinkled = int_field "sprinkled" json in
-  let* effective = int_field "effective" json in
-  let* good = Result.bind (field "good" json) good_space_of_json in
-  let* classes_catastrophic =
-    list_field "classes_catastrophic" fault_class_of_json json
-  in
-  let* classes_non_catastrophic =
-    list_field "classes_non_catastrophic" fault_class_of_json json
-  in
-  let* outcomes_catastrophic =
-    list_field "outcomes_catastrophic" outcome_of_json json
-  in
-  let* outcomes_non_catastrophic =
-    list_field "outcomes_non_catastrophic" outcome_of_json json
-  in
-  Ok
-    {
-      sprinkled;
-      effective;
-      good;
-      classes_catastrophic;
-      classes_non_catastrophic;
-      outcomes_catastrophic;
-      outcomes_non_catastrophic;
-    }
+let analysis_to_json = analysis.enc
+let analysis_of_json = analysis.dec
 
 (* --- checkpoint partial payloads ---------------------------------------- *)
 
@@ -437,22 +436,15 @@ type partial_outcome = {
   outcome : Macro.Evaluate.outcome;
 }
 
-let partial_outcome_to_json p =
-  J.Obj
-    [
-      "section", J.String p.section;
-      "index", J.Int p.index;
-      "outcome", outcome_to_json p.outcome;
-    ]
+let partial_outcomes =
+  record (fun section index outcome -> { section; index; outcome })
+  |> field (req "section" string) (fun p -> p.section)
+  |> field (req "index" int) (fun p -> p.index)
+  |> field (req "outcome" outcome) (fun p -> p.outcome)
+  |> obj |> list
 
-let partial_outcome_of_json json =
-  let* section = str_field "section" json in
-  let* index = int_field "index" json in
-  let* outcome = Result.bind (field "outcome" json) outcome_of_json in
-  Ok { section; index; outcome }
-
-let partial_outcomes_to_json ps = J.List (List.map partial_outcome_to_json ps)
-let partial_outcomes_of_json json = list_of partial_outcome_of_json json
+let partial_outcomes_to_json = partial_outcomes.enc
+let partial_outcomes_of_json = partial_outcomes.dec
 
 (* --- fingerprints ------------------------------------------------------- *)
 
@@ -503,7 +495,7 @@ let stats_fingerprint stats =
     :: List.map
          (fun (e : Process.Defect_stats.entry) ->
            Printf.sprintf "%s rate=%s size=[%s,%s]"
-             (J.to_string (mechanism_to_json e.Process.Defect_stats.mechanism))
+             (J.to_string (mechanism.enc e.Process.Defect_stats.mechanism))
              (hexf e.Process.Defect_stats.relative_rate)
              (hexf e.Process.Defect_stats.size_min)
              (hexf e.Process.Defect_stats.size_max))
@@ -592,135 +584,84 @@ let cache_stats_to_json ~state (s : Util.Cache.stats) =
    entries keep their own lifecycle. *)
 let api_version = "dotest-api/1"
 
-let as_bool json =
-  match J.to_bool json with
-  | Some b -> Ok b
-  | None -> error_at "expected a boolean" json
+(* Every wire line leads with the "api" stamp, checked before any other
+   member is read. *)
+let stamped m =
+  let api = req "api" string in
+  obj
+    {
+      put = (fun v -> api.put api_version @ m.put v);
+      get =
+        (fun json ->
+          let* stamp = api.get json in
+          if stamp <> api_version then
+            Error
+              (Printf.sprintf "unsupported api version %S (this is %s)" stamp
+                 api_version)
+          else m.get json);
+    }
 
-let bool_field name json = Result.bind (field name json) as_bool
-
-(* Absent and null both decode as [None]: clients may omit optional
-   fields entirely. *)
-let opt_str_field name json =
-  match J.member name json with
-  | None | Some J.Null -> Ok None
-  | Some v ->
-    let* s = as_str v in
-    Ok (Some s)
-
-let opt_int_of json =
-  match json with
-  | J.Null -> Ok None
-  | v ->
-    let* n = as_int v in
-    Ok (Some n)
-
-let limits_to_json (l : Util.Watchdog.limits) =
-  J.Obj
-    [
-      ( "wall_seconds",
-        match l.Util.Watchdog.wall_seconds with
-        | None -> J.Null
-        | Some s -> J.Float s );
-      ( "max_iterations",
-        match l.Util.Watchdog.max_iterations with
-        | None -> J.Null
-        | Some n -> J.Int n );
-    ]
-
-let limits_of_json json =
-  let* wall_seconds = opt_float_field "wall_seconds" json in
-  let* max_iterations =
-    Result.bind (field "max_iterations" json) opt_int_of
-  in
-  Ok { Util.Watchdog.wall_seconds; max_iterations }
+let limits =
+  record (fun wall_seconds max_iterations ->
+      { Util.Watchdog.wall_seconds; max_iterations })
+  |> field (dft "wall_seconds" (nullable float) None) (fun l ->
+         l.Util.Watchdog.wall_seconds)
+  |> field (req "max_iterations" (nullable int)) (fun l ->
+         l.Util.Watchdog.max_iterations)
+  |> obj
 
 (* "rank1" named a third backend, the reuse policy without the banded
    kernel, until the two merged into [Auto]. Requests that still send it
    decode as [Auto]; nothing emits it, so [api_version] does not move. *)
-let solver_to_json, solver_of_json =
-  let encode, decode =
+let solver =
+  let named =
     enum ~what:"solver backend" ~name_of:Circuit.Engine.solver_name
       Circuit.Engine.all_solvers
   in
-  ( encode,
-    function J.String "rank1" -> Ok Circuit.Engine.Auto | json -> decode json )
+  {
+    named with
+    dec = (function J.String "rank1" -> Ok Circuit.Engine.Auto | json -> named.dec json);
+  }
 
-let format_to_json, format_of_json =
-  enum ~what:"format" ~name_of:Request.format_name Request.all_formats
+let format = enum ~what:"format" ~name_of:Request.format_name Request.all_formats
 
-let error_code_to_json, error_code_of_json =
-  enum ~what:"error code" ~name_of:Request.error_code_name
-    Request.all_error_codes
+(* The target's name and its DfT flag travel as two members; the name is
+   checked once both are read. *)
+let target =
+  let m = req "target" string *** dft "dft" bool false in
+  {
+    put =
+      (fun t ->
+        m.put
+          ( Request.target_name t,
+            match t with Request.Comparator { dft } | Request.Global { dft } -> dft ));
+    get =
+      (fun json ->
+        let* name, dft = m.get json in
+        Request.target_of_name ~name ~dft);
+  }
 
-let opt_field name encode = function None -> [] | Some v -> [ name, encode v ]
-
-let request_to_json (r : Request.t) =
-  J.Obj
-    ([ "api", J.String api_version ]
-    @ opt_field "id" (fun s -> J.String s) r.Request.id
-    @ [
-        "target", J.String (Request.target_name r.Request.target);
-        ( "dft",
-          J.Bool
-            (match r.Request.target with
-            | Request.Comparator { dft } | Request.Global { dft } -> dft) );
-        "defects", J.Int r.Request.defects;
-        "good_space_dies", J.Int r.Request.good_space_dies;
-        "sigma", J.Float r.Request.sigma;
-        "seed", J.Int r.Request.seed;
-        "max_retries", J.Int r.Request.max_retries;
-        "strict", J.Bool r.Request.strict;
-        ( "inject_failures",
-          match r.Request.inject_failures with
-          | None -> J.Null
-          | Some f -> J.Float f );
-        ( "deadline",
-          match r.Request.deadline with
-          | None -> J.Null
-          | Some l -> limits_to_json l );
-        "solver", solver_to_json r.Request.solver;
-        "format", format_to_json r.Request.format;
-      ])
-
-(* Every field except "api" and "target" is optional and defaults to
+(* Every member except "api" and "target" is optional and defaults to
    {!Request.default}'s value, so a minimal request is
    [{"api":"dotest-api/1","target":"global"}]. *)
-let request_of_json json =
-  let* api = str_field "api" json in
-  if api <> api_version then
-    Error (Printf.sprintf "unsupported api version %S (this is %s)" api api_version)
-  else
-    let opt name dec fallback =
-      match J.member name json with
-      | None | Some J.Null -> Ok fallback
-      | Some v -> dec v
-    in
-    let d = Request.default in
-    let* id = opt_str_field "id" json in
-    let* target_name = str_field "target" json in
-    let* dft = opt "dft" as_bool false in
-    let* target = Request.target_of_name ~name:target_name ~dft in
-    let* defects = opt "defects" as_int d.Request.defects in
-    let* good_space_dies =
-      opt "good_space_dies" as_int d.Request.good_space_dies
-    in
-    let* sigma = opt "sigma" as_float d.Request.sigma in
-    let* seed = opt "seed" as_int d.Request.seed in
-    let* max_retries = opt "max_retries" as_int d.Request.max_retries in
-    let* strict = opt "strict" as_bool d.Request.strict in
-    let* inject_failures =
-      opt "inject_failures" (fun v -> Result.map Option.some (as_float v)) None
-    in
-    let* deadline =
-      opt "deadline" (fun v -> Result.map Option.some (limits_of_json v)) None
-    in
-    let* solver = opt "solver" solver_of_json d.Request.solver in
-    let* format = opt "format" format_of_json d.Request.format in
-    if defects < 0 then Error "defects must be non-negative"
-    else if good_space_dies < 1 then Error "good_space_dies must be positive"
-    else
-      Ok
+let request =
+  let d = Request.default in
+  let c =
+    record
+      (fun
+        id
+        target
+        defects
+        good_space_dies
+        sigma
+        seed
+        max_retries
+        strict
+        inject_failures
+        deadline
+        solver
+        format
+      ->
         {
           Request.id;
           target;
@@ -734,61 +675,58 @@ let request_of_json json =
           deadline;
           solver;
           format;
-        }
+        })
+    |> field (opt "id" string) (fun r -> r.Request.id)
+    |> field target (fun r -> r.Request.target)
+    |> field (dft "defects" int d.Request.defects) (fun r -> r.Request.defects)
+    |> field (dft "good_space_dies" int d.Request.good_space_dies) (fun r ->
+           r.Request.good_space_dies)
+    |> field (dft "sigma" float d.Request.sigma) (fun r -> r.Request.sigma)
+    |> field (dft "seed" int d.Request.seed) (fun r -> r.Request.seed)
+    |> field (dft "max_retries" int d.Request.max_retries) (fun r ->
+           r.Request.max_retries)
+    |> field (dft "strict" bool d.Request.strict) (fun r -> r.Request.strict)
+    |> field (dft "inject_failures" (nullable float) None) (fun r ->
+           r.Request.inject_failures)
+    |> field (dft "deadline" (nullable limits) None) (fun r -> r.Request.deadline)
+    |> field (dft "solver" solver d.Request.solver) (fun r -> r.Request.solver)
+    |> field (dft "format" format d.Request.format) (fun r -> r.Request.format)
+    |> stamped
+  in
+  let valid r =
+    if r.Request.defects < 0 then Error "defects must be non-negative"
+    else if r.Request.good_space_dies < 1 then
+      Error "good_space_dies must be positive"
+    else Ok r
+  in
+  { c with dec = (fun json -> Result.bind (c.dec json) valid) }
 
-let table_entry_to_json (t : Request.table) =
-  J.Obj [ "title", J.String t.Request.title; "body", J.String t.Request.body ]
+let request_to_json = request.enc
+let request_of_json = request.dec
 
-let table_entry_of_json json =
-  let* title = str_field "title" json in
-  let* body = str_field "body" json in
-  Ok { Request.title; body }
+let table =
+  record (fun title body -> { Request.title; body })
+  |> field (req "title" string) (fun t -> t.Request.title)
+  |> field (req "body" string) (fun t -> t.Request.body)
+  |> obj
 
-let response_to_json (r : Request.response) =
-  match r with
-  | Ok reply ->
-    J.Obj
-      ([ "api", J.String api_version; "status", J.String "ok" ]
-      @ opt_field "id" (fun s -> J.String s) reply.Request.reply_id
-      @ [
-          ( "tables",
-            J.List (List.map table_entry_to_json reply.Request.tables) );
-          "cache_hits", J.Int reply.Request.cache_hits;
-          "cache_misses", J.Int reply.Request.cache_misses;
-          "coalesced", J.Bool reply.Request.coalesced;
-          "queue_s", J.Float reply.Request.queue_seconds;
-          "evaluate_s", J.Float reply.Request.evaluate_seconds;
-        ])
-  | Error e ->
-    J.Obj
-      ([ "api", J.String api_version; "status", J.String "error" ]
-      @ opt_field "id" (fun s -> J.String s) e.Request.error_id
-      @ [
-          "code", error_code_to_json e.Request.code;
-          "message", J.String e.Request.message;
-          ( "retry_after",
-            match e.Request.retry_after with
-            | None -> J.Null
-            | Some s -> J.Float s );
-        ])
+let error_code =
+  enum ~what:"error code" ~name_of:Request.error_code_name Request.all_error_codes
 
-let response_of_json json =
-  let* api = str_field "api" json in
-  if api <> api_version then
-    Error (Printf.sprintf "unsupported api version %S (this is %s)" api api_version)
-  else
-    let* status = str_field "status" json in
-    match status with
-    | "ok" ->
-      let* reply_id = opt_str_field "id" json in
-      let* tables = list_field "tables" table_entry_of_json json in
-      let* cache_hits = int_field "cache_hits" json in
-      let* cache_misses = int_field "cache_misses" json in
-      let* coalesced = bool_field "coalesced" json in
-      let* queue_seconds = float_field "queue_s" json in
-      let* evaluate_seconds = float_field "evaluate_s" json in
-      Ok
-        (Ok
+let response =
+  let id = opt "id" string in
+  let ok =
+    case "ok"
+      (record
+         (fun
+           reply_id
+           tables
+           cache_hits
+           cache_misses
+           coalesced
+           queue_seconds
+           evaluate_seconds
+         ->
            {
              Request.reply_id;
              tables;
@@ -798,10 +736,28 @@ let response_of_json json =
              queue_seconds;
              evaluate_seconds;
            })
-    | "error" ->
-      let* error_id = opt_str_field "id" json in
-      let* code = Result.bind (field "code" json) error_code_of_json in
-      let* message = str_field "message" json in
-      let* retry_after = opt_float_field "retry_after" json in
-      Ok (Error { Request.error_id; code; message; retry_after })
-    | other -> Error (Printf.sprintf "unknown response status %S" other)
+      |> field id (fun r -> r.Request.reply_id)
+      |> field (req "tables" (list table)) (fun r -> r.Request.tables)
+      |> field (req "cache_hits" int) (fun r -> r.Request.cache_hits)
+      |> field (req "cache_misses" int) (fun r -> r.Request.cache_misses)
+      |> field (req "coalesced" bool) (fun r -> r.Request.coalesced)
+      |> field (req "queue_s" float) (fun r -> r.Request.queue_seconds)
+      |> field (req "evaluate_s" float) (fun r -> r.Request.evaluate_seconds))
+      Result.ok
+  and error =
+    case "error"
+      (record (fun error_id code message retry_after ->
+           { Request.error_id; code; message; retry_after })
+      |> field id (fun e -> e.Request.error_id)
+      |> field (req "code" error_code) (fun e -> e.Request.code)
+      |> field (req "message" string) (fun e -> e.Request.message)
+      |> field (dft "retry_after" (nullable float) None) (fun e ->
+             e.Request.retry_after))
+      Result.error
+  in
+  variant ~key:"status" ~what:"response status" [ branch ok; branch error ]
+    (function Ok reply -> tagged ok reply | Error e -> tagged error e)
+  |> stamped
+
+let response_to_json = response.enc
+let response_of_json = response.dec

@@ -2,17 +2,21 @@
 
     Everything the library persists or emits as JSON goes through this
     module, so the schema of each value is defined in exactly one place:
-    the result cache stores per-macro analyses with {!analysis_to_json},
-    {!Report.render}'s [`Json] format and the bench harness's [--json]
-    mode render through {!table_to_json} / {!metrics_to_json} /
-    {!cache_stats_to_json}.
+    the result cache stores per-macro analyses with {!analysis},
+    checkpoints store {!partial_outcomes}, [dotest serve] speaks
+    {!request} and {!response}, and {!Report.render}'s [`Json] format and
+    the bench harness's [--json] mode render through {!table_to_json} /
+    {!metrics_to_json} / {!cache_stats_to_json}.
 
-    Encoders are total. Decoders are total in the other direction: any
-    JSON value yields [Ok] or a descriptive [Error], never an exception —
-    a corrupt cache entry must cost a re-simulation, not a crash. For
-    every pair, [of_json (to_json v) = Ok v]; floats survive exactly
-    because {!Util.Json} prints the shortest representation that parses
-    back to the identical double.
+    Each schema is one two-way codec value: a single description of its
+    member names, case tags and member order gives both directions, so
+    an encoder and its decoder cannot drift apart. Encoders are total.
+    Decoders are total in the other direction: any JSON value yields
+    [Ok] or a descriptive [Error], never an exception — a corrupt cache
+    entry must cost a re-simulation, not a crash. For every codec,
+    [c.dec (c.enc v) = Ok v]; floats survive exactly because
+    {!Util.Json} prints the shortest representation that parses back to
+    the identical double.
 
     {!version} stamps both the cache envelope and the cache key: bump it
     whenever simulation semantics or any encoding here changes, and
@@ -20,39 +24,33 @@
 
 type 'a decoder = Util.Json.t -> ('a, string) result
 
+(** A two-way codec. *)
+type 'a t = { enc : 'a -> Util.Json.t; dec : 'a decoder }
+
 (** Serialization/semantics version of the library (see the module
     preamble). Folded into every cache key and envelope. *)
 val version : string
 
 (** {1 Signatures} *)
 
-val voltage_to_json : Macro.Signature.voltage -> Util.Json.t
-val voltage_of_json : Macro.Signature.voltage decoder
-val current_kind_to_json : Macro.Signature.current_kind -> Util.Json.t
-val current_kind_of_json : Macro.Signature.current_kind decoder
-val signature_to_json : Macro.Signature.t -> Util.Json.t
-val signature_of_json : Macro.Signature.t decoder
+val voltage : Macro.Signature.voltage t
+val current_kind : Macro.Signature.current_kind t
+val signature : Macro.Signature.t t
 
 (** {1 Faults and fault classes} *)
 
-val fault_to_json : Fault.Types.fault -> Util.Json.t
-val fault_of_json : Fault.Types.fault decoder
-val instance_to_json : Fault.Types.instance -> Util.Json.t
-val instance_of_json : Fault.Types.instance decoder
-val fault_class_to_json : Fault.Collapse.fault_class -> Util.Json.t
-val fault_class_of_json : Fault.Collapse.fault_class decoder
+val fault : Fault.Types.fault t
+val instance : Fault.Types.instance t
+val fault_class : Fault.Collapse.fault_class t
 
 (** {1 Evaluation outcomes} *)
 
-val status_to_json : Macro.Evaluate.status -> Util.Json.t
-val status_of_json : Macro.Evaluate.status decoder
-val outcome_to_json : Macro.Evaluate.outcome -> Util.Json.t
-val outcome_of_json : Macro.Evaluate.outcome decoder
+val status : Macro.Evaluate.status t
+val outcome : Macro.Evaluate.outcome t
 
 (** {1 Good-signature space} *)
 
-val good_space_to_json : Macro.Good_space.t -> Util.Json.t
-val good_space_of_json : Macro.Good_space.t decoder
+val good_space : Macro.Good_space.t t
 
 (** {1 The per-macro analysis payload}
 
@@ -71,6 +69,7 @@ type analysis = {
   outcomes_non_catastrophic : Macro.Evaluate.outcome list;
 }
 
+val analysis : analysis t
 val analysis_to_json : analysis -> Util.Json.t
 val analysis_of_json : analysis decoder
 
@@ -89,6 +88,7 @@ type partial_outcome = {
   outcome : Macro.Evaluate.outcome;
 }
 
+val partial_outcomes : partial_outcome list t
 val partial_outcomes_to_json : partial_outcome list -> Util.Json.t
 val partial_outcomes_of_json : partial_outcome list decoder
 
@@ -133,21 +133,20 @@ val cell_fingerprint : Layout.Cell.t -> string
 (** The wire-protocol version: ["dotest-api/1"]. *)
 val api_version : string
 
-val request_to_json : Request.t -> Util.Json.t
-
-(** Rejects a missing or non-matching ["api"] stamp; validates field
-    shapes and basic ranges (non-negative defect count, positive die
-    count). [request_of_json (request_to_json r) = Ok r]. *)
-val request_of_json : Request.t decoder
-
-val response_to_json : Request.response -> Util.Json.t
-val response_of_json : Request.response decoder
-
 (** Deadline limits as carried inside requests
     ([{"wall_seconds": float|null, "max_iterations": int|null}]). *)
-val limits_to_json : Util.Watchdog.limits -> Util.Json.t
+val limits : Util.Watchdog.limits t
 
-val limits_of_json : Util.Watchdog.limits decoder
+(** Rejects a missing or non-matching ["api"] stamp; validates member
+    shapes and basic ranges (non-negative defect count, positive die
+    count). *)
+val request : Request.t t
+
+val request_to_json : Request.t -> Util.Json.t
+val request_of_json : Request.t decoder
+val response : Request.response t
+val response_to_json : Request.response -> Util.Json.t
+val response_of_json : Request.response decoder
 
 (** {1 Rendered-report surface} *)
 

@@ -5,17 +5,17 @@
    (floats included), and on decoders returning [Error] — never raising —
    on arbitrary junk. *)
 
-let roundtrip ~to_json ~of_json v =
-  match of_json (to_json v) with
+let roundtrip (c : _ Core.Codec.t) v =
+  match c.dec (c.enc v) with
   | Ok v' -> v' = v
   | Error e -> QCheck.Test.fail_reportf "decode error: %s" e
 
 (* Also through the printed form: the cache stores rendered strings. *)
-let roundtrip_printed ~to_json ~of_json v =
-  match Util.Json.of_string (Util.Json.to_string (to_json v)) with
+let roundtrip_printed (c : _ Core.Codec.t) v =
+  match Util.Json.of_string (Util.Json.to_string (c.enc v)) with
   | Error e -> QCheck.Test.fail_reportf "reparse error: %s" e
   | Ok j -> (
-    match of_json j with
+    match c.dec j with
     | Ok v' -> v' = v
     | Error e -> QCheck.Test.fail_reportf "decode error: %s" e)
 
@@ -173,41 +173,49 @@ let gen_analysis =
             (list_size (0 -- 3) gen_outcome)
             (list_size (0 -- 3) gen_outcome))))
 
+let gen_partial_outcomes =
+  QCheck.Gen.(
+    list_size (0 -- 4)
+      (map
+         (fun (section, index, outcome) -> { Core.Codec.section; index; outcome })
+         (triple (oneofl [ "cat"; "ncat" ]) (0 -- 10_000) gen_outcome)))
+
+let gen_limits =
+  QCheck.Gen.(
+    map
+      (fun (wall_seconds, max_iterations) ->
+        { Util.Watchdog.wall_seconds; max_iterations })
+      (pair (opt gen_float) (opt (0 -- 1_000_000))))
+
 (* --- round-trip properties --------------------------------------------- *)
 
-let prop name ?(count = 500) gen ~to_json ~of_json =
+let prop name ?(count = 500) gen codec =
   QCheck.Test.make ~name ~count (QCheck.make gen) (fun v ->
-      roundtrip ~to_json ~of_json v && roundtrip_printed ~to_json ~of_json v)
+      roundtrip codec v && roundtrip_printed codec v)
 
 let qcheck_props =
   [
     prop "voltage round-trips"
       (QCheck.Gen.oneofl Macro.Signature.all_voltage)
-      ~to_json:Core.Codec.voltage_to_json ~of_json:Core.Codec.voltage_of_json;
+      Core.Codec.voltage;
     prop "current kind round-trips"
       (QCheck.Gen.oneofl Macro.Signature.all_current)
-      ~to_json:Core.Codec.current_kind_to_json
-      ~of_json:Core.Codec.current_kind_of_json;
-    prop "signature round-trips" gen_signature
-      ~to_json:Core.Codec.signature_to_json
-      ~of_json:Core.Codec.signature_of_json;
-    prop "fault round-trips" gen_fault ~to_json:Core.Codec.fault_to_json
-      ~of_json:Core.Codec.fault_of_json;
-    prop "instance round-trips" gen_instance
-      ~to_json:Core.Codec.instance_to_json ~of_json:Core.Codec.instance_of_json;
-    prop "fault class round-trips" gen_fault_class
-      ~to_json:Core.Codec.fault_class_to_json
-      ~of_json:Core.Codec.fault_class_of_json;
-    prop "status round-trips" gen_status ~to_json:Core.Codec.status_to_json
-      ~of_json:Core.Codec.status_of_json;
-    prop "outcome round-trips" gen_outcome ~to_json:Core.Codec.outcome_to_json
-      ~of_json:Core.Codec.outcome_of_json;
-    prop "good space round-trips" gen_good_space
-      ~to_json:Core.Codec.good_space_to_json
-      ~of_json:Core.Codec.good_space_of_json;
-    prop "analysis round-trips" ~count:200 gen_analysis
-      ~to_json:Core.Codec.analysis_to_json
-      ~of_json:Core.Codec.analysis_of_json;
+      Core.Codec.current_kind;
+    prop "signature round-trips" gen_signature Core.Codec.signature;
+    prop "fault round-trips" gen_fault Core.Codec.fault;
+    prop "instance round-trips" gen_instance Core.Codec.instance;
+    prop "fault class round-trips" gen_fault_class Core.Codec.fault_class;
+    prop "status round-trips" gen_status Core.Codec.status;
+    prop "outcome round-trips" gen_outcome Core.Codec.outcome;
+    prop "good space round-trips" gen_good_space Core.Codec.good_space;
+    prop "analysis round-trips" ~count:200 gen_analysis Core.Codec.analysis;
+    prop "partial outcomes round-trip" ~count:200 gen_partial_outcomes
+      Core.Codec.partial_outcomes;
+    prop "limits round-trip" gen_limits Core.Codec.limits;
+    prop "request round-trips" ~count:300 Test_serve.gen_request
+      Core.Codec.request;
+    prop "response round-trips" ~count:300 Test_serve.gen_response
+      Core.Codec.response;
   ]
 
 (* --- decoder totality -------------------------------------------------- *)
@@ -238,18 +246,22 @@ let gen_json =
             ]))
 
 let decoders : (string * (Util.Json.t -> (unit, string) result)) list =
-  let hide decode j = Result.map (fun _ -> ()) (decode j) in
+  let hide (c : _ Core.Codec.t) j = Result.map (fun _ -> ()) (c.dec j) in
   [
-    "voltage", hide Core.Codec.voltage_of_json;
-    "current_kind", hide Core.Codec.current_kind_of_json;
-    "signature", hide Core.Codec.signature_of_json;
-    "fault", hide Core.Codec.fault_of_json;
-    "instance", hide Core.Codec.instance_of_json;
-    "fault_class", hide Core.Codec.fault_class_of_json;
-    "status", hide Core.Codec.status_of_json;
-    "outcome", hide Core.Codec.outcome_of_json;
-    "good_space", hide Core.Codec.good_space_of_json;
-    "analysis", hide Core.Codec.analysis_of_json;
+    "voltage", hide Core.Codec.voltage;
+    "current_kind", hide Core.Codec.current_kind;
+    "signature", hide Core.Codec.signature;
+    "fault", hide Core.Codec.fault;
+    "instance", hide Core.Codec.instance;
+    "fault_class", hide Core.Codec.fault_class;
+    "status", hide Core.Codec.status;
+    "outcome", hide Core.Codec.outcome;
+    "good_space", hide Core.Codec.good_space;
+    "analysis", hide Core.Codec.analysis;
+    "partial_outcomes", hide Core.Codec.partial_outcomes;
+    "limits", hide Core.Codec.limits;
+    "request", hide Core.Codec.request;
+    "response", hide Core.Codec.response;
   ]
 
 let decoders_total =
@@ -267,12 +279,12 @@ let decoders_total =
 (* --- targeted decode errors -------------------------------------------- *)
 
 let test_decode_errors_are_descriptive () =
-  (match Core.Codec.voltage_of_json (Util.Json.String "not-a-voltage") with
+  (match Core.Codec.voltage.dec (Util.Json.String "not-a-voltage") with
   | Error e ->
     Alcotest.(check bool) "names the bad value" true
       (String.length e > 0)
   | Ok _ -> Alcotest.fail "unknown voltage must not decode");
-  (match Core.Codec.fault_of_json (Util.Json.Obj [ "kind", Util.Json.String "warp-core" ]) with
+  (match Core.Codec.fault.dec (Util.Json.Obj [ "kind", Util.Json.String "warp-core" ]) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown fault tag must not decode");
   match Core.Codec.analysis_of_json Util.Json.Null with
@@ -292,11 +304,11 @@ let test_mechanism_encoding_injective () =
       mechanism;
     }
   in
-  let encode i = Util.Json.to_string (Core.Codec.instance_to_json (inst i)) in
+  let encode i = Util.Json.to_string (Core.Codec.instance.enc (inst i)) in
   Alcotest.(check bool) "encodings differ" true (encode a <> encode b);
   List.iter
     (fun m ->
-      match Core.Codec.instance_of_json (Core.Codec.instance_to_json (inst m)) with
+      match Core.Codec.instance.dec (Core.Codec.instance.enc (inst m)) with
       | Ok i -> Alcotest.(check bool) "mechanism survives" true (i.mechanism = m)
       | Error e -> Alcotest.failf "decode failed: %s" e)
     [ a; b ]
