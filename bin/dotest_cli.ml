@@ -11,15 +11,14 @@ let setup_logging verbose =
 
 let config_of ~defects ~dies ~sigma ~seed ~max_retries ~strict ~failure_budget
     ~inject_failures ~telemetry ~cache ?(deadline = None) ?(checkpoint = None)
-    ?(sprinkle_chunk = Defect.Simulate.default_chunk_size) ~solver () =
+    ~solver () =
   Core.Pipeline.Config.(
     default |> with_defects defects |> with_good_space_dies dies
     |> with_sigma sigma |> with_seed seed |> with_max_retries max_retries
     |> with_strict strict |> with_failure_budget failure_budget
     |> with_inject_failures inject_failures |> with_telemetry telemetry
     |> with_cache_handle cache |> with_deadline deadline
-    |> with_checkpoint checkpoint |> with_sprinkle_chunk sprinkle_chunk
-    |> with_solver solver)
+    |> with_checkpoint checkpoint |> with_solver solver)
 
 let defaults = Core.Pipeline.Config.default
 
@@ -66,19 +65,6 @@ let dft =
   Arg.(
     value & flag
     & info [ "dft" ] ~doc:"Apply both DfT measures before the analysis.")
-
-let sprinkle_chunk =
-  Arg.(
-    value
-    & opt int Defect.Simulate.default_chunk_size
-    & info [ "sprinkle-chunk" ] ~docv:"N"
-        ~doc:
-          "Defect draws per parallel sprinkling chunk. Each chunk owns a \
-           split PRNG stream, so results are deterministic for any \
-           $(b,--jobs) value at a fixed $(docv) — but a different $(docv) \
-           assigns different streams and is a different (equally valid) \
-           defect sample. The chunk size therefore participates in the \
-           result-cache key.")
 
 let solver_arg =
   let backends =
@@ -319,9 +305,11 @@ let handle_failures f =
       Format.eprintf "dotest: %s@." (Printexc.to_string cause);
       exit 3)
 
-let print_health ~format analyses =
-  let health = Core.Pipeline.run_health analyses in
-  print_table ~format "Run health" (Core.Report.run_health health);
+let print_tables ~format tables =
+  List.iter (fun (title, table) -> print_table ~format title table) tables
+
+(* Stage wall-clock varies run to run, so it is logged, never tabled. *)
+let log_stage_seconds analyses =
   if Logs.level () = Some Logs.Info then
     List.iter
       (fun (m : Core.Pipeline.macro_health) ->
@@ -330,7 +318,7 @@ let print_health ~format analyses =
             Logs.info (fun f ->
                 f "[%s] stage %-13s %.3f s" m.macro_name stage seconds))
           m.stage_seconds)
-      health.per_macro
+      (Core.Pipeline.run_health analyses).per_macro
 
 (* --- commands ----------------------------------------------------------- *)
 
@@ -338,8 +326,8 @@ let print_health ~format analyses =
    one macro through the pipeline and print the per-macro tables. *)
 let run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
     ~max_retries ~failure_budget ~inject_failures ~trace ~metrics ~cache_dir
-    ~no_cache ~deadline ~deadline_iterations ~resume ~no_checkpoint
-    ~sprinkle_chunk ~solver ~format macro =
+    ~no_cache ~deadline ~deadline_iterations ~resume ~no_checkpoint ~solver
+    ~format macro =
   setup_logging verbose;
   Util.Pool.set_jobs jobs;
   Util.Watchdog.install_signal_handlers ();
@@ -350,21 +338,14 @@ let run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
     config_of ~defects ~dies ~sigma ~seed ~max_retries ~strict ~failure_budget
       ~inject_failures ~telemetry:sink ~cache
       ~deadline:(deadline_of ~deadline ~deadline_iterations)
-      ~checkpoint ~sprinkle_chunk ~solver ()
+      ~checkpoint ~solver ()
   in
   let analysis, elapsed =
     timed (fun () ->
         handle_failures (fun () -> Core.Pipeline.analyze config macro))
   in
-  print_table ~format "Table 1: catastrophic faults and fault classes"
-    (Core.Report.table1 analysis);
-  print_table ~format "Table 2: voltage fault signatures"
-    (Core.Report.table2 analysis);
-  print_table ~format "Table 3: current fault signatures"
-    (Core.Report.table3 analysis);
-  print_table ~format "Fig. 3: detectability of catastrophic faults"
-    (Core.Report.figure3 analysis);
-  print_health ~format [ analysis ];
+  print_tables ~format (Core.Report.macro_tables analysis);
+  log_stage_seconds [ analysis ];
   print_cache_stats ~format cache;
   print_table ~format "Run survival" (Core.Report.run_survival config);
   print_metrics ~elapsed ~format memory
@@ -372,14 +353,14 @@ let run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
 let comparator_cmd =
   let run verbose jobs defects dies sigma seed dft strict max_retries
       failure_budget inject_failures trace metrics cache_dir no_cache deadline
-      deadline_iterations resume no_checkpoint sprinkle_chunk solver format =
+      deadline_iterations resume no_checkpoint solver format =
     let options =
       if dft then Adc.Comparator.dft_options else Adc.Comparator.default_options
     in
     run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
       ~max_retries ~failure_budget ~inject_failures ~trace ~metrics ~cache_dir
-      ~no_cache ~deadline ~deadline_iterations ~resume ~no_checkpoint
-      ~sprinkle_chunk ~solver ~format
+      ~no_cache ~deadline ~deadline_iterations ~resume ~no_checkpoint ~solver
+      ~format
       (Adc.Comparator.macro options)
   in
   Cmd.v
@@ -389,16 +370,16 @@ let comparator_cmd =
       const run $ verbose $ jobs $ defects $ dies $ sigma $ seed $ dft $ strict
       $ max_retries $ failure_budget $ inject_failures $ trace $ metrics_flag
       $ cache_dir $ no_cache $ deadline_arg $ deadline_iterations $ resume
-      $ no_checkpoint $ sprinkle_chunk $ solver_arg $ format_arg)
+      $ no_checkpoint $ solver_arg $ format_arg)
 
 let scaled_cmd =
   let run verbose jobs bits defects dies sigma seed strict max_retries
       failure_budget inject_failures trace metrics cache_dir no_cache deadline
-      deadline_iterations resume no_checkpoint sprinkle_chunk solver format =
+      deadline_iterations resume no_checkpoint solver format =
     run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
       ~max_retries ~failure_budget ~inject_failures ~trace ~metrics ~cache_dir
-      ~no_cache ~deadline ~deadline_iterations ~resume ~no_checkpoint
-      ~sprinkle_chunk ~solver ~format
+      ~no_cache ~deadline ~deadline_iterations ~resume ~no_checkpoint ~solver
+      ~format
       (Adc.Scaled.macro ~bits ())
   in
   let bits =
@@ -423,13 +404,13 @@ let scaled_cmd =
       const run $ verbose $ jobs $ bits $ defects $ dies $ sigma $ seed
       $ strict $ max_retries $ failure_budget $ inject_failures $ trace
       $ metrics_flag $ cache_dir $ no_cache $ deadline_arg
-      $ deadline_iterations $ resume $ no_checkpoint $ sprinkle_chunk
-      $ solver_arg $ format_arg)
+      $ deadline_iterations $ resume $ no_checkpoint $ solver_arg
+      $ format_arg)
 
 let global_cmd =
   let run verbose jobs defects dies sigma seed dft strict max_retries
       failure_budget inject_failures trace metrics cache_dir no_cache deadline
-      deadline_iterations resume no_checkpoint sprinkle_chunk solver format =
+      deadline_iterations resume no_checkpoint solver format =
     setup_logging verbose;
     Util.Pool.set_jobs jobs;
     Util.Watchdog.install_signal_handlers ();
@@ -440,7 +421,7 @@ let global_cmd =
       config_of ~defects ~dies ~sigma ~seed ~max_retries ~strict
         ~failure_budget ~inject_failures ~telemetry:sink ~cache
         ~deadline:(deadline_of ~deadline ~deadline_iterations)
-        ~checkpoint ~sprinkle_chunk ~solver ()
+        ~checkpoint ~solver ()
     in
     let measures = if dft then Dft.Measures.all_measures else [] in
     let macros = Dft.Measures.macro_set ~measures in
@@ -448,16 +429,8 @@ let global_cmd =
       timed (fun () ->
           handle_failures (fun () -> Core.Pipeline.analyze_all config macros))
     in
-    let g = Core.Global.combine analyses in
-    print_table ~format
-      (if dft then "Fig. 5: global detectability after DfT"
-       else "Fig. 4: global detectability")
-      (Core.Report.figure4 g);
-    print_table ~format "Per-macro current detectability"
-      (Core.Report.macro_current g);
-    print_table ~format "Summary" (Core.Report.summary g);
-    print_health ~format analyses;
-    print_table ~format "Coverage bounds" (Core.Report.coverage_bounds g);
+    print_tables ~format (Core.Report.global_tables ~dft analyses);
+    log_stage_seconds analyses;
     print_cache_stats ~format cache;
     print_table ~format "Run survival" (Core.Report.run_survival config);
     print_metrics ~elapsed ~format memory
@@ -469,7 +442,7 @@ let global_cmd =
       const run $ verbose $ jobs $ defects $ dies $ sigma $ seed $ dft $ strict
       $ max_retries $ failure_budget $ inject_failures $ trace $ metrics_flag
       $ cache_dir $ no_cache $ deadline_arg $ deadline_iterations $ resume
-      $ no_checkpoint $ sprinkle_chunk $ solver_arg $ format_arg)
+      $ no_checkpoint $ solver_arg $ format_arg)
 
 let dft_cmd =
   let run verbose jobs defects dies sigma seed trace metrics cache_dir no_cache

@@ -100,20 +100,7 @@ let fallback_name = function
   | Gmin_stepping -> "gmin stepping"
   | Source_stepping -> "source stepping"
 
-let fallback_rank = function
-  | Plain_newton -> 0
-  | Gmin_stepping -> 1
-  | Source_stepping -> 2
-
 type diagnostics = { iterations : int; fallback : fallback }
-
-let no_diagnostics = { iterations = 0; fallback = Plain_newton }
-
-let merge_diagnostics a b =
-  {
-    iterations = a.iterations + b.iterations;
-    fallback = (if fallback_rank a.fallback >= fallback_rank b.fallback then a.fallback else b.fallback);
-  }
 
 (* --- compiled netlist ------------------------------------------------ *)
 
@@ -1030,7 +1017,7 @@ let dense_jacobian ?options netlist ~x =
   assemble state;
   Linear.Pattern.to_dense state.rpattern state.rjac_vals
 
-let transient_diag ?options netlist ~stop ~step =
+let transient ?options netlist ~stop ~step =
   if step <= 0. || stop < step then invalid_arg "Engine.transient: bad time grid";
   let options = resolve_options options in
   let compiled = compile netlist in
@@ -1039,11 +1026,8 @@ let transient_diag ?options netlist ~stop ~step =
      across every subsequent step and sub-step — the dominant win on long
      ramps where the circuit sits quiescent between clock edges. *)
   let state = make_state compiled in
-  let diag = ref no_diagnostics in
   let solve ~mode ~t x ~what =
-    let x', d = solve_point_diag ~state ~options ~mode ~t compiled x ~what in
-    diag := merge_diagnostics !diag d;
-    x'
+    solve_point ~state ~options ~mode ~t compiled x ~what
   in
   let x0 =
     match try_shared_seed ~netlist ~options compiled with
@@ -1079,10 +1063,7 @@ let transient_diag ?options netlist ~stop ~step =
       advance (i + 1) x (make_solution compiled ~t x :: acc)
     end
   in
-  advance 1 x_dc [ make_solution compiled ~t:0.0 x_dc ], !diag
-
-let transient ?options netlist ~stop ~step =
-  fst (transient_diag ?options netlist ~stop ~step)
+  advance 1 x_dc [ make_solution compiled ~t:0.0 x_dc ]
 
 let dc_sweep ?options netlist ~source ~values =
   let options = resolve_options options in

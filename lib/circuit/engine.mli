@@ -206,12 +206,6 @@ val dense_jacobian :
 val transient :
   ?options:options -> Netlist.t -> stop:float -> step:float -> solution list
 
-(** Like {!transient}, also reporting aggregate diagnostics over every
-    solved point (including halved sub-steps). *)
-val transient_diag :
-  ?options:options ->
-  Netlist.t -> stop:float -> step:float -> solution list * diagnostics
-
 (** [dc_sweep ?options netlist ~source ~values] re-solves the operating
     point for each value of the named voltage source (in order), seeding
     each solve with the previous solution. *)

@@ -45,20 +45,3 @@ let solve a b =
     b.(i) <- Complex.div !sum a.(i).(i)
   done;
   b
-
-let solve_copy a b =
-  let a' = Array.map Array.copy a in
-  let b' = Array.copy b in
-  solve a' b'
-
-let residual a x b =
-  let n = Array.length b in
-  let worst = ref 0.0 in
-  for i = 0 to n - 1 do
-    let sum = ref Complex.zero in
-    for j = 0 to n - 1 do
-      sum := Complex.add !sum (Complex.mul a.(i).(j) x.(j))
-    done;
-    worst := Float.max !worst (Complex.norm (Complex.sub !sum b.(i)))
-  done;
-  !worst

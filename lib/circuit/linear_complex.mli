@@ -10,11 +10,5 @@ exception Singular
     @raise Invalid_argument on shape mismatch. *)
 val solve : Complex.t array array -> Complex.t array -> Complex.t array
 
-(** [solve_copy a b] leaves the inputs untouched. *)
-val solve_copy : Complex.t array array -> Complex.t array -> Complex.t array
-
 (** [matrix n] is a fresh n×n zero matrix. *)
 val matrix : int -> Complex.t array array
-
-(** [residual a x b] is the max modulus of [a·x - b]. *)
-val residual : Complex.t array array -> Complex.t array -> Complex.t array -> float

@@ -15,7 +15,6 @@ module Config = struct
     deadline : Util.Watchdog.limits option;
     checkpoint : Checkpoint.t option;
     solver : Circuit.Engine.solver;
-    sprinkle_chunk : int;
   }
 
   let default =
@@ -35,11 +34,9 @@ module Config = struct
       deadline = None;
       checkpoint = None;
       solver = Circuit.Engine.default_solver;
-      sprinkle_chunk = Defect.Simulate.default_chunk_size;
     }
 
   let with_tech tech config = { config with tech }
-  let with_stats stats config = { config with stats }
   let with_defects defects config = { config with defects }
   let with_good_space_dies good_space_dies config = { config with good_space_dies }
   let with_sigma sigma config = { config with sigma }
@@ -51,20 +48,10 @@ module Config = struct
     { config with inject_failures }
   let with_telemetry telemetry config = { config with telemetry }
 
-  let with_cache dir config =
-    {
-      config with
-      cache =
-        Option.map
-          (fun dir -> Util.Cache.create ~dir ~version:Codec.version ())
-          dir;
-    }
-
   let with_cache_handle cache config = { config with cache }
   let with_deadline deadline config = { config with deadline }
   let with_checkpoint checkpoint config = { config with checkpoint }
   let with_solver solver config = { config with solver }
-  let with_sprinkle_chunk sprinkle_chunk config = { config with sprinkle_chunk }
 end
 
 open Config
@@ -176,8 +163,8 @@ let cache_key config (macro : Macro.Macro_cell.t) ~nominal_netlist ~cell =
       "stats=" ^ Codec.stats_fingerprint config.stats;
       Printf.sprintf "defects=%d" config.defects;
       (* The chunk size re-partitions draws over split PRNG streams, so
-         it selects a different (equally valid) defect sample. *)
-      Printf.sprintf "sprinkle_chunk=%d" config.sprinkle_chunk;
+         it selects the defect sample. *)
+      Printf.sprintf "sprinkle_chunk=%d" Defect.Simulate.chunk_size;
       Printf.sprintf "good_space_dies=%d" config.good_space_dies;
       Printf.sprintf "sigma=%h" config.sigma;
       Printf.sprintf "seed=%d" config.seed;
@@ -312,7 +299,7 @@ let analyze config (macro : Macro.Macro_cell.t) =
   Log.info (fun m -> m "[%s] sprinkling %d defects" macro.Macro.Macro_cell.name config.defects);
   let defect_result =
     timed "sprinkle" (fun () ->
-        Defect.Simulate.run ~chunk_size:config.sprinkle_chunk ~tech:config.tech
+        Defect.Simulate.run ~tech:config.tech
           ~stats:config.stats ~cell ~netlist:nominal_netlist defect_prng
           ~n:config.defects)
   in

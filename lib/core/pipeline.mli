@@ -65,21 +65,11 @@ module Config : sig
             policies must produce identical tables; [Dense] (full Newton)
             is the reference for bisecting solver regressions. Part of
             the cache key. *)
-    sprinkle_chunk : int;
-        (** defect draws per sprinkle chunk (default
-            {!Defect.Simulate.default_chunk_size}). Each chunk consumes
-            its own split PRNG stream, so results stay bit-identical for
-            any job count at a {e given} chunk size — but the size is
-            part of the stream assignment (and therefore of the cache
-            key): a different value selects a different, equally valid
-            defect sample. Large-N runs raise it to amortize pool
-            dispatch overhead. *)
   }
 
   val default : t
 
   val with_tech : Process.Tech.t -> t -> t
-  val with_stats : Process.Defect_stats.t -> t -> t
   val with_defects : int -> t -> t
   val with_good_space_dies : int -> t -> t
   val with_sigma : float -> t -> t
@@ -90,15 +80,9 @@ module Config : sig
   val with_inject_failures : float option -> t -> t
   val with_telemetry : Util.Telemetry.sink -> t -> t
 
-  (** [with_cache (Some dir) config] opens (creating if needed) the
-      persistent result cache rooted at [dir], versioned with
-      {!Codec.version}; [with_cache None] disables caching. The returned
-      handle is shared by every config derived from this one. *)
-  val with_cache : string option -> t -> t
-
-  (** [with_cache_handle cache config] installs an existing handle —
-      useful when the caller also wants to read {!Util.Cache.stats}
-      after the run. *)
+  (** [with_cache_handle cache config] installs a result cache (see
+      {!Util.Cache.create}, versioned with {!Codec.version}); keep the
+      handle to read {!Util.Cache.stats} after the run. *)
   val with_cache_handle : Util.Cache.t option -> t -> t
 
   val with_deadline : Util.Watchdog.limits option -> t -> t
@@ -109,7 +93,6 @@ module Config : sig
   val with_checkpoint : Checkpoint.t option -> t -> t
 
   val with_solver : Circuit.Engine.solver -> t -> t
-  val with_sprinkle_chunk : int -> t -> t
 end
 
 (** Containment counters for one macro, plus stage wall-clock times.

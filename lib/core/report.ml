@@ -364,6 +364,30 @@ let run_survival (config : Pipeline.Config.t) =
 
 (* The [`Json] schema is owned by {!Codec}: every JSON emitter of the
    library goes through that one surface. *)
+(* The deterministic tables of a run, titled and in print order: the CLI
+   prints them and the service returns them, so the two agree byte for
+   byte. Cache stats, run survival and metrics are not among them. *)
+let macro_tables (a : Pipeline.macro_analysis) =
+  [
+    "Table 1: catastrophic faults and fault classes", table1 a;
+    "Table 2: voltage fault signatures", table2 a;
+    "Table 3: current fault signatures", table3 a;
+    "Fig. 3: detectability of catastrophic faults", figure3 a;
+    "Run health", run_health (Pipeline.run_health [ a ]);
+  ]
+
+let global_tables ~dft analyses =
+  let g = Global.combine analyses in
+  [
+    ( (if dft then "Fig. 5: global detectability after DfT"
+       else "Fig. 4: global detectability"),
+      figure4 g );
+    "Per-macro current detectability", macro_current g;
+    "Summary", summary g;
+    "Run health", run_health (Pipeline.run_health analyses);
+    "Coverage bounds", coverage_bounds g;
+  ]
+
 let render ~format table =
   match format with
   | `Text -> Util.Table.render table

@@ -64,6 +64,20 @@ val cache_stats : Util.Cache.stats -> Util.Table.t
     it is excluded from byte-identity comparisons. *)
 val run_survival : Pipeline.Config.t -> Util.Table.t
 
+(** The deterministic tables of a single-macro run, titled and in print
+    order: Tables 1–3, Fig. 3 and run health. [dotest comparator] /
+    [scaled] print them and [dotest serve] returns them, so the two are
+    byte-identical. Execution-dependent tables (cache stats, run
+    survival, metrics) are not among them. *)
+val macro_tables : Pipeline.macro_analysis -> (string * Util.Table.t) list
+
+(** The deterministic tables of a five-macro run, likewise shared by
+    [dotest global] and [dotest serve]: Fig. 4 (titled as Fig. 5 with
+    [~dft:true]), per-macro current detectability, summary, run health
+    and coverage bounds. *)
+val global_tables :
+  dft:bool -> Pipeline.macro_analysis list -> (string * Util.Table.t) list
+
 (** [render ~format table] is the single rendering entry point behind the
     CLI's [--format {text,json,csv}]: every report artefact above is a
     {!Util.Table.t}, so one call covers coverage, bounds, run-health and

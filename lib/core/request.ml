@@ -144,10 +144,3 @@ let error_code_name = function
   | Budget_exhausted -> "budget_exhausted"
   | Simulation_failed -> "simulation_failed"
   | Internal_error -> "internal_error"
-
-let error_code_of_name name =
-  match
-    List.find_opt (fun c -> error_code_name c = name) all_error_codes
-  with
-  | Some c -> Ok c
-  | None -> Error (Printf.sprintf "unknown error code %S" name)

@@ -127,7 +127,5 @@ type response = (reply, error) result
 (** Stable wire spelling of an error code (["bad_request"], …). *)
 val error_code_name : error_code -> string
 
-val error_code_of_name : string -> (error_code, string) result
-
 (** All codes, for exhaustive round-trip tests. *)
 val all_error_codes : error_code list

@@ -120,40 +120,23 @@ let config_of t (r : Request.t) =
          (Option.map (fun _ -> Checkpoint.create ~resume:true ()) t.cache_handle)
     |> with_solver r.solver)
 
-(* The deterministic artefacts of a request: same tables, same titles,
-   same order as the CLI prints for the equivalent invocation (the
-   serve-vs-CLI byte-identity contract). Execution-dependent output —
-   cache stats, run survival, metrics — is deliberately not a table;
-   its serve-side analogues are the reply counters and telemetry. *)
+(* The deterministic artefacts of a request: the tables the CLI prints
+   for the equivalent invocation ({!Report.macro_tables} /
+   {!Report.global_tables}). Execution-dependent output — cache stats,
+   run survival, metrics — is deliberately not a table; its serve-side
+   analogues are the reply counters and telemetry. *)
 let tables_of t config (r : Request.t) =
-  let render title table =
-    { Request.title; body = Report.render ~format:r.format table }
+  let tables =
+    match r.target with
+    | Request.Comparator { dft } ->
+      Report.macro_tables (Pipeline.analyze config (t.comparator dft))
+    | Request.Global { dft } ->
+      Report.global_tables ~dft (Pipeline.analyze_all config (t.global_set dft))
   in
-  match r.target with
-  | Request.Comparator { dft } ->
-    let analysis = Pipeline.analyze config (t.comparator dft) in
-    [
-      render "Table 1: catastrophic faults and fault classes"
-        (Report.table1 analysis);
-      render "Table 2: voltage fault signatures" (Report.table2 analysis);
-      render "Table 3: current fault signatures" (Report.table3 analysis);
-      render "Fig. 3: detectability of catastrophic faults"
-        (Report.figure3 analysis);
-      render "Run health" (Report.run_health (Pipeline.run_health [ analysis ]));
-    ]
-  | Request.Global { dft } ->
-    let analyses = Pipeline.analyze_all config (t.global_set dft) in
-    let g = Global.combine analyses in
-    [
-      render
-        (if dft then "Fig. 5: global detectability after DfT"
-         else "Fig. 4: global detectability")
-        (Report.figure4 g);
-      render "Per-macro current detectability" (Report.macro_current g);
-      render "Summary" (Report.summary g);
-      render "Run health" (Report.run_health (Pipeline.run_health analyses));
-      render "Coverage bounds" (Report.coverage_bounds g);
-    ]
+  List.map
+    (fun (title, table) ->
+      { Request.title; body = Report.render ~format:r.format table })
+    tables
 
 let rec root_cause = function
   | Util.Pool.Worker_failure (_, e) -> root_cause e

@@ -409,19 +409,16 @@ let analyze ~tech ~cell ~netlist ~extraction mechanism circle =
       analyze_missing_contact ~cell ~extraction hits_all circle mechanism
 
 (* Draws are partitioned into fixed-size chunks; the partition depends only
-   on [n] and the chunk size, never on the job count. Each chunk consumes
-   its own split PRNG stream and chunk results are merged in chunk order,
-   so the output is bit-identical whether the chunks run on one domain or
-   eight. The chunk size itself is part of the stream assignment: changing
-   it re-partitions the draws over split streams and yields a different
+   on [n], never on the job count. Each chunk consumes its own split PRNG
+   stream and chunk results are merged in chunk order, so the output is
+   bit-identical whether the chunks run on one domain or eight. The chunk
+   size itself is part of the stream assignment: another size would
+   re-partition the draws over split streams and yield a different
    (equally valid) defect sample. *)
-let default_chunk_size = 1_000
+let chunk_size = 1_000
 
-let run ?jobs ?(chunk_size = default_chunk_size) ~tech ~stats ~cell ~netlist
-    prng ~n =
+let run ?jobs ~tech ~stats ~cell ~netlist prng ~n =
   if n <= 0 then invalid_arg "Defect.Simulate.run: n must be positive";
-  if chunk_size <= 0 then
-    invalid_arg "Defect.Simulate.run: chunk_size must be positive";
   let extraction = Layout.Extract.extract cell in
   let bounds = Layout.Cell.bounds cell in
   let margin = 4_000 in

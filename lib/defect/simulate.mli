@@ -40,25 +40,20 @@ val analyze :
   Geometry.Circle.t ->
   Fault.Types.instance list
 
-(** Default draws per chunk ([1000]). *)
-val default_chunk_size : int
+(** Draws per sprinkling chunk ([1000]). *)
+val chunk_size : int
 
 (** [run ~tech ~stats ~cell ~netlist prng ~n] sprinkles [n] spots and
     collects the effective ones. The draws are partitioned into
-    [?chunk_size]-draw chunks (default {!default_chunk_size}), each
-    consuming its own [Util.Prng.split] stream, and the chunks run on a
-    {!Util.Pool} of [?jobs] worker domains (defaulting to the pool's
-    process-wide setting). Because the partition and the stream
-    assignment depend only on [n] and [chunk_size] and the PRNG state —
-    never on the job count — the result is bit-identical for any
-    [?jobs]. Large-[n] runs on big layouts can raise [chunk_size] to
-    amortize pool dispatch overhead; note the chunk size is part of the
-    stream assignment, so a different value is a different (equally
-    valid) defect sample.
-    @raise Invalid_argument when [n] or [chunk_size] is not positive. *)
+    {!chunk_size}-draw chunks, each consuming its own [Util.Prng.split]
+    stream, and the chunks run on a {!Util.Pool} of [?jobs] worker
+    domains (defaulting to the pool's process-wide setting). Because the
+    partition and the stream assignment depend only on [n] and the PRNG
+    state — never on the job count — the result is bit-identical for any
+    [?jobs].
+    @raise Invalid_argument when [n] is not positive. *)
 val run :
   ?jobs:int ->
-  ?chunk_size:int ->
   tech:Process.Tech.t ->
   stats:Process.Defect_stats.t ->
   cell:Layout.Cell.t ->
