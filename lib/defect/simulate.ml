@@ -356,7 +356,15 @@ let vertical_bridges ~extraction hits_all ~adjacent_only =
              Some (na, nb)
            else None
          end)
-  |> List.sort_uniq compare
+  (* One bridge per unordered net pair, in the orientation the pair first
+     meets the spot in: hits on nets B, A, B would otherwise report both
+     B–A and A–B. *)
+  |> List.fold_left
+       (fun kept (a, b) ->
+         if List.mem (a, b) kept || List.mem (b, a) kept then kept
+         else (a, b) :: kept)
+       []
+  |> List.sort compare
 
 let analyze_thick_oxide ~tech ~extraction hits_all mechanism =
   vertical_bridges ~extraction hits_all ~adjacent_only:false

@@ -449,6 +449,40 @@ let test_defect_open_anchor_tie () =
   Alcotest.(check (list (pair string (list (pair string string)))))
     "far pin on the higher-id side" [ "n", [ "R2", "p" ] ] splits
 
+let test_defect_vertical_bridge_once () =
+  (* An extra contact over three shapes whose hits, in shape-id order,
+     meet net "b", then "a", then "b" again: both metal1 "b" shapes cross
+     the metal2 "a" strip. The spot bridges one net pair, so it must
+     report one bridge, in the orientation the pair first appears in. *)
+  let b = Layout.Cell.builder "bab" in
+  let add layer x y w h net =
+    ignore
+      (Layout.Cell.add_shape b ~layer
+         ~rect:(Geometry.Rect.of_size ~x ~y ~w ~h)
+         ~owner:(Layout.Cell.Wire net))
+  in
+  add Process.Layer.Metal1 0 5 100 10 "b";
+  add Process.Layer.Metal2 40 0 20 40 "a";
+  add Process.Layer.Metal1 0 10 100 20 "b";
+  let cell = Layout.Cell.finish b in
+  let faults =
+    Defect.Simulate.analyze ~tech:Process.Tech.cmos1um ~cell
+      ~netlist:(Circuit.Netlist.create ())
+      ~extraction:(Layout.Extract.extract cell)
+      Process.Defect_stats.Extra_contact
+      (Geometry.Circle.create ~cx:50 ~cy:15 ~radius:10.0)
+  in
+  let bridges =
+    List.filter_map
+      (fun (i : Fault.Types.instance) ->
+        match i.fault with
+        | Fault.Types.Bridge { net_a; net_b; _ } -> Some (net_a, net_b)
+        | _ -> None)
+      faults
+  in
+  Alcotest.(check (list (pair string string)))
+    "one bridge per net pair" [ "b", "a" ] bridges
+
 (* ------------------------------------------------------------------ *)
 (* Shared-nominal warm start                                           *)
 (* ------------------------------------------------------------------ *)
@@ -572,6 +606,8 @@ let suites =
         Alcotest.test_case "directed short" `Quick test_defect_directed_short;
         Alcotest.test_case "directed open" `Quick test_defect_directed_open;
         Alcotest.test_case "open anchor tie" `Quick test_defect_open_anchor_tie;
+        Alcotest.test_case "vertical bridge once per pair" `Quick
+          test_defect_vertical_bridge_once;
       ] );
     ( "fault.shared_nominal",
       [
