@@ -83,19 +83,20 @@ let conv to_ of_ c =
 
 (* --- objects ------------------------------------------------------------ *)
 
-(* Members of an object: [put] renders part of an ['o] as members, [get]
-   reads an ['a] out of the whole object. An [('a, 'a) members] is the
-   complete schema of an object; [obj] makes it a codec. *)
+(* Members of an object: [put v rest] renders part of an ['o] as members
+   in front of [rest], [get] reads an ['a] out of the whole object. An
+   [('a, 'a) members] is the complete schema of an object; [obj] makes it
+   a codec. *)
 type ('o, 'a) members = {
-  put : 'o -> (string * J.t) list;
+  put : 'o -> (string * J.t) list -> (string * J.t) list;
   get : J.t -> ('a, string) result;
 }
 
-let obj m = { enc = (fun v -> J.Obj (m.put v)); dec = m.get }
+let obj m = { enc = (fun v -> J.Obj (m.put v [])); dec = m.get }
 
 let req name c =
   {
-    put = (fun v -> [ name, c.enc v ]);
+    put = (fun v rest -> (name, c.enc v) :: rest);
     get =
       (fun json ->
         match J.member name json with
@@ -106,7 +107,9 @@ let req name c =
 (* Omitted when [None]; absent and null both read as [None]. *)
 let opt name c =
   {
-    put = (function None -> [] | Some v -> [ name, c.enc v ]);
+    put =
+      (fun v rest ->
+        match v with None -> rest | Some v -> (name, c.enc v) :: rest);
     get =
       (fun json ->
         match J.member name json with
@@ -117,7 +120,7 @@ let opt name c =
 (* Always written; absent and null both read as [default]. *)
 let dft name c default =
   {
-    put = (fun v -> [ name, c.enc v ]);
+    put = (fun v rest -> (name, c.enc v) :: rest);
     get =
       (fun json ->
         match J.member name json with
@@ -129,7 +132,7 @@ let dft name c default =
    record type to project from. *)
 let ( *** ) a b =
   {
-    put = (fun (x, y) -> a.put x @ b.put y);
+    put = (fun (x, y) rest -> a.put x (b.put y rest));
     get =
       (fun json ->
         let* x = a.get json in
@@ -140,11 +143,11 @@ let ( *** ) a b =
 (* A record, member by member in wire order: [record make] starts from the
    record's constructor and each [field m proj] adds the next argument,
    read by [m] and projected out by [proj]. *)
-let record make = { put = (fun _ -> []); get = (fun _ -> Ok make) }
+let record make = { put = (fun _ rest -> rest); get = (fun _ -> Ok make) }
 
 let field m proj r =
   {
-    put = (fun o -> r.put o @ m.put (proj o));
+    put = (fun o rest -> r.put o (m.put (proj o) rest));
     get =
       (fun json ->
         let* f = r.get json in
@@ -165,7 +168,7 @@ type ('a, 'p) case = {
 
 let case tag payload inject = { tag; payload; inject }
 let bare tag v = case tag (record ()) (fun () -> v)
-let tagged c p = c.tag, c.payload.put p
+let tagged c p = c.tag, c.payload.put p []
 let branch c = c.tag, fun json -> Result.map c.inject (c.payload.get json)
 
 (* Member [key] holds the tag and the payload members follow it.
@@ -174,9 +177,9 @@ let variant ?(key = "kind") ~what branches select =
   let tag = req key string in
   {
     put =
-      (fun v ->
+      (fun v rest ->
         let t, members = select v in
-        tag.put t @ members);
+        tag.put t (members @ rest));
     get =
       (fun json ->
         let* t = tag.get json in
@@ -238,15 +241,8 @@ let mechanism =
   and extra_contact = bare "extra-contact" Extra_contact
   and missing_contact = bare "missing-contact" Missing_contact in
   variant ~what:"defect mechanism"
-    [
-      branch extra;
-      branch missing;
-      branch gate_oxide;
-      branch junction;
-      branch thick_oxide;
-      branch extra_contact;
-      branch missing_contact;
-    ]
+    [ branch extra; branch missing; branch gate_oxide; branch junction;
+      branch thick_oxide; branch extra_contact; branch missing_contact ]
     (function
       | Extra_material l -> tagged extra l
       | Missing_material l -> tagged missing l
@@ -304,15 +300,8 @@ let fault =
       (fun (gate_net, (net_a, net_b)) -> Parasitic_mos { gate_net; net_a; net_b })
   in
   variant ~what:"fault kind"
-    [
-      branch bridge;
-      branch cluster;
-      branch split;
-      branch pinhole;
-      branch leak;
-      branch ds_short;
-      branch parasitic;
-    ]
+    [ branch bridge; branch cluster; branch split; branch pinhole; branch leak;
+      branch ds_short; branch parasitic ]
     (function
       | Bridge { net_a; net_b; resistance; capacitance; origin } ->
         tagged bridge (net_a, (net_b, (resistance, (capacitance, origin))))
@@ -394,24 +383,10 @@ type analysis = {
 
 let analysis =
   record
-    (fun
-      sprinkled
-      effective
-      good
-      classes_catastrophic
-      classes_non_catastrophic
-      outcomes_catastrophic
-      outcomes_non_catastrophic
-    ->
-      {
-        sprinkled;
-        effective;
-        good;
-        classes_catastrophic;
-        classes_non_catastrophic;
-        outcomes_catastrophic;
-        outcomes_non_catastrophic;
-      })
+    (fun sprinkled effective good classes_catastrophic classes_non_catastrophic
+         outcomes_catastrophic outcomes_non_catastrophic ->
+      { sprinkled; effective; good; classes_catastrophic; classes_non_catastrophic;
+        outcomes_catastrophic; outcomes_non_catastrophic })
   |> field (req "sprinkled" int) (fun a -> a.sprinkled)
   |> field (req "effective" int) (fun a -> a.effective)
   |> field (req "good" good_space) (fun a -> a.good)
@@ -590,7 +565,7 @@ let stamped m =
   let api = req "api" string in
   obj
     {
-      put = (fun v -> api.put api_version @ m.put v);
+      put = (fun v rest -> api.put api_version (m.put v rest));
       get =
         (fun json ->
           let* stamp = api.get json in
@@ -648,34 +623,10 @@ let request =
   let d = Request.default in
   let c =
     record
-      (fun
-        id
-        target
-        defects
-        good_space_dies
-        sigma
-        seed
-        max_retries
-        strict
-        inject_failures
-        deadline
-        solver
-        format
-      ->
-        {
-          Request.id;
-          target;
-          defects;
-          good_space_dies;
-          sigma;
-          seed;
-          max_retries;
-          strict;
-          inject_failures;
-          deadline;
-          solver;
-          format;
-        })
+      (fun id target defects good_space_dies sigma seed max_retries strict
+           inject_failures deadline solver format ->
+        { Request.id; target; defects; good_space_dies; sigma; seed; max_retries;
+          strict; inject_failures; deadline; solver; format })
     |> field (opt "id" string) (fun r -> r.Request.id)
     |> field target (fun r -> r.Request.target)
     |> field (dft "defects" int d.Request.defects) (fun r -> r.Request.defects)
@@ -718,24 +669,10 @@ let response =
   let ok =
     case "ok"
       (record
-         (fun
-           reply_id
-           tables
-           cache_hits
-           cache_misses
-           coalesced
-           queue_seconds
-           evaluate_seconds
-         ->
-           {
-             Request.reply_id;
-             tables;
-             cache_hits;
-             cache_misses;
-             coalesced;
-             queue_seconds;
-             evaluate_seconds;
-           })
+         (fun reply_id tables cache_hits cache_misses coalesced queue_seconds
+              evaluate_seconds ->
+           { Request.reply_id; tables; cache_hits; cache_misses; coalesced;
+             queue_seconds; evaluate_seconds })
       |> field id (fun r -> r.Request.reply_id)
       |> field (req "tables" (list table)) (fun r -> r.Request.tables)
       |> field (req "cache_hits" int) (fun r -> r.Request.cache_hits)
