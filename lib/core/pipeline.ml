@@ -299,9 +299,8 @@ let analyze config (macro : Macro.Macro_cell.t) =
   Log.info (fun m -> m "[%s] sprinkling %d defects" macro.Macro.Macro_cell.name config.defects);
   let defect_result =
     timed "sprinkle" (fun () ->
-        Defect.Simulate.run ~tech:config.tech
-          ~stats:config.stats ~cell ~netlist:nominal_netlist defect_prng
-          ~n:config.defects)
+        Defect.Simulate.run ~tech:config.tech ~stats:config.stats ~cell
+          ~netlist:nominal_netlist defect_prng ~n:config.defects)
   in
   let classes_catastrophic, classes_non_catastrophic =
     timed "collapse" (fun () ->

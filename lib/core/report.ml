@@ -362,8 +362,6 @@ let run_survival (config : Pipeline.Config.t) =
       [ "checkpoint flushes"; string_of_int s.Checkpoint.flushes ]);
   t
 
-(* The [`Json] schema is owned by {!Codec}: every JSON emitter of the
-   library goes through that one surface. *)
 (* The deterministic tables of a run, titled and in print order: the CLI
    prints them and the service returns them, so the two agree byte for
    byte. Cache stats, run survival and metrics are not among them. *)
@@ -388,6 +386,8 @@ let global_tables ~dft analyses =
     "Coverage bounds", coverage_bounds g;
   ]
 
+(* The [`Json] schema is owned by {!Codec}: every JSON emitter of the
+   library goes through that one surface. *)
 let render ~format table =
   match format with
   | `Text -> Util.Table.render table
