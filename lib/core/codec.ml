@@ -595,7 +595,8 @@ let solver =
   in
   {
     named with
-    dec = (function J.String "rank1" -> Ok Circuit.Engine.Auto | json -> named.dec json);
+    dec =
+      (function J.String "rank1" -> Ok Circuit.Engine.Auto | json -> named.dec json);
   }
 
 let format = enum ~what:"format" ~name_of:Request.format_name Request.all_formats
@@ -606,10 +607,9 @@ let target =
   let m = req "target" string *** dft "dft" bool false in
   {
     put =
-      (fun t ->
-        m.put
-          ( Request.target_name t,
-            match t with Request.Comparator { dft } | Request.Global { dft } -> dft ));
+      (fun t rest ->
+        let (Request.Comparator { dft } | Request.Global { dft }) = t in
+        m.put (Request.target_name t, dft) rest);
     get =
       (fun json ->
         let* name, dft = m.get json in
