@@ -50,7 +50,9 @@ let handle registry ~cache ~key =
   let partial_key = partial_key key in
   let outcomes = Hashtbl.create 64 in
   if registry.resume then begin
-    match Util.Cache.find cache ~key:partial_key with
+    (* A partial is read beside its macro's result entry, whose lookup
+       already counted the miss. *)
+    match Util.Cache.peek cache ~key:partial_key with
     | None -> ()
     | Some payload ->
       (match Codec.partial_outcomes_of_json payload with

@@ -68,7 +68,9 @@ type handle
 (** [handle t ~cache ~key] — open the checkpoint for the macro whose
     full analysis is cached under [key]. With [resume] enabled, loads
     the partial stored under [key ^ "-partial"] (an absent or
-    undecodable partial is an empty one — never an error). *)
+    undecodable partial is an empty one — never an error). The read
+    goes through {!Util.Cache.peek}: the macro's own lookup has already
+    counted its miss, so the partial adds no second one. *)
 val handle : t -> cache:Util.Cache.t -> key:string -> handle
 
 (** [restore h ~section ~index] — the checkpointed outcome of the class

@@ -158,29 +158,34 @@ let payload_of_entry t ~key contents =
     then Json.member "payload" json
     else None
 
-let find t ~key =
+(* [find] and [peek] share one lookup; only [find] tallies it. *)
+let lookup t ~key ~counted =
+  let tally name = if counted then count t name in
   locked t @@ fun () ->
   match Hashtbl.find_opt t.lru key with
   | Some entry ->
     touch t key entry;
-    count t "hits";
+    tally "hits";
     Some entry.payload
   | None ->
     let path = entry_path t key in
     (match read_file path with
     | None ->
-      count t "misses";
+      tally "misses";
       None
     | Some contents ->
       (match payload_of_entry t ~key contents with
       | Some payload ->
         insert t key payload;
-        count t "hits";
+        tally "hits";
         Some payload
       | None ->
-        count t "stale";
-        count t "misses";
+        tally "stale";
+        tally "misses";
         None))
+
+let find t ~key = lookup t ~key ~counted:true
+let peek t ~key = lookup t ~key ~counted:false
 
 let store t ~key payload =
   let envelope =

@@ -78,6 +78,12 @@ val fingerprint : string list -> string
     when a file was present but unusable). *)
 val find : t -> key:string -> Json.t option
 
+(** [peek t ~key] is {!find} without counting: it touches no hit, miss
+    or stale counter. For side entries such as checkpoint partials,
+    which sit beside a result entry that was already counted, so one
+    cache miss reads as one. *)
+val peek : t -> key:string -> Json.t option
+
 (** [store t ~key payload] writes the enveloped payload atomically and
     promotes it into the LRU. I/O errors are contained as degraded-mode
     writes (see {!stats}): never raised mid-run. *)

@@ -584,6 +584,26 @@ let test_cache_analyze_all_warm () =
   Alcotest.(check int) "no warm misses" 0 warm_stats.Util.Cache.misses;
   Alcotest.(check string) "byte-identical global output" cold warm
 
+let test_cache_resume_counts_each_miss_once () =
+  (* With resume on, each macro's lookup is followed by a read of its
+     checkpoint partial; that read must not count a second miss. A cold
+     resumed run reports one miss per macro, a warm one one hit each. *)
+  with_cache_dir @@ fun dir ->
+  let run () =
+    let cache = Util.Cache.create ~dir ~version:Core.Codec.version () in
+    let config =
+      telemetry_config
+      |> Core.Pipeline.Config.with_cache_handle (Some cache)
+      |> Core.Pipeline.Config.with_checkpoint
+           (Some (Core.Checkpoint.create ~resume:true ()))
+    in
+    ignore (Core.Pipeline.analyze_all config (Dft.Measures.original ()));
+    let s = Util.Cache.stats cache in
+    s.Util.Cache.hits, s.Util.Cache.misses
+  in
+  Alcotest.(check (pair int int)) "cold resumed: hits, misses" (0, 5) (run ());
+  Alcotest.(check (pair int int)) "warm resumed: hits, misses" (5, 0) (run ())
+
 (* --- run survival: deadlines, checkpoint/resume, shutdown -------------- *)
 
 (* A shutdown raised inside a worker domain may surface wrapped in
@@ -981,6 +1001,8 @@ let suites =
         Alcotest.test_case "warm run re-checks budget" `Slow
           test_cache_warm_run_recheck_budget;
         Alcotest.test_case "analyze_all warm" `Slow test_cache_analyze_all_warm;
+        Alcotest.test_case "resume counts each miss once" `Slow
+          test_cache_resume_counts_each_miss_once;
       ] );
     ( "core.survival",
       [
