@@ -95,8 +95,10 @@ type reply = {
   cache_misses : int;
   coalesced : bool;
       (** served from another in-flight request's computation *)
-  queue_seconds : float;  (** admission → execution start *)
-  evaluate_seconds : float;  (** execution start → tables rendered *)
+  queue_seconds : float;
+      (** admission → execution start, on the monotonic clock *)
+  evaluate_seconds : float;
+      (** execution start → tables rendered, on the monotonic clock *)
 }
 
 (** Structured failure. Decoders never raise: malformed wire input

@@ -170,14 +170,14 @@ let execute t ~queue_seconds (r : Request.t) =
         "queue_seconds", Util.Telemetry.Float queue_seconds;
       ]
   @@ fun () ->
-  let started = Unix.gettimeofday () in
+  let started = Util.Watchdog.now_seconds () in
   let result =
     (* Config telemetry stays null: the service already installed its
        sink as ambient for the span above, and [Pipeline] leaves the
        ambient sink untouched when the config's own sink is null. *)
     try Ok (tables_of t (config_of t r) r) with e -> Error e
   in
-  let evaluate_seconds = Unix.gettimeofday () -. started in
+  let evaluate_seconds = Util.Watchdog.now_seconds () -. started in
   let after = cache_stats () in
   let cache_hits = after.Util.Cache.hits - before.Util.Cache.hits in
   let cache_misses = after.Util.Cache.misses - before.Util.Cache.misses in
@@ -214,7 +214,7 @@ let response_of_outcome ~id ~coalesced ~queue_seconds = function
 let bump t f = locked t (fun () -> t.s <- f t.s)
 
 let submit t (r : Request.t) : Request.response =
-  let enqueued = Unix.gettimeofday () in
+  let enqueued = Util.Watchdog.now_seconds () in
   bump t (fun s -> { s with submitted = s.submitted + 1 });
   Mutex.lock t.lock;
   if t.draining_ then begin
@@ -235,7 +235,7 @@ let submit t (r : Request.t) : Request.response =
       done;
       t.s <- { t.s with coalesced = t.s.coalesced + 1 };
       Mutex.unlock t.lock;
-      let queue_seconds = Unix.gettimeofday () -. enqueued in
+      let queue_seconds = Util.Watchdog.now_seconds () -. enqueued in
       response_of_outcome ~id:r.id ~coalesced:true ~queue_seconds
         (Option.get flight.outcome)
     | None ->
@@ -257,7 +257,7 @@ let submit t (r : Request.t) : Request.response =
            unlocks and the flight completes — otherwise one escaped
            exception would wedge every later submit, all coalesced
            attachers, and drain, forever. *)
-        let queue_seconds = ref (Unix.gettimeofday () -. enqueued) in
+        let queue_seconds = ref (Util.Watchdog.now_seconds () -. enqueued) in
         let outcome =
           ref (Failed (Request.Internal_error, "analysis aborted before completion"))
         in
@@ -281,7 +281,7 @@ let submit t (r : Request.t) : Request.response =
           (fun () ->
             Mutex.lock t.exec;
             Fun.protect ~finally:(fun () -> Mutex.unlock t.exec) @@ fun () ->
-            queue_seconds := Unix.gettimeofday () -. enqueued;
+            queue_seconds := Util.Watchdog.now_seconds () -. enqueued;
             outcome :=
               (try execute t ~queue_seconds:!queue_seconds r
                with e ->

@@ -71,6 +71,13 @@ val tick : ?by:int -> unit -> unit
 (** [armed ()] — whether the calling domain currently has a deadline. *)
 val armed : unit -> bool
 
+(** [now_seconds ()] reads the monotonic clock wall-clock budgets are
+    measured on, in seconds from an arbitrary origin. For intervals
+    another process compares with its own monotonic timing: unlike
+    [Unix.gettimeofday], it does not follow steps or slews of the wall
+    clock. *)
+val now_seconds : unit -> float
+
 (** [unmetered f] runs [f] with the calling domain's armed deadline
     masked: {!tick}s inside [f] spend nothing and cannot expire. For
     amortized per-worker work (e.g. deriving the shared nominal
