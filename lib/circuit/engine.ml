@@ -224,7 +224,11 @@ type rstate = {
   rcur_id : float array;       (* per-MOSFET values at the current guess *)
   rcur_gm : float array;
   rcur_gds : float array;
+  rupd_u : float array;        (* zero between uses: rank-1 u and v scratch *)
+  rupd_v : float array;
+  rrhs_fixed : float array;    (* time-fixed right-hand side of one solve *)
   rrhs : float array;
+  rx_new : float array;        (* scratch: each iteration's linear solve *)
   (* Compiled stamp plan: the per-iteration work — MOSFET model
      evaluation and right-hand-side assembly — compiled once into flat
      arrays so the Newton loop is tight passes over unboxed floats
@@ -364,7 +368,11 @@ let make_rstate ~full_newton compiled =
     rcur_id = Array.make nm 0.0;
     rcur_gm = Array.make nm 0.0;
     rcur_gds = Array.make nm 0.0;
+    rupd_u = Array.make n 0.0;
+    rupd_v = Array.make n 0.0;
+    rrhs_fixed = Array.make n 0.0;
     rrhs = Array.make n 0.0;
+    rx_new = Array.make n 0.0;
     pm_d = Array.map (fun (d, _, _, _) -> d) mos;
     pm_g = Array.map (fun (_, g, _, _) -> g) mos;
     pm_s = Array.map (fun (_, _, s, _) -> s) mos;
@@ -455,19 +463,23 @@ let eval_mosfets state x =
     ~gm:state.rcur_gm ~gds:state.rcur_gds
 
 (* The Jacobian at the current linearization into [rjac_vals]: the
-   constant part, then each MOSFET's six stamps in plan order. *)
+   constant part, then each MOSFET's six stamps in plan order. The plan
+   holds six slots (each -1 or a pattern slot) per MOSFET, so the loop
+   reads unchecked. *)
 let assemble state =
   let a = state.rjac_vals in
   Array.blit state.rconst_vals 0 a 0 (Array.length a);
   let slots = state.pm_slots in
+  let cur_gm = state.rcur_gm and cur_gds = state.rcur_gds in
   for k = 0 to Array.length state.pm_d - 1 do
-    let gm = state.rcur_gm.(k) and gds = state.rcur_gds.(k) in
-    add_slot a slots.(6 * k) gds;
-    add_slot a slots.((6 * k) + 1) gm;
-    add_slot a slots.((6 * k) + 2) (-.(gm +. gds));
-    add_slot a slots.((6 * k) + 3) (-.gds);
-    add_slot a slots.((6 * k) + 4) (-.gm);
-    add_slot a slots.((6 * k) + 5) (gm +. gds)
+    let gm = Array.unsafe_get cur_gm k and gds = Array.unsafe_get cur_gds k in
+    let base = 6 * k in
+    add_slot a (Array.unsafe_get slots base) gds;
+    add_slot a (Array.unsafe_get slots (base + 1)) gm;
+    add_slot a (Array.unsafe_get slots (base + 2)) (-.(gm +. gds));
+    add_slot a (Array.unsafe_get slots (base + 3)) (-.gds);
+    add_slot a (Array.unsafe_get slots (base + 4)) (-.gm);
+    add_slot a (Array.unsafe_get slots (base + 5)) (gm +. gds)
   done
 
 let refactor state =
@@ -503,40 +515,57 @@ let reuse_abstol = 1e-12
 let max_moved = 2
 let max_chain = 6
 
-let moved state k =
-  let tol cur ref_ =
-    reuse_abstol +. (reuse_reltol *. Float.max (Float.abs cur) (Float.abs ref_))
-  in
-  Float.abs (state.rcur_gm.(k) -. state.rref_gm.(k))
-  > tol state.rcur_gm.(k) state.rref_gm.(k)
-  || Float.abs (state.rcur_gds.(k) -. state.rref_gds.(k))
-     > tol state.rcur_gds.(k) state.rref_gds.(k)
+(* |cur − baked| > abstol + reltol·max(|cur|, |baked|), on unboxed
+   floats. Both magnitudes are non-negative, so the plain comparison
+   picks the value [Float.max] would; a NaN on either side makes the
+   left-hand difference NaN, and the test is false whichever magnitude
+   is picked, as it is under [Float.max]'s NaN result. *)
+let[@inline] linearization_moved ~cur ~baked =
+  let a = Float.abs cur and b = Float.abs baked in
+  let m = if a >= b then a else b in
+  Float.abs (cur -. baked) > reuse_abstol +. (reuse_reltol *. m)
 
-let inc_vector n a b =
-  let u = Array.make n 0.0 in
-  if a <> 0 then u.(idx a) <- u.(idx a) +. 1.0;
-  if b <> 0 then u.(idx b) <- u.(idx b) -. 1.0;
-  u
+let[@inline] moved state k =
+  linearization_moved
+    ~cur:(Array.unsafe_get state.rcur_gm k)
+    ~baked:(Array.unsafe_get state.rref_gm k)
+  || linearization_moved
+       ~cur:(Array.unsafe_get state.rcur_gds k)
+       ~baked:(Array.unsafe_get state.rref_gds k)
+
+(* Adds [c] to [node]'s entry of a zeroed scratch vector; ground has no
+   entry. *)
+let[@inline] add_node a node c =
+  if node <> 0 then a.(idx node) <- a.(idx node) +. c
+
+let[@inline] clear_node a node = if node <> 0 then a.(idx node) <- 0.0
 
 (* A MOSFET's linearization delta is rank one: both the gds and gm stamp
    blocks share the left factor (e_d − e_s), so
      ΔA = dgds·uds·udsᵀ + dgm·uds·ugsᵀ = uds · (dgds·uds + dgm·ugs)ᵀ
-   and one Sherman–Morrison update absorbs the whole device. *)
+   and one Sherman–Morrison update absorbs the whole device. [uds] and
+   the right factor are built in the plan's zeroed scratch and cleared
+   after each update, which keeps neither. *)
 let apply_mos_updates state f changed =
-  let n = state.rn in
+  let u = state.rupd_u and v = state.rupd_v in
   let rec go f = function
     | [] -> Some f
     | k :: rest ->
       let d = state.pm_d.(k) and g = state.pm_g.(k) and s = state.pm_s.(k) in
       let dgds = state.rcur_gds.(k) -. state.rref_gds.(k) in
       let dgm = state.rcur_gm.(k) -. state.rref_gm.(k) in
-      let uds = inc_vector n d s in
-      let v = Array.make n 0.0 in
-      let addv node c = if node <> 0 then v.(idx node) <- v.(idx node) +. c in
-      addv d dgds;
-      addv s (-.(dgds +. dgm));
-      addv g dgm;
-      (match Linear.Factor.rank1_update f ~c:1.0 ~u:uds ~v with
+      add_node u d 1.0;
+      if s <> 0 then u.(idx s) <- u.(idx s) -. 1.0;
+      add_node v d dgds;
+      add_node v s (-.(dgds +. dgm));
+      add_node v g dgm;
+      let updated = Linear.Factor.rank1_update f ~c:1.0 ~u ~v in
+      clear_node u d;
+      clear_node u s;
+      clear_node v d;
+      clear_node v s;
+      clear_node v g;
+      (match updated with
       | None -> None
       | Some f -> go f rest)
   in
@@ -586,13 +615,18 @@ let ensure_factor state =
    leaving exactly KCL with the exact device current id(x) — the same
    nonlinear solution full Newton converges to, independent of how stale
    the factorization is. Under full Newton rref is the fresh
-   linearization and this is the ordinary Newton right-hand side. *)
-let build_rhs state ~mode ~alpha ~t =
-  let rhs = state.rrhs in
+   linearization and this is the ordinary Newton right-hand side.
+
+   Stamps go in by device class, each class in netlist order: capacitor
+   history, voltage sources, current sources, MOSFET ieq. As in the
+   matrix, the order is fixed by the netlist alone. Everything before
+   the MOSFETs depends only on the solve's (mode, alpha, t), so
+   [build_rhs_fixed] builds it once per Newton solve and [build_rhs]
+   copies it before adding each iteration's ieq: every entry takes the
+   same additions in the same order as a build from zero would. *)
+let build_rhs_fixed state ~mode ~alpha ~t =
+  let rhs = state.rrhs_fixed in
   Array.fill rhs 0 state.rn 0.0;
-  (* Stamps go in by device class, each class in netlist order: capacitor
-     history, voltage sources, current sources, MOSFET ieq. As in the
-     matrix, the order is fixed by the netlist alone. *)
   (match mode with
   | Dc_mode -> ()
   | Transient_mode { h; x_prev } ->
@@ -624,9 +658,14 @@ let build_rhs state ~mode ~alpha ~t =
       Array.unsafe_set rhs (pos - 1) (Array.unsafe_get rhs (pos - 1) +. i);
     if neg <> 0 then
       Array.unsafe_set rhs (neg - 1) (Array.unsafe_get rhs (neg - 1) -. i)
-  done;
-  (* MOSFET ieq against the gm/gds baked into the factorization; the bias
-     scratch still holds this guess's vgs/vds from [eval_mosfets]. *)
+  done
+
+(* MOSFET ieq against the gm/gds baked into the factorization, on top of
+   the solve's fixed part; the bias scratch still holds this guess's
+   vgs/vds from [eval_mosfets]. *)
+let build_rhs state =
+  let rhs = state.rrhs in
+  Array.blit state.rrhs_fixed 0 rhs 0 state.rn;
   let nm = Array.length state.pm_d in
   for k = 0 to nm - 1 do
     let d = Array.unsafe_get state.pm_d k in
@@ -649,9 +688,13 @@ let build_rhs state ~mode ~alpha ~t =
    and otherwise picks bypass, rank-1 chain or re-factor. *)
 let newton ~state ~options ~mode ~alpha ~t compiled x0 =
   let n = compiled.n_unknowns in
+  let n_nodes = compiled.n_nodes in
+  if Array.length x0 <> n then invalid_arg "Engine.newton: guess of wrong length";
   let x = Array.copy x0 in
+  let x_new = state.rx_new in
   let h = match mode with Dc_mode -> 0.0 | Transient_mode { h; _ } -> h in
   ensure_const state ~gmin:options.gmin ~h;
+  build_rhs_fixed state ~mode ~alpha ~t;
   let rec iterate remaining =
     if remaining = 0 then None
     else begin
@@ -663,22 +706,22 @@ let newton ~state ~options ~mode ~alpha ~t compiled x0 =
       eval_mosfets state x;
       if not (ensure_factor state) then None
       else begin
-        build_rhs state ~mode ~alpha ~t;
-        let x_new =
-          match state.rfactor with
-          | Some f -> Linear.Factor.solve_factored f state.rrhs
-          | None -> assert false
-        in
-        (* Damp voltage updates; branch currents move freely. *)
+        build_rhs state;
+        (match state.rfactor with
+        | Some f -> Linear.Factor.solve_into f state.rrhs ~into:x_new
+        | None -> assert false);
+        (* Damp voltage updates; branch currents move freely. [x] and
+           [x_new] both hold the plan's n unknowns. *)
         let converged = ref true in
         for i = 0 to n - 1 do
-          let target = x_new.(i) in
-          let delta = target -. x.(i) in
-          let is_voltage = i < compiled.n_nodes in
+          let xi = Array.unsafe_get x i in
+          let target = Array.unsafe_get x_new i in
+          let delta = target -. xi in
+          let is_voltage = i < n_nodes in
           let applied =
             if is_voltage && Float.abs delta > options.max_step_voltage then begin
               converged := false;
-              x.(i)
+              xi
               +. (if delta > 0. then options.max_step_voltage
                   else -.options.max_step_voltage)
             end
@@ -688,8 +731,8 @@ let newton ~state ~options ~mode ~alpha ~t compiled x0 =
             if is_voltage then options.vntol +. (options.reltol *. Float.abs applied)
             else options.abstol +. (options.reltol *. Float.abs applied)
           in
-          if Float.abs (applied -. x.(i)) > tol then converged := false;
-          x.(i) <- applied
+          if Float.abs (applied -. xi) > tol then converged := false;
+          Array.unsafe_set x i applied
         done;
         if !converged then Some (x, options.max_iterations - remaining + 1)
         else iterate (remaining - 1)

@@ -200,6 +200,15 @@ val dc_operating_point_diag :
 val dense_jacobian :
   ?options:options -> Netlist.t -> x:float array -> float array array
 
+(** [linearization_moved ~cur ~baked] is the reuse policy's test on one
+    MOSFET conductance (gm or gds): whether its value at the current
+    guess, [cur], has left the value baked into the factorization,
+    [baked], by more than [1e-12 + 0.1·max(|cur|, |baked|)]. A device
+    whose gm or gds moved costs a rank-1 update or a re-factorization;
+    otherwise the iteration reuses the factorization as-is. A NaN on
+    either side never counts as moved. Pure; exposed for tests. *)
+val linearization_moved : cur:float -> baked:float -> bool
+
 (** [transient ?options netlist ~stop ~step] integrates from 0 to [stop]
     with fixed step [step] (backward Euler), returning the DC point at
     [t = 0] followed by every accepted step in time order. *)

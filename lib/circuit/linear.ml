@@ -326,11 +326,17 @@ type sparse_lu = {
 
 let eliminate w (p : Pattern.t) a =
   let n = p.Pattern.n and stride = w.stride in
+  let row_ptr = p.Pattern.row_ptr and pcol = p.Pattern.col in
   let rcol = w.rcol and rval = w.rval and rlen = w.rlen in
   let crow = w.crow and clen = w.clen in
   let pos = w.pos and at = w.at and mark = w.mark and slot = w.slot in
   let cand = w.cand and cand_slot = w.cand_slot in
   let lrow = w.lrow and lval = w.lval and ucol = w.ucol and uval = w.uval in
+  (* Indices below hold by construction, so the loops read unchecked: a
+     pattern's columns lie in [0, n) and [a] holds one value per slot
+     (both checked where they are built), the workspace holds [cap >= n]
+     rows of [stride <= cap] entries, and every row or column list that
+     would pass its stride raises [Outgrown] before it is written. *)
   let scale = ref 0.0 in
   for e = 0 to Array.length a - 1 do
     let m = Float.abs (Array.unsafe_get a e) in
@@ -339,21 +345,22 @@ let eliminate w (p : Pattern.t) a =
   let threshold = relative_pivot_floor *. !scale in
   Array.fill clen 0 n 0;
   for r = 0 to n - 1 do
-    let start = p.row_ptr.(r) and stop = p.row_ptr.(r + 1) in
+    let start = Array.unsafe_get row_ptr r in
+    let stop = Array.unsafe_get row_ptr (r + 1) in
     if stop - start > stride then raise Outgrown;
     let base = (r * stride) - start in
     for e = start to stop - 1 do
-      let c = p.col.(e) in
-      rcol.(base + e) <- c;
-      rval.(base + e) <- a.(e);
-      let cl = clen.(c) in
+      let c = Array.unsafe_get pcol e in
+      Array.unsafe_set rcol (base + e) c;
+      Array.unsafe_set rval (base + e) (Array.unsafe_get a e);
+      let cl = Array.unsafe_get clen c in
       if cl = stride then raise Outgrown;
-      crow.((c * stride) + cl) <- r;
-      clen.(c) <- cl + 1
+      Array.unsafe_set crow ((c * stride) + cl) r;
+      Array.unsafe_set clen c (cl + 1)
     done;
-    rlen.(r) <- stop - start;
-    pos.(r) <- r;
-    at.(r) <- r
+    Array.unsafe_set rlen r (stop - start);
+    Array.unsafe_set pos r r;
+    Array.unsafe_set at r r
   done;
   let l_ptr = Array.make (n + 1) 0 and u_ptr = Array.make (n + 1) 0 in
   let u_diag = Array.make n 0.0 in
@@ -366,15 +373,16 @@ let eliminate w (p : Pattern.t) a =
     let nc = ref 0 in
     let best = ref (-1) and best_pos = ref k and best_mag = ref 0.0 in
     let cbase = k * stride in
-    for t = cbase to cbase + clen.(k) - 1 do
-      let r = crow.(t) in
-      let pr = pos.(r) in
+    for t = cbase to cbase + Array.unsafe_get clen k - 1 do
+      let r = Array.unsafe_get crow t in
+      let pr = Array.unsafe_get pos r in
       if pr >= k then begin
+        (* An active row keeps column k until step k removes it. *)
         let s = ref (r * stride) in
-        while rcol.(!s) <> k do incr s done;
-        cand.(!nc) <- r;
-        cand_slot.(!nc) <- !s;
-        let mag = Float.abs rval.(!s) in
+        while Array.unsafe_get rcol !s <> k do incr s done;
+        Array.unsafe_set cand !nc r;
+        Array.unsafe_set cand_slot !nc !s;
+        let mag = Float.abs (Array.unsafe_get rval !s) in
         if mag > !best_mag || (mag = !best_mag && pr < !best_pos) then begin
           best := !nc;
           best_pos := pr;
@@ -384,76 +392,77 @@ let eliminate w (p : Pattern.t) a =
       end
     done;
     if not (!best_mag > threshold) then raise Singular;
-    let rp = cand.(!best) and sp = cand_slot.(!best) in
-    let displaced = at.(k) in
-    at.(!best_pos) <- displaced;
-    pos.(displaced) <- !best_pos;
-    at.(k) <- rp;
-    pos.(rp) <- k;
+    let rp = Array.unsafe_get cand !best in
+    let sp = Array.unsafe_get cand_slot !best in
+    let displaced = Array.unsafe_get at k in
+    Array.unsafe_set at !best_pos displaced;
+    Array.unsafe_set pos displaced !best_pos;
+    Array.unsafe_set at k rp;
+    Array.unsafe_set pos rp k;
     (* The pivot row is U's row k; its off-diagonal entries go out in
        ascending column order, the order back substitution sums them in. *)
-    let akk = rval.(sp) in
-    u_diag.(k) <- akk;
+    let akk = Array.unsafe_get rval sp in
+    Array.unsafe_set u_diag k akk;
     let u0 = !nu in
-    u_ptr.(k) <- u0;
+    Array.unsafe_set u_ptr k u0;
     let pbase = rp * stride in
-    for s = pbase to pbase + rlen.(rp) - 1 do
+    for s = pbase to pbase + Array.unsafe_get rlen rp - 1 do
       if s <> sp then begin
-        let c = rcol.(s) and v = rval.(s) in
+        let c = Array.unsafe_get rcol s and v = Array.unsafe_get rval s in
         let i = ref !nu in
-        while !i > u0 && ucol.(!i - 1) > c do
-          ucol.(!i) <- ucol.(!i - 1);
-          uval.(!i) <- uval.(!i - 1);
+        while !i > u0 && Array.unsafe_get ucol (!i - 1) > c do
+          Array.unsafe_set ucol !i (Array.unsafe_get ucol (!i - 1));
+          Array.unsafe_set uval !i (Array.unsafe_get uval (!i - 1));
           decr i
         done;
-        ucol.(!i) <- c;
-        uval.(!i) <- v;
+        Array.unsafe_set ucol !i c;
+        Array.unsafe_set uval !i v;
         incr nu
       end
     done;
     let u1 = !nu in
-    l_ptr.(k) <- !nl;
+    Array.unsafe_set l_ptr k !nl;
     for t = 0 to !nc - 1 do
-      let i = cand.(t) in
+      let i = Array.unsafe_get cand t in
       if i <> rp then begin
-        let s = cand_slot.(t) in
+        let s = Array.unsafe_get cand_slot t in
         let base = i * stride in
-        let l = rval.(s) /. akk in
+        let l = Array.unsafe_get rval s /. akk in
         (* Column k leaves the active row: it is L's now. *)
-        let len = ref (rlen.(i) - 1) in
-        rcol.(s) <- rcol.(base + !len);
-        rval.(s) <- rval.(base + !len);
+        let len = ref (Array.unsafe_get rlen i - 1) in
+        Array.unsafe_set rcol s (Array.unsafe_get rcol (base + !len));
+        Array.unsafe_set rval s (Array.unsafe_get rval (base + !len));
         if l <> 0. then begin
-          lrow.(!nl) <- i;
-          lval.(!nl) <- l;
+          Array.unsafe_set lrow !nl i;
+          Array.unsafe_set lval !nl l;
           incr nl;
           w.stamp <- w.stamp + 1;
           let stamp = w.stamp in
           for e = base to base + !len - 1 do
-            let c = rcol.(e) in
-            mark.(c) <- stamp;
-            slot.(c) <- e
+            let c = Array.unsafe_get rcol e in
+            Array.unsafe_set mark c stamp;
+            Array.unsafe_set slot c e
           done;
           for e = u0 to u1 - 1 do
-            let j = ucol.(e) in
-            let lu = l *. uval.(e) in
-            if mark.(j) = stamp then begin
-              let q = slot.(j) in
-              rval.(q) <- rval.(q) -. lu
+            let j = Array.unsafe_get ucol e in
+            let lu = l *. Array.unsafe_get uval e in
+            if Array.unsafe_get mark j = stamp then begin
+              let q = Array.unsafe_get slot j in
+              Array.unsafe_set rval q (Array.unsafe_get rval q -. lu)
             end
             else begin
               if !len = stride then raise Outgrown;
-              rcol.(base + !len) <- j;
-              rval.(base + !len) <- 0.0 -. lu;
+              Array.unsafe_set rcol (base + !len) j;
+              Array.unsafe_set rval (base + !len) (0.0 -. lu);
               incr len;
-              let cl = clen.(j) in
+              let cl = Array.unsafe_get clen j in
               if cl = stride then raise Outgrown;
-              crow.((j * stride) + cl) <- i;
-              clen.(j) <- cl + 1
+              Array.unsafe_set crow ((j * stride) + cl) i;
+              Array.unsafe_set clen j (cl + 1)
             end
           done
         end;
-        rlen.(i) <- !len
+        Array.unsafe_set rlen i !len
       end
     done
   done;
@@ -461,7 +470,7 @@ let eliminate w (p : Pattern.t) a =
   u_ptr.(n) <- !nu;
   let l_pos = Array.make !nl 0 in
   for e = 0 to !nl - 1 do
-    l_pos.(e) <- pos.(lrow.(e))
+    Array.unsafe_set l_pos e (Array.unsafe_get pos (Array.unsafe_get lrow e))
   done;
   {
     prow = Array.sub at 0 n;
@@ -490,24 +499,31 @@ let factor_sparse (p : Pattern.t) a =
 (* Substitution against [factor_sparse]'s factors, in position order:
    each element receives the multiplier·value products of the dense
    forward pass in the same (ascending step) order, and each U row is
-   summed in ascending column order, as [substitute_in_place] does. *)
+   summed in ascending column order, as [substitute_in_place] does. The
+   caller passes [y] of the factor's size; every stored position and
+   column is below it, so the loops read unchecked. *)
 let substitute_sparse lu y =
   let n = Array.length y in
   let l_ptr = lu.l_ptr and l_pos = lu.l_pos and l_val = lu.l_val in
   let u_ptr = lu.u_ptr and u_col = lu.u_col and u_val = lu.u_val in
+  let u_diag = lu.u_diag in
   for k = 0 to n - 1 do
-    let bk = y.(k) in
-    for e = l_ptr.(k) to l_ptr.(k + 1) - 1 do
-      let i = l_pos.(e) in
-      y.(i) <- y.(i) -. (l_val.(e) *. bk)
+    let bk = Array.unsafe_get y k in
+    for e = Array.unsafe_get l_ptr k to Array.unsafe_get l_ptr (k + 1) - 1 do
+      let i = Array.unsafe_get l_pos e in
+      Array.unsafe_set y i
+        (Array.unsafe_get y i -. (Array.unsafe_get l_val e *. bk))
     done
   done;
   for i = n - 1 downto 0 do
-    let sum = ref y.(i) in
-    for e = u_ptr.(i) to u_ptr.(i + 1) - 1 do
-      sum := !sum -. (u_val.(e) *. y.(u_col.(e)))
+    let sum = ref (Array.unsafe_get y i) in
+    for e = Array.unsafe_get u_ptr i to Array.unsafe_get u_ptr (i + 1) - 1 do
+      sum :=
+        !sum
+        -. (Array.unsafe_get u_val e
+           *. Array.unsafe_get y (Array.unsafe_get u_col e))
     done;
-    y.(i) <- !sum /. lu.u_diag.(i)
+    Array.unsafe_set y i (!sum /. Array.unsafe_get u_diag i)
   done
 
 (* --- persistent factorizations ----------------------------------------- *)
@@ -538,18 +554,10 @@ module Factor = struct
     let p, values = Pattern.of_dense a in
     factor_pattern p values
 
-  let base_solve t b =
-    let y = Array.make t.n 0.0 in
-    for i = 0 to t.n - 1 do
-      y.(i) <- b.(t.lu.prow.(i))
-    done;
-    substitute_sparse t.lu y;
-    y
-
   (* v·y over v's nonzeros, in ascending index: the terms a full dot
      product adds on top are exact zeros, which leave a sum that starts
      at +0 unchanged. *)
-  let dot vi vv y =
+  let[@inline] dot vi vv y =
     let s = ref 0.0 in
     for t = 0 to Array.length vi - 1 do
       s :=
@@ -558,19 +566,36 @@ module Factor = struct
     done;
     !s
 
+  (* The update chain, oldest first, on a base solve already in [y]. *)
+  let rec apply_updates n ups y =
+    match ups with
+    | [] -> ()
+    | { w; vi; vv; denom } :: rest ->
+      let s = dot vi vv y /. denom in
+      if s <> 0.0 then
+        for i = 0 to n - 1 do
+          Array.unsafe_set y i
+            (Array.unsafe_get y i -. (s *. Array.unsafe_get w i))
+        done;
+      apply_updates n rest y
+
+  let solve_into t b ~into:y =
+    let n = t.n in
+    if Array.length b <> n || Array.length y <> n then
+      invalid_arg "Linear.Factor.solve_into: shape mismatch";
+    if b == y then invalid_arg "Linear.Factor.solve_into: b and into alias";
+    let prow = t.lu.prow in
+    for i = 0 to n - 1 do
+      Array.unsafe_set y i (Array.unsafe_get b (Array.unsafe_get prow i))
+    done;
+    substitute_sparse t.lu y;
+    apply_updates n t.ups y
+
   let solve_factored t b =
     if Array.length b <> t.n then
       invalid_arg "Linear.Factor.solve_factored: shape mismatch";
-    let y = base_solve t b in
-    List.iter
-      (fun { w; vi; vv; denom } ->
-        let s = dot vi vv y /. denom in
-        if s <> 0.0 then
-          for i = 0 to t.n - 1 do
-            Array.unsafe_set y i
-              (Array.unsafe_get y i -. (s *. Array.unsafe_get w i))
-          done)
-      t.ups;
+    let y = Array.make t.n 0.0 in
+    solve_into t b ~into:y;
     y
 
   (* Sherman-Morrison denominators near zero mean the update drives the
@@ -579,16 +604,31 @@ module Factor = struct
   let denominator_guard = 1e-8
 
   let rank1_update t ~c ~u ~v =
-    if Array.length u <> t.n || Array.length v <> t.n then
+    let n = t.n in
+    if Array.length u <> n || Array.length v <> n then
       invalid_arg "Linear.Factor.rank1_update: shape mismatch";
     if c = 0.0 then Some t
     else begin
-      let cu = Array.map (fun x -> c *. x) u in
-      let w = solve_factored t cu in
-      let vi =
-        Array.of_seq (Seq.filter (fun i -> v.(i) <> 0.0) (Seq.init t.n Fun.id))
-      in
-      let vv = Array.map (fun i -> v.(i)) vi in
+      let cu = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        Array.unsafe_set cu i (c *. Array.unsafe_get u i)
+      done;
+      let w = Array.make n 0.0 in
+      solve_into t cu ~into:w;
+      let nnz = ref 0 in
+      for i = 0 to n - 1 do
+        if Array.unsafe_get v i <> 0.0 then incr nnz
+      done;
+      let vi = Array.make !nnz 0 and vv = Array.make !nnz 0.0 in
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        let x = Array.unsafe_get v i in
+        if x <> 0.0 then begin
+          Array.unsafe_set vi !k i;
+          Array.unsafe_set vv !k x;
+          incr k
+        end
+      done;
       let s = dot vi vv w in
       let denom = 1.0 +. s in
       if (not (Float.is_finite denom))

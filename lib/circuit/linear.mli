@@ -69,15 +69,22 @@ module Factor : sig
       @raise Invalid_argument on a non-square matrix. *)
   val factor : float array array -> t
 
-  (** [solve_factored t b] solves [A·x = b] through the stored
-      factorization and update chain, returning a fresh array; [b] is
-      left untouched.
+  (** [solve_into t b ~into] solves [A·x = b] through the stored
+      factorization and update chain, writing [x] into [into] and
+      allocating nothing; [b] is left untouched. This is the one solve
+      path: {!solve_factored} and {!rank1_update} go through it.
+      @raise Invalid_argument on shape mismatch, or when [into] is [b]. *)
+  val solve_into : t -> float array -> into:float array -> unit
+
+  (** [solve_factored t b] is {!solve_into} into a fresh array.
       @raise Invalid_argument on shape mismatch. *)
   val solve_factored : t -> float array -> float array
 
   (** [rank1_update t ~c ~u ~v] is a factorization of [A + c·u·vᵀ]
       obtained by the Sherman–Morrison identity — one solve through the
-      factors and a dot product over [v]'s nonzeros, no re-factorization. Returns [None] when the update denominator
+      factors and a dot product over [v]'s nonzeros, no
+      re-factorization. [u] and [v] are not retained, so a caller may
+      reuse them as scratch. Returns [None] when the update denominator
       [1 + c·vᵀA⁻¹u] is too close to zero (the updated matrix is near
       singular), in which case the caller must re-factor from scratch.
       The guard is a pure function of the numbers, never of timing.

@@ -80,6 +80,36 @@ let test_comparator_dft_removes_leak () =
     (Float.abs (get v "ivdd:sample:hi") < 1e-6);
   Alcotest.(check (float 0.0)) "still decides" 1.0 (get v "v:dec:p300")
 
+let test_comparator_engine_decisions_pinned () =
+  (* The reuse policy's decisions on the nominal comparator bench, as
+     the engine's counters total them: which iterations bypass the
+     factorization, take a rank-1 update or re-factor. Tables would hide
+     a changed decision that leaves every signature inside its window,
+     so the counts are pinned exactly; a change that moves one on
+     purpose must say so and re-pin them. *)
+  let macro = Adc.Comparator.macro Adc.Comparator.default_options in
+  let memory = Util.Telemetry.in_memory () in
+  Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
+      ignore (macro.Macro.Macro_cell.measure (macro.Macro.Macro_cell.build nominal));
+      Util.Telemetry.flush_local ());
+  let counters =
+    (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters
+  in
+  let counter name =
+    match List.assoc_opt name counters with Some n -> n | None -> 0
+  in
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check int) name expected (counter name))
+    [
+      "newton_iterations", 4065;
+      "engine.solves", 2404;
+      "engine.factorizations", 885;
+      "engine.rank1_solves", 855;
+      "engine.jacobian_bypass", 2325;
+      "engine.rank1_fallbacks", 0;
+    ]
+
 let track_rows cell =
   Array.to_list (Layout.Cell.shapes cell)
   |> List.filter_map (fun (s : Layout.Cell.shape) ->
@@ -294,6 +324,8 @@ let suites =
         Alcotest.test_case "phase currents" `Slow test_comparator_phase_currents;
         Alcotest.test_case "iddq negligible" `Slow test_comparator_iddq_negligible;
         Alcotest.test_case "dft removes leak" `Slow test_comparator_dft_removes_leak;
+        Alcotest.test_case "engine decisions pinned" `Quick
+          test_comparator_engine_decisions_pinned;
         Alcotest.test_case "dft separates bias tracks" `Quick
           test_comparator_dft_separates_bias_tracks;
         Alcotest.test_case "layout LVS" `Quick test_comparator_layout_lvs;

@@ -93,6 +93,39 @@ let test_factor_rank1_agrees () =
       (fun i xi -> check_float 1e-9 (Printf.sprintf "x%d" i) y.(i) xi)
       x
 
+let test_factor_solve_into () =
+  (* The in-place solve is the one solve path: through a factorization
+     with an update chain it writes exactly what [solve_factored]
+     returns, leaves [b] alone, and refuses a wrong shape or an [into]
+     that is [b] itself. *)
+  let a = [| [| 4.; 1.; 0. |]; [| 1.; 5.; 2. |]; [| 0.; 2.; 6. |] |] in
+  let f = Linear.Factor.factor a in
+  let f =
+    match
+      Linear.Factor.rank1_update f ~c:0.5 ~u:[| 1.; 0.; -1. |]
+        ~v:[| 0.; 2.; 1. |]
+    with
+    | Some f -> f
+    | None -> Alcotest.fail "guard fired on a well-conditioned update"
+  in
+  let b = [| 1.; -2.; 3. |] in
+  let into = Array.make 3 nan in
+  Linear.Factor.solve_into f b ~into;
+  let fresh = Linear.Factor.solve_factored f b in
+  Array.iteri
+    (fun i x ->
+      Alcotest.(check bool)
+        (Printf.sprintf "x%d bit-identical" i)
+        true (Float.equal fresh.(i) x))
+    into;
+  Alcotest.(check (array (float 0.0))) "b untouched" [| 1.; -2.; 3. |] b;
+  Alcotest.check_raises "short into"
+    (Invalid_argument "Linear.Factor.solve_into: shape mismatch") (fun () ->
+      Linear.Factor.solve_into f b ~into:(Array.make 2 0.0));
+  Alcotest.check_raises "into is b"
+    (Invalid_argument "Linear.Factor.solve_into: b and into alias") (fun () ->
+      Linear.Factor.solve_into f b ~into:b)
+
 let test_factor_rank1_fallback () =
   (* A = I, u = v = e0, c = -1 zeroes the (0,0) entry: the Sherman–
      Morrison denominator 1 + c·vᵀA⁻¹u is exactly 0, so the update must
@@ -1122,6 +1155,39 @@ let qcheck_props =
         match Linear.Factor.rank1_update f ~c:(-1.0) ~u:e0 ~v:e0 with
         | None -> true
         | Some _ -> false);
+    (let special =
+       [ 0.0; -0.0; infinity; neg_infinity; nan; Float.min_float;
+         -.Float.min_float; 5e-324; Float.max_float; 1e-12; -1e-12 ]
+     in
+     let value =
+       Gen.(
+         frequency
+           [
+             3, oneofl special;
+             4, map2 (fun m e -> m *. (10.0 ** float_of_int e))
+                  (float_range (-1.0) 1.0) (int_range (-15) 3);
+           ])
+     in
+     (* Half the pairs sit near the 10 % threshold, where a wrong
+        magnitude would flip the decision. *)
+     let pair_gen =
+       Gen.(
+         frequency
+           [
+             1, pair value value;
+             1, map2 (fun cur r -> cur, cur *. (1.0 +. r))
+                  value (float_range (-0.25) 0.25);
+           ])
+     in
+     Test.make ~name:"engine: reuse test agrees with the Float.max form"
+       ~count:20_000
+       (make ~print:Print.(pair float float) pair_gen)
+       (fun (cur, baked) ->
+         let reference =
+           Float.abs (cur -. baked)
+           > 1e-12 +. (0.1 *. Float.max (Float.abs cur) (Float.abs baked))
+         in
+         Bool.equal reference (Engine.linearization_moved ~cur ~baked)));
     Test.make ~name:"waveform: pwl stays within value envelope"
       (pair (list_of_size (Gen.int_range 1 8) (float_range (-5.) 5.)) (float_range (-1.) 10.))
       (fun (values, t) ->
@@ -1147,6 +1213,7 @@ let suites =
           test_factor_matches_fresh_solve;
         Alcotest.test_case "rank-1 agrees" `Quick test_factor_rank1_agrees;
         Alcotest.test_case "rank-1 fallback" `Quick test_factor_rank1_fallback;
+        Alcotest.test_case "solve into" `Quick test_factor_solve_into;
       ] );
     ( "circuit.waveform",
       [
