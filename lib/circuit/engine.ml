@@ -176,6 +176,61 @@ type stamp_mode =
   | Dc_mode
   | Transient_mode of { h : float; x_prev : float array }
 
+(* --- analysis counters --------------------------------------------------- *)
+
+(* The engine's telemetry counters, totalled in plain fields for the
+   length of one analysis and handed to {!Util.Telemetry} once when it
+   ends: a sink-attached [count] hashes its name, and the Newton loop
+   would otherwise pay that on every iteration. *)
+type counts = {
+  mutable solves : int;
+  mutable iterations : int;
+  mutable factorizations : int;
+  mutable bypasses : int;
+  mutable rank1_solves : int;
+  mutable rank1_fallbacks : int;
+  mutable fallbacks_gmin : int;
+  mutable fallbacks_source : int;
+  mutable no_convergence : int;
+}
+
+let zero_counts () =
+  {
+    solves = 0;
+    iterations = 0;
+    factorizations = 0;
+    bypasses = 0;
+    rank1_solves = 0;
+    rank1_fallbacks = 0;
+    fallbacks_gmin = 0;
+    fallbacks_source = 0;
+    no_convergence = 0;
+  }
+
+(* Runs one analysis on zeroed counts and adds them to telemetry however
+   the analysis ends — returned, out of convergence, past its deadline or
+   interrupted — within the same dynamic extent, so a
+   [Util.Telemetry.silenced] caller stays silent. A zero total is not
+   reported, as a counter never incremented was not. *)
+let counting f =
+  let c = zero_counts () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (name, by) -> if by > 0 then Util.Telemetry.count ~by name)
+        [
+          "engine.solves", c.solves;
+          "newton_iterations", c.iterations;
+          "engine.factorizations", c.factorizations;
+          "engine.jacobian_bypass", c.bypasses;
+          "engine.rank1_solves", c.rank1_solves;
+          "engine.rank1_fallbacks", c.rank1_fallbacks;
+          "engine.fallback_gmin", c.fallbacks_gmin;
+          "engine.fallback_source", c.fallbacks_source;
+          "engine.no_convergence", c.no_convergence;
+        ])
+    (fun () -> f c)
+
 (* --- the compiled plan and its factorization ---------------------------- *)
 
 (* Every analysis keeps one mutable solver state (the plan) for its whole
@@ -206,6 +261,7 @@ type stamp_mode =
 type rstate = {
   rn : int;
   rfull_newton : bool;         (* [Dense]: re-factor at every iteration *)
+  rcounts : counts;            (* the analysis's counters, see [counting] *)
   (* Jacobian pattern: every position a stamp can touch, compiled once.
      Matrices live as one value per slot; a slot index of -1 marks a
      stamp that touches ground. *)
@@ -254,7 +310,7 @@ type rstate = {
   pc_c : float array;
 }
 
-let make_rstate ~full_newton compiled =
+let make_rstate ~full_newton ~counts compiled =
   let n = compiled.n_unknowns in
   (* Every matrix position a stamp can touch, passed to [f] as row and
      column over the unknowns, -1 standing for ground. A linear device
@@ -344,6 +400,7 @@ let make_rstate ~full_newton compiled =
   {
     rn = n;
     rfull_newton = full_newton;
+    rcounts = counts;
     rpattern = pattern;
     rgmin_slots = Array.init compiled.n_nodes (fun i -> slot i i);
     rl_value =
@@ -406,8 +463,8 @@ let make_rstate ~full_newton compiled =
   }
 
 (* The plan for an analysis under the solver in effect. *)
-let make_state compiled =
-  make_rstate ~full_newton:(current_solver () = Dense) compiled
+let make_state ~counts compiled =
+  make_rstate ~full_newton:(current_solver () = Dense) ~counts compiled
 
 let[@inline] add_slot a s v =
   if s >= 0 then Array.unsafe_set a s (Array.unsafe_get a s +. v)
@@ -492,7 +549,7 @@ let refactor state =
     state.rfactor <- Some f;
     Array.blit state.rcur_gm 0 state.rref_gm 0 (Array.length state.rref_gm);
     Array.blit state.rcur_gds 0 state.rref_gds 0 (Array.length state.rref_gds);
-    Util.Telemetry.count "engine.factorizations";
+    state.rcounts.factorizations <- state.rcounts.factorizations + 1;
     true
 
 (* A device's linearization has "moved" when gm or gds differs from the
@@ -585,7 +642,7 @@ let ensure_factor state =
       end
     done;
     if !n_changed = 0 then begin
-      Util.Telemetry.count "engine.jacobian_bypass";
+      state.rcounts.bypasses <- state.rcounts.bypasses + 1;
       true
     end
     else if
@@ -601,10 +658,10 @@ let ensure_factor state =
             state.rref_gm.(k) <- state.rcur_gm.(k);
             state.rref_gds.(k) <- state.rcur_gds.(k))
           !changed;
-        Util.Telemetry.count "engine.rank1_solves";
+        state.rcounts.rank1_solves <- state.rcounts.rank1_solves + 1;
         true
       | None ->
-        Util.Telemetry.count "engine.rank1_fallbacks";
+        state.rcounts.rank1_fallbacks <- state.rcounts.rank1_fallbacks + 1;
         refactor state
     end
 
@@ -731,7 +788,9 @@ let newton ~state ~options ~mode ~alpha ~t compiled x0 =
             if is_voltage then options.vntol +. (options.reltol *. Float.abs applied)
             else options.abstol +. (options.reltol *. Float.abs applied)
           in
-          if Float.abs (applied -. xi) > tol then converged := false;
+          (* Written as "not within" so that a NaN step, for which
+             every comparison is false, never reads as converged. *)
+          if not (Float.abs (applied -. xi) <= tol) then converged := false;
           Array.unsafe_set x i applied
         done;
         if !converged then Some (x, options.max_iterations - remaining + 1)
@@ -756,16 +815,19 @@ let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
       spent := !spent + options.max_iterations;
       None
   in
-  (* Iteration counters are buffered per domain by Telemetry; their totals
-     are scheduling-independent because every solve counts the same spend
-     regardless of which worker ran it. *)
+  (* Counter totals are scheduling-independent because every solve
+     counts the same spend regardless of which worker ran it. *)
+  let c = state.rcounts in
+  let count_solve () =
+    c.solves <- c.solves + 1;
+    c.iterations <- c.iterations + !spent
+  in
   let finish x fallback =
-    Util.Telemetry.count "engine.solves";
-    Util.Telemetry.count ~by:!spent "newton_iterations";
+    count_solve ();
     (match fallback with
     | Plain_newton -> ()
-    | Gmin_stepping -> Util.Telemetry.count "engine.fallback_gmin"
-    | Source_stepping -> Util.Telemetry.count "engine.fallback_source");
+    | Gmin_stepping -> c.fallbacks_gmin <- c.fallbacks_gmin + 1
+    | Source_stepping -> c.fallbacks_source <- c.fallbacks_source + 1);
     x, { iterations = !spent; fallback }
   in
   match try_newton ~options ~alpha:1.0 x0 with
@@ -795,9 +857,8 @@ let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
       (match source_steps (Array.make compiled.n_unknowns 0.0) alphas with
       | Some x -> finish x Source_stepping
       | None ->
-        Util.Telemetry.count "engine.solves";
-        Util.Telemetry.count ~by:!spent "newton_iterations";
-        Util.Telemetry.count "engine.no_convergence";
+        count_solve ();
+        c.no_convergence <- c.no_convergence + 1;
         raise (No_convergence (what ()))))
 
 let solve_point ~state ~options ~mode ~t compiled x0 ~what =
@@ -953,8 +1014,9 @@ let fingerprint ~(options : options) devices =
 let sn_derive ~options stripped =
   Util.Telemetry.silenced @@ fun () ->
   Util.Watchdog.unmetered @@ fun () ->
+  counting @@ fun counts ->
   let compiled = compile stripped in
-  let state = make_rstate ~full_newton:false compiled in
+  let state = make_rstate ~full_newton:false ~counts compiled in
   match
     solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled
       (Array.make compiled.n_unknowns 0.0)
@@ -1031,7 +1093,8 @@ let make_solution compiled ~t x =
 let dc_operating_point_diag ?options netlist =
   let options = resolve_options options in
   let compiled = compile netlist in
-  let state = make_state compiled in
+  counting @@ fun counts ->
+  let state = make_state ~counts compiled in
   let x0 =
     match try_shared_seed ~netlist ~options compiled with
     | Some warm -> warm
@@ -1054,7 +1117,7 @@ let dense_jacobian ?options netlist ~x =
   let compiled = compile netlist in
   if Array.length x <> compiled.n_unknowns then
     invalid_arg "Engine.dense_jacobian: x has the wrong length";
-  let state = make_rstate ~full_newton:true compiled in
+  let state = make_rstate ~full_newton:true ~counts:(zero_counts ()) compiled in
   ensure_const state ~gmin:options.gmin ~h:0.0;
   eval_mosfets state x;
   assemble state;
@@ -1064,11 +1127,12 @@ let transient ?options netlist ~stop ~step =
   if step <= 0. || stop < step then invalid_arg "Engine.transient: bad time grid";
   let options = resolve_options options in
   let compiled = compile netlist in
+  counting @@ fun counts ->
   (* One plan for the whole transient: under the reuse policy the
      factorization built at the first step is reused (or cheaply updated)
      across every subsequent step and sub-step — the dominant win on long
      ramps where the circuit sits quiescent between clock edges. *)
-  let state = make_state compiled in
+  let state = make_state ~counts compiled in
   let solve ~mode ~t x ~what =
     solve_point ~state ~options ~mode ~t compiled x ~what
   in
@@ -1130,11 +1194,12 @@ let dc_sweep ?options netlist ~source ~values =
   | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Isource _
   | Netlist.Mosfet _ ->
     invalid_arg "Engine.dc_sweep: named device is not a voltage source");
+  counting @@ fun counts ->
   let solve_at value seed =
     Netlist.remove_device netlist source;
     Netlist.add_vsource netlist ~name:source ~pos ~neg (Waveform.dc value);
     let compiled = compile netlist in
-    let state = make_state compiled in
+    let state = make_state ~counts compiled in
     let x =
       solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled seed
         ~what:(fun () -> Printf.sprintf "dc sweep %s=%g" source value)
@@ -1192,9 +1257,10 @@ let ac_sweep ?options netlist ~source ~frequencies =
       (Printf.sprintf "Engine.ac_sweep: %S is not a voltage source" source);
   (* Operating point for the linearization. *)
   let x0 = Array.make compiled.n_unknowns 0.0 in
-  let state = make_state compiled in
   let op =
-    solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
+    counting @@ fun counts ->
+    solve_point ~state:(make_state ~counts compiled) ~options ~mode:Dc_mode
+      ~t:0.0 compiled x0
       ~what:(fun () -> "ac operating point")
   in
   let n = compiled.n_unknowns in

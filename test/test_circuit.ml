@@ -279,6 +279,23 @@ let test_dc_voltage_divider () =
   (* Source delivers V/(R1+R2) into the circuit. *)
   check_float 1e-9 "supply current" (10.0 /. 4000.0) (Engine.source_current sol "V1")
 
+let test_dc_nan_source_refused () =
+  (* A NaN source makes every Newton step NaN. No comparison holds for
+     NaN, so a step test written as "moved more than tol" would read it
+     as converged; the solve must walk the fallbacks and give up. *)
+  let nl = Netlist.create () in
+  let vin = Netlist.node nl "in" in
+  let mid = Netlist.node nl "mid" in
+  Netlist.add_vsource nl ~name:"V1" ~pos:vin ~neg:Netlist.ground
+    (Waveform.dc Float.nan);
+  Netlist.add_resistor nl ~name:"R1" vin mid 1_000.0;
+  Netlist.add_resistor nl ~name:"R2" mid Netlist.ground 3_000.0;
+  match Engine.dc_operating_point nl with
+  | sol ->
+    Alcotest.failf "accepted v(mid) = %g as converged"
+      (Engine.voltage sol mid)
+  | exception Engine.No_convergence _ -> ()
+
 let test_dc_diagnostics () =
   let nl = Netlist.create () in
   let vin = Netlist.node nl "in" in
@@ -568,6 +585,33 @@ let test_with_solver_scoped () =
   Alcotest.(check bool) "restored" true
     (Engine.current_solver () = Engine.default_solver)
 
+(* An inverter driven by one input pulse, loaded by 50 fF. *)
+let pulsed_inverter () =
+  let nl = Netlist.create () in
+  let vdd = Netlist.node nl "vdd" in
+  let vin = Netlist.node nl "in" in
+  let out = Netlist.node nl "out" in
+  Netlist.add_vsource nl ~name:"VDD" ~pos:vdd ~neg:Netlist.ground
+    (Waveform.dc 5.0);
+  Netlist.add_vsource nl ~name:"VIN" ~pos:vin ~neg:Netlist.ground
+    (Waveform.pulse ~v0:0.0 ~v1:5.0 ~delay:10e-9 ~rise:1e-9 ~fall:1e-9
+       ~width:30e-9 ~period:100e-9);
+  Netlist.add_mosfet nl ~name:"MN" ~drain:out ~gate:vin
+    ~source:Netlist.ground ~bulk:Netlist.ground nmos_spec;
+  Netlist.add_mosfet nl ~name:"MP" ~drain:out ~gate:vin ~source:vdd
+    ~bulk:vdd pmos_spec;
+  Netlist.add_capacitor nl ~name:"CL" out Netlist.ground 50e-15;
+  nl, out
+
+(* Every counter [f] leaves in an in-memory sink, sorted by name. *)
+let counters_of f =
+  let memory = Util.Telemetry.in_memory () in
+  let result =
+    Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) @@ fun () ->
+    Fun.protect ~finally:Util.Telemetry.flush_local f
+  in
+  result, (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters
+
 let test_solver_backends_agree () =
   (* The inverter transient under both policies: node voltages must
      agree to far tighter than any signature-classification threshold.
@@ -576,31 +620,11 @@ let test_solver_backends_agree () =
      Dense re-factors every iteration with no bypass and no rank-1
      update — otherwise the comparison proves nothing. *)
   let run solver =
-    let nl = Netlist.create () in
-    let vdd = Netlist.node nl "vdd" in
-    let vin = Netlist.node nl "in" in
-    let out = Netlist.node nl "out" in
-    Netlist.add_vsource nl ~name:"VDD" ~pos:vdd ~neg:Netlist.ground
-      (Waveform.dc 5.0);
-    Netlist.add_vsource nl ~name:"VIN" ~pos:vin ~neg:Netlist.ground
-      (Waveform.pulse ~v0:0.0 ~v1:5.0 ~delay:10e-9 ~rise:1e-9 ~fall:1e-9
-         ~width:30e-9 ~period:100e-9);
-    Netlist.add_mosfet nl ~name:"MN" ~drain:out ~gate:vin
-      ~source:Netlist.ground ~bulk:Netlist.ground nmos_spec;
-    Netlist.add_mosfet nl ~name:"MP" ~drain:out ~gate:vin ~source:vdd
-      ~bulk:vdd pmos_spec;
-    Netlist.add_capacitor nl ~name:"CL" out Netlist.ground 50e-15;
-    let memory = Util.Telemetry.in_memory () in
-    let sols =
-      Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory)
-      @@ fun () ->
-      Engine.with_solver solver (fun () ->
-          let sols = Engine.transient nl ~stop:50e-9 ~step:0.5e-9 in
-          Util.Telemetry.flush_local ();
-          sols)
-    in
-    let counters =
-      (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters
+    let nl, out = pulsed_inverter () in
+    let sols, counters =
+      counters_of (fun () ->
+          Engine.with_solver solver (fun () ->
+              Engine.transient nl ~stop:50e-9 ~step:0.5e-9))
     in
     let counter name =
       match List.assoc_opt name counters with Some n -> n | None -> 0
@@ -635,6 +659,35 @@ let test_solver_backends_agree () =
         true
         (counter "engine.jacobian_bypass" + counter "engine.rank1_solves" > 0))
     [ Engine.Auto ]
+
+let test_counts_at_deadline () =
+  (* The engine totals its counters per analysis; an iteration cap that
+     expires mid-transient must still report every iteration, solve and
+     factorization done before the expiry, exactly as counting each one
+     as it happened did. *)
+  let nl, _ = pulsed_inverter () in
+  let outcome, counters =
+    counters_of (fun () ->
+        match
+          Util.Watchdog.with_limits
+            (Util.Watchdog.limits ~max_iterations:120 ())
+            (fun () -> Engine.transient nl ~stop:50e-9 ~step:0.5e-9)
+        with
+        | _ -> "completed"
+        | exception Util.Watchdog.Deadline_exceeded _ -> "expired")
+  in
+  Alcotest.(check string) "the cap expires mid-transient" "expired" outcome;
+  Alcotest.(check (list (pair string int)))
+    "counters at the expiry"
+    [
+      "engine.factorizations", 7;
+      "engine.jacobian_bypass", 84;
+      "engine.rank1_solves", 29;
+      "engine.solves", 83;
+      "newton_iterations", 116;
+      "watchdog.deadline_exceeded", 1;
+    ]
+    counters
 
 let test_dense_jacobian_hand_stamp () =
   (* One NMOS with every terminal off ground, at a fixed guess: the
@@ -1235,6 +1288,7 @@ let suites =
     ( "circuit.engine.dc",
       [
         Alcotest.test_case "voltage divider" `Quick test_dc_voltage_divider;
+        Alcotest.test_case "NaN source refused" `Quick test_dc_nan_source_refused;
         Alcotest.test_case "diagnostics" `Quick test_dc_diagnostics;
         Alcotest.test_case "escalation ladder" `Quick test_escalation_ladder;
         Alcotest.test_case "options override scoped" `Quick test_options_override_scoped;
@@ -1259,6 +1313,8 @@ let suites =
         Alcotest.test_case "names round-trip" `Quick test_solver_names_roundtrip;
         Alcotest.test_case "with_solver scoped" `Quick test_with_solver_scoped;
         Alcotest.test_case "backends agree" `Quick test_solver_backends_agree;
+        Alcotest.test_case "counters at a deadline" `Quick
+          test_counts_at_deadline;
         Alcotest.test_case "jacobian is the hand stamp" `Quick
           test_dense_jacobian_hand_stamp;
       ] );
