@@ -15,6 +15,7 @@ module Config = struct
     deadline : Util.Watchdog.limits option;
     checkpoint : Checkpoint.t option;
     solver : Circuit.Engine.solver;
+    memo : Macro.Evaluate.Memo.t option;
   }
 
   let default =
@@ -34,6 +35,7 @@ module Config = struct
       deadline = None;
       checkpoint = None;
       solver = Circuit.Engine.default_solver;
+      memo = None;
     }
 
   let with_tech tech config = { config with tech }
@@ -52,6 +54,7 @@ module Config = struct
   let with_deadline deadline config = { config with deadline }
   let with_checkpoint checkpoint config = { config with checkpoint }
   let with_solver solver config = { config with solver }
+  let with_memo memo config = { config with memo }
 end
 
 open Config
@@ -321,6 +324,24 @@ let analyze config (macro : Macro.Macro_cell.t) =
               ~tech:config.tech macro good_prng))
   in
   let inject = injection_of config in
+  (* Remembered classes are only valid where a class's result depends on
+     nothing but the macro, its fault, the solver and the retry bound:
+     injection depends on the class index, and a wall-clock deadline on
+     the machine, so such runs neither read nor write the memo. *)
+  let memo =
+    match config.inject_failures, config.deadline with
+    | None, None -> config.memo
+    | Some _, _ | _, Some _ -> None
+  in
+  (* Both evaluate stages classify against one golden vector, measured
+     on the same nominal netlist as the good space and the faulty
+     circuits, under the run's solver. It is measured on first use, so
+     its cost falls inside the first evaluate stage. *)
+  let golden =
+    lazy
+      (Macro.Evaluate.golden ?memo ~solver:config.solver ~macro
+         nominal_netlist)
+  in
   (* Checkpointing stores partials through the result cache, so it is
      inert without one (the CLI warns; a library caller reads the
      survival stats). *)
@@ -344,7 +365,8 @@ let analyze config (macro : Macro.Macro_cell.t) =
     in
     Macro.Evaluate.run ~retries:config.max_retries ?inject
       ?deadline:config.deadline ?resume ?on_outcome ~strict:config.strict
-      ~solver:config.solver ~macro ~good classes
+      ~solver:config.solver ?memo ~macro ~nominal:nominal_netlist
+      ~golden:(Lazy.force golden) ~good classes
   in
   (* The flush finalizer is what makes an interrupt lose at most the
      in-flight classes: the pool drains them, the exception unwinds

@@ -65,6 +65,13 @@ module Config : sig
             policies must produce identical tables; [Dense] (full Newton)
             is the reference for bisecting solver regressions. Part of
             the cache key. *)
+    memo : Macro.Evaluate.Memo.t option;
+        (** fault-class results kept across analyses by a long-lived
+            caller (default [None]; [Core.Service] keeps one per macro
+            set). Remembered classes are re-classified against this
+            analysis's golden vector and good space, so tables are
+            unchanged; a run with [inject_failures] or a [deadline]
+            neither reads nor writes it. Not part of the cache key. *)
   }
 
   val default : t
@@ -93,6 +100,7 @@ module Config : sig
   val with_checkpoint : Checkpoint.t option -> t -> t
 
   val with_solver : Circuit.Engine.solver -> t -> t
+  val with_memo : Macro.Evaluate.Memo.t option -> t -> t
 end
 
 (** Containment counters for one macro, plus stage wall-clock times.

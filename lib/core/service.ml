@@ -37,18 +37,22 @@ type t = {
   changed : Condition.t;  (* flight completion, drain entry *)
   flights : (string, flight) Hashtbl.t;  (* keyed by Request.fingerprint *)
   exec : Mutex.t;  (* the single execution lane *)
-  comparator : bool -> Macro.Macro_cell.t;  (* by [dft]; lane only *)
-  global_set : bool -> Macro.Macro_cell.t list;  (* by [dft]; lane only *)
+  (* By [dft], each with its class memo; lane only. *)
+  comparator : bool -> Macro.Macro_cell.t * Macro.Evaluate.Memo.t;
+  global_set : bool -> Macro.Macro_cell.t list * Macro.Evaluate.Memo.t;
   mutable draining_ : bool;
   mutable s : stats;
 }
 
 (* Each DfT variant is built on first use and kept for the service's
    lifetime, with the layouts its macros synthesize and the cell
-   fingerprints memoized on them: a warm hit then rebuilds neither.
-   Only the execution lane forces these. *)
+   fingerprints memoized on them: a warm hit then rebuilds neither. Its
+   class memo lives as long, so a miss re-simulates only the fault
+   classes no earlier request met. Only the execution lane forces
+   these. *)
 let by_dft build =
-  let plain = lazy (build false) and dft = lazy (build true) in
+  let kept d = lazy (build d, Macro.Evaluate.Memo.create ()) in
+  let plain = kept false and dft = kept true in
   fun d -> Lazy.force (if d then dft else plain)
 
 let create ?cache ?jobs ?(telemetry = Util.Telemetry.null) ?failure_budget
@@ -126,12 +130,15 @@ let config_of t (r : Request.t) =
    run survival, metrics — is deliberately not a table; its serve-side
    analogues are the reply counters and telemetry. *)
 let tables_of t config (r : Request.t) =
+  let with_memo memo = Pipeline.Config.with_memo (Some memo) config in
   let tables =
     match r.target with
     | Request.Comparator { dft } ->
-      Report.macro_tables (Pipeline.analyze config (t.comparator dft))
+      let macro, memo = t.comparator dft in
+      Report.macro_tables (Pipeline.analyze (with_memo memo) macro)
     | Request.Global { dft } ->
-      Report.global_tables ~dft (Pipeline.analyze_all config (t.global_set dft))
+      let macros, memo = t.global_set dft in
+      Report.global_tables ~dft (Pipeline.analyze_all (with_memo memo) macros)
   in
   List.map
     (fun (title, table) ->

@@ -42,6 +42,14 @@
     rebuilds each macro's nominal netlist for the key and decodes the
     cached payload.
 
+    Beside each macro set the service keeps a {!Macro.Evaluate.Memo}
+    of the fault classes its requests have simulated, so a miss
+    re-simulates only the classes no earlier request met and
+    re-classifies the rest against its own good space. Replies are
+    unchanged by it; requests with [inject_failures] or a deadline
+    bypass it. The [classes_reused] telemetry counter counts what it
+    served.
+
     {2 Shutdown}
 
     {!initiate_shutdown} (the CLI routes the first SIGTERM/SIGINT here)

@@ -3,6 +3,9 @@ type status =
   | Recovered of { attempts : int }
   | Unresolved of { attempts : int; error : string }
 
+(* Defined before [outcome], whose [status] label stays the default. *)
+type measured = { vector : Macro_cell.vector; status : status }
+
 type outcome = {
   fault_class : Fault.Collapse.fault_class;
   signature : Signature.t;
@@ -54,9 +57,9 @@ let gross_signature =
   { Signature.voltage = Signature.Output_stuck_at;
     currents = Signature.all_current }
 
-let evaluate_class ?(retries = default_retries) ?inject
+let simulate ?(retries = default_retries) ?inject
     ?(deadline = Util.Watchdog.no_limits) ?(index = 0)
-    ~(macro : Macro_cell.t) ~nominal ~good ~golden fc =
+    ~(macro : Macro_cell.t) ~nominal fc =
   let faulty_netlist =
     Fault.Inject.inject_instance nominal fc.Fault.Collapse.representative
   in
@@ -94,8 +97,6 @@ let evaluate_class ?(retries = default_retries) ?inject
     Util.Resilience.run ~classify ~attempts:(1 + max 0 retries) measure
   with
   | Util.Resilience.Resolved { value = vector; attempts } ->
-    let voltage = macro.Macro_cell.classify_voltage ~golden ~faulty:vector in
-    let currents = Good_space.deviating_currents good vector in
     let status =
       if attempts = 1 then Converged
       else begin
@@ -105,7 +106,7 @@ let evaluate_class ?(retries = default_retries) ?inject
         Recovered { attempts }
       end
     in
-    { fault_class = fc; signature = { Signature.voltage; currents }; status }
+    { vector; status }
   | Util.Resilience.Exhausted { error; attempts } ->
     let what =
       match error with
@@ -117,31 +118,122 @@ let evaluate_class ?(retries = default_retries) ?inject
         m "fault %a: unresolved after %d attempts (%s)"
           Fault.Types.pp_fault fc.representative.Fault.Types.fault attempts
           what);
-    {
-      fault_class = fc;
-      signature = gross_signature;
-      status = Unresolved { attempts; error = what };
-    }
+    { vector = []; status = Unresolved { attempts; error = what } }
 
-let run ?jobs ?retries ?inject ?deadline ?resume ?on_outcome
-    ?(strict = false) ?solver ~(macro : Macro_cell.t) ~good classes =
+let classify ~(macro : Macro_cell.t) ~good ~golden fc { vector; status } =
+  let signature =
+    match status with
+    | Unresolved _ -> gross_signature
+    | Converged | Recovered _ ->
+      {
+        Signature.voltage =
+          macro.Macro_cell.classify_voltage ~golden ~faulty:vector;
+        currents = Good_space.deviating_currents good vector;
+      }
+  in
+  { fault_class = fc; signature; status }
+
+let evaluate_class ?retries ?inject ?deadline ?index ~macro ~nominal ~good
+    ~golden fc =
+  classify ~macro ~good ~golden fc
+    (simulate ?retries ?inject ?deadline ?index ~macro ~nominal fc)
+
+module Memo = struct
+  type key = {
+    fault : Fault.Types.fault;
+    solver : Circuit.Engine.solver;
+    retries : int;
+  }
+
+  (* One macro's remembered results. [order] lists the class keys
+     oldest first, so the oldest is the one evicted. *)
+  type slot = {
+    macro : Macro_cell.t;
+    mutable goldens : (Circuit.Engine.solver * Macro_cell.vector) list;
+    classes : (key, measured) Hashtbl.t;
+    order : key Queue.t;
+  }
+
+  type t = { lock : Mutex.t; capacity : int; mutable slots : slot list }
+
+  let default_capacity = 4096
+
+  let create ?(capacity = default_capacity) () =
+    { lock = Mutex.create (); capacity = max 1 capacity; slots = [] }
+
+  let size t =
+    Mutex.protect t.lock (fun () ->
+        List.fold_left (fun acc s -> acc + Hashtbl.length s.classes) 0 t.slots)
+
+  (* Macros are told apart by identity: a macro value carries closures,
+     and two builds of one macro are two entries. Call under the lock. *)
+  let slot t macro =
+    match List.find_opt (fun s -> s.macro == macro) t.slots with
+    | Some s -> s
+    | None ->
+      let s =
+        { macro; goldens = []; classes = Hashtbl.create 64; order = Queue.create () }
+      in
+      t.slots <- s :: t.slots;
+      s
+
+  let find t ~macro key =
+    Mutex.protect t.lock (fun () -> Hashtbl.find_opt (slot t macro).classes key)
+
+  let add t ~macro key m =
+    Mutex.protect t.lock @@ fun () ->
+    let s = slot t macro in
+    if not (Hashtbl.mem s.classes key) then begin
+      if Hashtbl.length s.classes >= t.capacity then
+        Hashtbl.remove s.classes (Queue.pop s.order);
+      Hashtbl.add s.classes key m;
+      Queue.push key s.order
+    end
+
+  (* The golden is measured outside the lock: other macros' analyses
+     may be reading their own slots meanwhile. *)
+  let golden t ~macro ~solver measure =
+    match
+      Mutex.protect t.lock (fun () -> List.assoc_opt solver (slot t macro).goldens)
+    with
+    | Some g -> g
+    | None ->
+      let g = measure () in
+      Mutex.protect t.lock (fun () ->
+          let s = slot t macro in
+          if not (List.mem_assoc solver s.goldens) then
+            s.goldens <- (solver, g) :: s.goldens);
+      g
+end
+
+let resolve_solver = function
+  | Some s -> s
+  | None -> Circuit.Engine.current_solver ()
+
+let golden ?memo ?solver ~(macro : Macro_cell.t) nominal =
+  let solver = resolve_solver solver in
+  let measure () =
+    Circuit.Engine.with_solver solver (fun () -> macro.Macro_cell.measure nominal)
+  in
+  match memo with
+  | None -> measure ()
+  | Some memo -> Memo.golden memo ~macro ~solver measure
+
+let run ?jobs ?(retries = default_retries) ?inject ?deadline ?resume
+    ?on_outcome ?(strict = false) ?solver ?memo ~(macro : Macro_cell.t)
+    ~nominal ~golden ~good classes =
+  if Option.is_some memo && (Option.is_some inject || Option.is_some deadline)
+  then
+    invalid_arg
+      "Evaluate.run: a memo cannot serve a run with injection or a deadline";
   (* Solver choice must survive the hop into pool worker domains:
      domain-local overrides installed by the caller do not propagate, so
      the effective solver is resolved here and re-installed explicitly
      inside every worker task. *)
-  let solver =
-    match solver with
-    | Some s -> s
-    | None -> Circuit.Engine.current_solver ()
-  in
-  (* The nominal netlist is built once and shared by every class: injection
-     copies it before mutating, so parallel workers only ever read it. *)
-  let nominal =
-    macro.Macro_cell.build (Process.Variation.nominal Process.Tech.cmos1um)
-  in
-  let golden =
-    Circuit.Engine.with_solver solver (fun () ->
-        macro.Macro_cell.measure nominal)
+  let solver = resolve_solver solver in
+  let key fc =
+    { Memo.fault = fc.Fault.Collapse.representative.Fault.Types.fault; solver;
+      retries }
   in
   (* Cross-class nominal warm start: the context taught to recognize
      injected devices is created once here; each worker domain derives
@@ -152,6 +244,17 @@ let run ?jobs ?retries ?inject ?deadline ?resume ?on_outcome
      their own escalated options. *)
   let shared =
     Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device ()
+  in
+  (* New results enter the memo after the merge, in class order, so what
+     it holds (and evicts) never depends on the job count. *)
+  let remember evaluated =
+    Option.iter
+      (fun memo ->
+        List.iter2
+          (fun fc (_, fresh) -> Option.iter (Memo.add memo ~macro (key fc)) fresh)
+          classes evaluated)
+      memo;
+    List.map fst evaluated
   in
   Util.Pool.parallel_mapi ?jobs
     (fun index fc ->
@@ -177,21 +280,36 @@ let run ?jobs ?retries ?inject ?deadline ?resume ?on_outcome
           | Some (o : outcome) when o.fault_class = fc -> Some o
           | Some _ | None -> None)
       in
-      let outcome =
+      let outcome, fresh =
         match restored with
         | Some o ->
           Util.Telemetry.count "classes_restored";
           Util.Telemetry.add_span_attrs
             [ "restored", Util.Telemetry.Bool true ];
-          o
+          o, None
         | None ->
-          let o =
-            evaluate_class ?retries ?inject ?deadline ~index ~macro ~nominal
-              ~good ~golden fc
+          (* A remembered class is classified by the same code as a
+             freshly simulated one, against this run's golden and
+             good space. *)
+          let m, fresh =
+            match Option.bind memo (fun t -> Memo.find t ~macro (key fc)) with
+            | Some m ->
+              Util.Telemetry.count "classes_reused";
+              Util.Telemetry.add_span_attrs
+                [ "reused", Util.Telemetry.Bool true ];
+              m, None
+            | None ->
+              let m =
+                simulate ~retries ?inject ?deadline ~index ~macro ~nominal fc
+              in
+              Util.Telemetry.count "classes_simulated";
+              (* Kept for the memo only: without one, a vector is
+                 dropped as soon as it is classified. *)
+              m, if Option.is_some memo then Some m else None
           in
-          Util.Telemetry.count "classes_simulated";
+          let o = classify ~macro ~good ~golden fc m in
           Option.iter (fun record -> record index o) on_outcome;
-          o
+          o, fresh
       in
       (* Resolution status and escalation depth are attached to the span,
          so a trace answers "which classes needed the ladder" directly. *)
@@ -220,8 +338,9 @@ let run ?jobs ?retries ?inject ?deadline ?resume ?on_outcome
       | Unresolved { attempts; error } when strict ->
         raise (Simulation_failed { index; attempts; error })
       | Unresolved _ | Converged | Recovered _ -> ());
-      outcome)
+      outcome, fresh)
     classes
+  |> remember
 
 let total_weight outcomes =
   float_of_int

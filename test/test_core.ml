@@ -39,6 +39,30 @@ let test_pipeline_deterministic () =
   in
   Alcotest.(check (float 1e-12)) "same coverage" (coverage a) (coverage b)
 
+let test_pipeline_evaluates_at_config_tech () =
+  (* The faulty circuits must be simulated at the process point whose
+     good space judges them. Simulated at the library's 5.0 V while the
+     windows were compiled at 4.5 V, every bias-generator class would
+     sit outside some current window, whatever its fault. *)
+  let tech = { Process.Tech.cmos1um with Process.Tech.vdd = 4.5 } in
+  let config =
+    Core.Pipeline.Config.(
+      default |> with_tech tech |> with_defects 1_000 |> with_good_space_dies 8)
+  in
+  let a = Core.Pipeline.analyze config (Adc.Bias_gen.macro ()) in
+  let outcomes =
+    a.Core.Pipeline.outcomes_catastrophic
+    @ a.Core.Pipeline.outcomes_non_catastrophic
+  in
+  let quiet =
+    List.filter
+      (fun (o : Macro.Evaluate.outcome) ->
+        o.Macro.Evaluate.signature.Macro.Signature.currents = [])
+      outcomes
+  in
+  Alcotest.(check bool) "classes simulated" true (outcomes <> []);
+  Alcotest.(check bool) "some class deviates in no current" true (quiet <> [])
+
 let test_pipeline_jobs_invariant () =
   (* The hard determinism requirement of the parallel layer: the analysis
      must be bit-identical whatever the worker-domain count. *)
@@ -960,6 +984,8 @@ let suites =
         Alcotest.test_case "produces outcomes" `Slow test_pipeline_produces_outcomes;
         Alcotest.test_case "deterministic" `Slow test_pipeline_deterministic;
         Alcotest.test_case "jobs invariant" `Slow test_pipeline_jobs_invariant;
+        Alcotest.test_case "evaluates at the config's tech" `Slow
+          test_pipeline_evaluates_at_config_tech;
         Alcotest.test_case "seed sensitivity" `Slow test_pipeline_seed_changes_results;
         Alcotest.test_case "paper shape holds" `Slow test_pipeline_comparator_shape;
       ] );

@@ -203,11 +203,20 @@ let injected_classes =
            { net_a = "mid"; net_b = "0"; resistance = 1e7; capacitance = None;
              origin = Fault.Types.Short }))
 
+(* [Evaluate.run] against the toy macro's nominal netlist and golden
+   vector, as the pipeline hands them over. *)
+let run_toy ?jobs ?retries ?inject ?strict ~(macro : Macro.Macro_cell.t) ~good
+    classes =
+  let nominal = toy_build (Process.Variation.nominal tech) in
+  Macro.Evaluate.run ?jobs ?retries ?inject ?strict ~macro ~nominal
+    ~golden:(Macro.Evaluate.golden ~macro nominal)
+    ~good classes
+
 let test_evaluate_injection_exercises_both_paths () =
   let macro = toy_macro () in
   let good = compile_good () in
   let inject = { Macro.Evaluate.seed = 42; fraction = 1.0 } in
-  let outcomes = Macro.Evaluate.run ~inject ~macro ~good injected_classes in
+  let outcomes = run_toy ~inject ~macro ~good injected_classes in
   let recovered, unresolved =
     List.fold_left
       (fun (r, u) (o : Macro.Evaluate.outcome) ->
@@ -231,7 +240,7 @@ let test_evaluate_injection_jobs_invariant () =
   let statuses jobs =
     List.map
       (fun (o : Macro.Evaluate.outcome) -> o.status)
-      (Macro.Evaluate.run ~jobs ~inject ~macro ~good injected_classes)
+      (run_toy ~jobs ~inject ~macro ~good injected_classes)
   in
   Alcotest.(check bool) "same statuses at jobs 1 and 4" true
     (statuses 1 = statuses 4)
@@ -241,7 +250,7 @@ let test_evaluate_no_retries_means_one_attempt () =
   let good = compile_good () in
   let inject = { Macro.Evaluate.seed = 42; fraction = 1.0 } in
   let outcomes =
-    Macro.Evaluate.run ~retries:0 ~inject ~macro ~good injected_classes
+    run_toy ~retries:0 ~inject ~macro ~good injected_classes
   in
   List.iter
     (fun (o : Macro.Evaluate.outcome) ->
@@ -257,7 +266,7 @@ let test_evaluate_strict_fails_fast_with_index () =
   let good = compile_good () in
   let inject = { Macro.Evaluate.seed = 42; fraction = 1.0 } in
   (* The reference (contained) run tells us the lowest unresolved index. *)
-  let outcomes = Macro.Evaluate.run ~inject ~macro ~good injected_classes in
+  let outcomes = run_toy ~inject ~macro ~good injected_classes in
   let first_unresolved =
     let rec scan i = function
       | [] -> Alcotest.fail "no unresolved class in reference run"
@@ -267,7 +276,7 @@ let test_evaluate_strict_fails_fast_with_index () =
     scan 0 outcomes
   in
   let check_strict jobs =
-    match Macro.Evaluate.run ~jobs ~strict:true ~inject ~macro ~good
+    match run_toy ~jobs ~strict:true ~inject ~macro ~good
             injected_classes
     with
     | _ -> Alcotest.fail "strict run must raise"
@@ -318,7 +327,7 @@ let test_voltage_table_sums_to_one () =
              origin = Fault.Types.Short });
     ]
   in
-  let outcomes = Macro.Evaluate.run ~macro ~good classes in
+  let outcomes = run_toy ~macro ~good classes in
   let table = Macro.Evaluate.voltage_table outcomes in
   let sum = List.fold_left (fun acc (_, share) -> acc +. share) 0.0 table in
   Alcotest.(check (float 1e-9)) "sums to 1" 1.0 sum;

@@ -473,6 +473,155 @@ let test_service_keeps_targets_apart () =
     "cache keys unchanged" small_request_keys
     (List.sort compare (Array.to_list (Sys.readdir cache_dir)))
 
+(* ------------------------------------------------------------------ *)
+(* The class memo                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let memo_request =
+  Request.(default |> with_defects 500 |> with_good_space_dies 6 |> with_seed 11)
+
+(* A service whose telemetry is kept in memory, and a submit that
+   returns a reply with the counters its request added. *)
+let observed_service () =
+  let memory = Util.Telemetry.in_memory () in
+  let service =
+    Service.create ~telemetry:(Util.Telemetry.memory_sink memory) ()
+  in
+  let counters () =
+    (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters
+  in
+  let submit r =
+    let before = counters () in
+    match Service.submit service r with
+    | Error e -> Alcotest.fail e.Request.message
+    | Ok reply ->
+      let after = counters () in
+      let delta name =
+        let get cs = Option.value ~default:0 (List.assoc_opt name cs) in
+        get after - get before
+      in
+      reply, delta
+  in
+  submit
+
+let fresh_reply r = fst (observed_service () r)
+
+let test_memo_reuses_across_seeds () =
+  (* A later seed meets many of an earlier seed's fault classes; the
+     service serves those from its memo and replies with the bytes a
+     fresh service would, having done less Newton work. *)
+  let submit = observed_service () in
+  let b = Request.with_seed 12 memo_request in
+  let _ = submit memo_request in
+  let reply, delta = submit b in
+  let fresh, fresh_delta = observed_service () b in
+  check_tables "seed B after seed A" fresh.Request.tables reply;
+  check_tables "seed B against the CLI" (expected_tables b) reply;
+  Alcotest.(check bool) "classes reused" true (delta "classes_reused" > 0);
+  Alcotest.(check int) "fresh service reuses nothing" 0
+    (fresh_delta "classes_reused");
+  Alcotest.(check int) "every class served"
+    (fresh_delta "classes_simulated")
+    (delta "classes_simulated" + delta "classes_reused");
+  Alcotest.(check bool) "fewer Newton iterations" true
+    (delta "newton_iterations" < fresh_delta "newton_iterations")
+
+let test_memo_keyed_apart () =
+  (* Solver, retry bound and DfT variant each select different results
+     (or different macros), so none may reuse another's classes. Dense
+     and auto print the same tables, so only the counter can tell. *)
+  let submit = observed_service () in
+  let _ = submit memo_request in
+  List.iter
+    (fun (what, r) ->
+      let reply, delta = submit r in
+      check_tables what (expected_tables r) reply;
+      Alcotest.(check int) (what ^ ": classes reused") 0
+        (delta "classes_reused"))
+    Request.
+      [
+        "dense", with_solver Circuit.Engine.Dense memo_request;
+        "max_retries 2", with_max_retries 2 memo_request;
+        "dft", with_target (Global { dft = true }) memo_request;
+      ];
+  let _, again = submit memo_request in
+  Alcotest.(check int) "the plain request is served whole"
+    (again "classes_reused")
+    (again "classes_reused" + again "classes_simulated")
+
+let test_memo_bypassed () =
+  (* Injection and deadlines neither read the memo (the replies equal a
+     fresh service's, health included) nor write it (a later plain
+     request still equals a fresh service's). *)
+  let submit = observed_service () in
+  let _ = submit memo_request in
+  List.iter
+    (fun (what, r) ->
+      let reply, delta = submit r in
+      check_tables what (fresh_reply r).Request.tables reply;
+      Alcotest.(check int) (what ^ ": classes reused") 0
+        (delta "classes_reused"))
+    Request.
+      [
+        "inject", with_inject_failures (Some 0.3) memo_request;
+        ( "deadline",
+          with_deadline
+            (Some (Util.Watchdog.limits ~max_iterations:3_000 ()))
+            memo_request );
+      ];
+  let later = Request.with_seed 13 memo_request in
+  check_tables "plain after both" (fresh_reply later).Request.tables
+    (fst (submit later))
+
+let test_memo_refill_past_bound () =
+  (* A memo far smaller than one analysis evicts on every run; the tables
+     stay those of a run without it, and what it keeps does not depend
+     on the job count: the same sequence reuses the same classes at
+     jobs 1 and 4. *)
+  let macros = Dft.Measures.macro_set ~measures:[] in
+  let config seed =
+    Pipeline.Config.(
+      default |> with_defects 300 |> with_good_space_dies 4 |> with_seed seed)
+  in
+  let tables analyses =
+    List.map
+      (fun (title, t) -> title, Report.render ~format:`Text t)
+      (Report.global_tables ~dft:false analyses)
+  in
+  let expected =
+    List.map (fun seed -> tables (Pipeline.analyze_all (config seed) macros))
+      [ 21; 22; 21 ]
+  in
+  let sequence jobs =
+    let saved = Util.Pool.jobs () in
+    Util.Pool.set_jobs jobs;
+    Fun.protect ~finally:(fun () -> Util.Pool.set_jobs saved) @@ fun () ->
+    let memo = Macro.Evaluate.Memo.create ~capacity:4 () in
+    List.map2
+      (fun seed want ->
+        let memory = Util.Telemetry.in_memory () in
+        let analyses =
+          Pipeline.analyze_all
+            Pipeline.Config.(
+              config seed |> with_memo (Some memo)
+              |> with_telemetry (Util.Telemetry.memory_sink memory))
+            macros
+        in
+        Alcotest.(check (list (pair string string)))
+          (Printf.sprintf "seed %d at jobs %d" seed jobs)
+          want (tables analyses);
+        Alcotest.(check bool) "bounded" true
+          (Macro.Evaluate.Memo.size memo <= 4 * List.length macros);
+        List.assoc_opt "classes_reused"
+          (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters)
+      [ 21; 22; 21 ] expected
+  in
+  let reused = sequence 1 in
+  Alcotest.(check bool) "the memo was used" true
+    (List.exists (fun n -> n <> None) reused);
+  Alcotest.(check (list (option int))) "same reuse at jobs 4" reused
+    (sequence 4)
+
 let test_handle_line_matches_submit () =
   (* The wire entry point returns the same reply as a direct submit,
      modulo the execution-dependent counters. *)
@@ -548,5 +697,13 @@ let suites =
           test_handle_line_matches_submit;
         Alcotest.test_case "target variants kept apart" `Slow
           test_service_keeps_targets_apart;
+        Alcotest.test_case "memo reuses classes across seeds" `Slow
+          test_memo_reuses_across_seeds;
+        Alcotest.test_case "memo keyed by solver, retries, dft" `Slow
+          test_memo_keyed_apart;
+        Alcotest.test_case "memo bypassed by injection, deadlines" `Slow
+          test_memo_bypassed;
+        Alcotest.test_case "memo refilled past its bound" `Slow
+          test_memo_refill_past_bound;
       ] );
   ]
