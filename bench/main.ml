@@ -14,7 +14,7 @@
      --macro M       macro for --json: comparator (default) or scaled
      --bits N        size of the scaled macro: 2^N ladder taps (default 8)
      --scaling       emit the scaling study as one JSON object (schema
-                     dotest-bench/9): per-N raw-solve table (dense vs
+                     dotest-bench/11): per-N raw-solve table (dense vs
                      auto vs auto+shared) plus pipeline evaluate-stage
                      A/Bs on the n=37 comparator (quick) and the large-N
                      scaled ADC; nothing else is printed
@@ -435,12 +435,10 @@ let json_run () =
   let macro = bench_macro_cell () in
   ignore (Lazy.force macro.Macro.Macro_cell.cell);
   let memory = Util.Telemetry.in_memory () in
-  let traced_config =
-    Core.Pipeline.Config.with_telemetry (Util.Telemetry.memory_sink memory)
-      config
-  in
   let analysis, total_s =
-    seconds (fun () -> Core.Pipeline.analyze traced_config macro)
+    seconds (fun () ->
+        Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
+            Core.Pipeline.analyze config macro))
   in
   let health = analysis.Core.Pipeline.health in
   let stage name =
@@ -574,7 +572,10 @@ let json_run () =
    per-class solve pattern of the evaluate stage, isolated from
    sprinkling and classification, so the full-Newton-vs-reuse-vs-shared
    crossover is directly visible per N. Schema 9 dropped the rank1
-   column with the backend. *)
+   column with the backend. Schema 11 (10 is --json's) measures dense
+   in every row and drops the per-row flag that marked it skipped: the
+   n <= 1200 cap behind it was set for the retired dense LU, and on the
+   sparse LU a dense row costs a fraction of a second even at bits 11. *)
 let scaling_variants = 12
 
 let scaling_netlists bits =
@@ -596,21 +597,28 @@ let scaling_netlists bits =
   in
   nominal, variants
 
+(* The batch's Newton iterations are the engine's own counter, read from
+   an in-memory sink. *)
 let timed_batch ?shared solver variants =
   let run () =
     Circuit.Engine.with_solver solver @@ fun () ->
     let solve_all () =
-      List.fold_left
-        (fun acc nl ->
-          let _, diag = Circuit.Engine.dc_operating_point_diag nl in
-          acc + diag.Circuit.Engine.iterations)
-        0 variants
+      List.iter (fun nl -> ignore (Circuit.Engine.dc_operating_point nl)) variants
     in
     match shared with
     | None -> solve_all ()
     | Some sn -> Circuit.Engine.with_shared_nominal sn solve_all
   in
-  let iterations, elapsed = seconds run in
+  let memory = Util.Telemetry.in_memory () in
+  let (), elapsed =
+    Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
+        seconds run)
+  in
+  let iterations =
+    Option.value ~default:0
+      (List.assoc_opt "newton_iterations"
+         (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters)
+  in
   Util.Json.Obj
     [
       "s_per_solve",
@@ -618,19 +626,11 @@ let timed_batch ?shared solver variants =
       "newton_iterations", Util.Json.Int iterations;
     ]
 
-(* Dense refactors every Newton iteration: past this size one sweep row
-   alone would take minutes, so dense is measured only up to here and
-   reported null above it (noted in the row, not silently dropped). *)
-let dense_max_n = 1200
-
 let scaling_row bits =
   let nominal, variants = scaling_netlists bits in
   let n = Circuit.Netlist.node_count nominal + 2 in
   let sn = Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device () in
-  let dense =
-    if n <= dense_max_n then timed_batch Circuit.Engine.Dense variants
-    else Util.Json.Null
-  in
+  let dense = timed_batch Circuit.Engine.Dense variants in
   let auto = timed_batch Circuit.Engine.Auto variants in
   let auto_shared = timed_batch ~shared:sn Circuit.Engine.Auto variants in
   Format.eprintf "scaling: bits=%d n=%d done@." bits n;
@@ -639,7 +639,6 @@ let scaling_row bits =
       "bits", Util.Json.Int bits;
       "n_unknowns", Util.Json.Int n;
       "dense", dense;
-      "dense_skipped", Util.Json.Bool (n > dense_max_n);
       "auto", auto;
       "auto_shared", auto_shared;
     ]
@@ -650,11 +649,12 @@ let scaling_row bits =
 let pipeline_measure config macro solver =
   let memory = Util.Telemetry.in_memory () in
   let cfg =
-    Core.Pipeline.Config.(
-      config |> with_solver solver |> with_cache_handle None
-      |> with_telemetry (Util.Telemetry.memory_sink memory))
+    Core.Pipeline.Config.(config |> with_solver solver |> with_cache_handle None)
   in
-  let analysis = Core.Pipeline.analyze cfg macro in
+  let analysis =
+    Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
+        Core.Pipeline.analyze cfg macro)
+  in
   let stage name =
     try List.assoc name analysis.Core.Pipeline.health.Core.Pipeline.stage_seconds
     with Not_found -> 0.0
@@ -714,7 +714,7 @@ let scaling_run () =
   let json =
     Util.Json.Obj
       [
-        "schema", Util.Json.String "dotest-bench/9";
+        "schema", Util.Json.String "dotest-bench/11";
         "mode", Util.Json.String "scaling";
         "jobs", Util.Json.Int jobs;
         "quick", Util.Json.Bool quick;

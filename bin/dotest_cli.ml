@@ -10,15 +10,14 @@ let setup_logging verbose =
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
 
 let config_of ~defects ~dies ~sigma ~seed ~max_retries ~strict ~failure_budget
-    ~inject_failures ~telemetry ~cache ?(deadline = None) ?(checkpoint = None)
-    ~solver () =
+    ~inject_failures ~cache ?(deadline = None) ?(checkpoint = None) ~solver () =
   Core.Pipeline.Config.(
     default |> with_defects defects |> with_good_space_dies dies
     |> with_sigma sigma |> with_seed seed |> with_max_retries max_retries
     |> with_strict strict |> with_failure_budget failure_budget
-    |> with_inject_failures inject_failures |> with_telemetry telemetry
-    |> with_cache_handle cache |> with_deadline deadline
-    |> with_checkpoint checkpoint |> with_solver solver)
+    |> with_inject_failures inject_failures |> with_cache_handle cache
+    |> with_deadline deadline |> with_checkpoint checkpoint
+    |> with_solver solver)
 
 let defaults = Core.Pipeline.Config.default
 
@@ -235,10 +234,11 @@ let format_arg =
 let print_table ~format title table =
   Format.printf "@.== %s ==@.%s@." title (Core.Report.render ~format table)
 
-(* Build the run's sink from --trace/--metrics; [f] gets the sink (to put
-   in the config) and the in-memory aggregate to print afterwards. The
-   trace channel is also closed via [at_exit] so a run that dies through
-   [handle_failures]'s [exit 3] still flushes its buffered events. *)
+(* Build the run's sink from --trace/--metrics; [f] gets the sink (for
+   [handle_failures] to install) and the in-memory aggregate to print
+   afterwards. The trace channel is also closed via [at_exit] so a run
+   that dies through [handle_failures]'s [exit 3] still flushes its
+   buffered events. *)
 let with_telemetry ~trace ~metrics f =
   let memory = if metrics then Some (Util.Telemetry.in_memory ()) else None in
   let channel = Option.map open_out trace in
@@ -294,8 +294,11 @@ let interrupted reason =
     reason;
   exit 4
 
-let handle_failures f =
-  try f () with
+(* Runs the analysis [f] with the run's [sink] installed. The sink is
+   flushed as [f] returns or unwinds, so a failing or interrupted run
+   still writes its trace before [exit 3] / [exit 4]. *)
+let handle_failures ~sink f =
+  try Util.Telemetry.with_sink sink f with
   | Util.Watchdog.Interrupted reason -> interrupted reason
   | ( Util.Pool.Worker_failure _ | Util.Resilience.Budget_exhausted _
     | Macro.Evaluate.Simulation_failed _ ) as e ->
@@ -336,13 +339,13 @@ let run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
   let checkpoint = checkpoint_of ~cache ~resume ~no_checkpoint in
   let config =
     config_of ~defects ~dies ~sigma ~seed ~max_retries ~strict ~failure_budget
-      ~inject_failures ~telemetry:sink ~cache
+      ~inject_failures ~cache
       ~deadline:(deadline_of ~deadline ~deadline_iterations)
       ~checkpoint ~solver ()
   in
   let analysis, elapsed =
     timed (fun () ->
-        handle_failures (fun () -> Core.Pipeline.analyze config macro))
+        handle_failures ~sink (fun () -> Core.Pipeline.analyze config macro))
   in
   print_tables ~format (Core.Report.macro_tables analysis);
   log_stage_seconds [ analysis ];
@@ -419,7 +422,7 @@ let global_cmd =
     let checkpoint = checkpoint_of ~cache ~resume ~no_checkpoint in
     let config =
       config_of ~defects ~dies ~sigma ~seed ~max_retries ~strict
-        ~failure_budget ~inject_failures ~telemetry:sink ~cache
+        ~failure_budget ~inject_failures ~cache
         ~deadline:(deadline_of ~deadline ~deadline_iterations)
         ~checkpoint ~solver ()
     in
@@ -427,7 +430,8 @@ let global_cmd =
     let macros = Dft.Measures.macro_set ~measures in
     let analyses, elapsed =
       timed (fun () ->
-          handle_failures (fun () -> Core.Pipeline.analyze_all config macros))
+          handle_failures ~sink (fun () ->
+              Core.Pipeline.analyze_all config macros))
     in
     print_tables ~format (Core.Report.global_tables ~dft analyses);
     log_stage_seconds analyses;
@@ -455,13 +459,12 @@ let dft_cmd =
     let config =
       config_of ~defects ~dies ~sigma ~seed
         ~max_retries:defaults.Core.Pipeline.Config.max_retries
-        ~strict:false ~failure_budget:None ~inject_failures:None
-        ~telemetry:sink ~cache
+        ~strict:false ~failure_budget:None ~inject_failures:None ~cache
         ~checkpoint:(checkpoint_of ~cache ~resume:false ~no_checkpoint:false)
         ~solver ()
     in
     let original, improved =
-      handle_failures (fun () -> Core.Global.compare_coverage ~config ())
+      handle_failures ~sink (fun () -> Core.Global.compare_coverage ~config ())
     in
     print_table ~format "Fig. 4: before DfT" (Core.Report.figure4 original);
     print_table ~format "Fig. 5: after DfT" (Core.Report.figure4 improved);

@@ -39,20 +39,18 @@ let escalation base ~level =
 
 (* --- scoped options override ------------------------------------------ *)
 
-(* Macro measurement procedures call the analyses without an explicit
-   ~options argument; the retry layer escalates them from the outside by
-   installing an override for the dynamic extent of one attempt. The key
-   is domain-local, so concurrent pool workers cannot see each other's
+(* Every analysis reads its options from here; the retry layer escalates
+   a macro's measurement procedure from the outside by installing an
+   override for the dynamic extent of one attempt. The key is
+   domain-local, so concurrent pool workers cannot see each other's
    escalation state. *)
 let options_override : options option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let resolve_options = function
+let current_options () =
+  match Domain.DLS.get options_override with
   | Some options -> options
-  | None ->
-    (match Domain.DLS.get options_override with
-    | Some options -> options
-    | None -> default_options)
+  | None -> default_options
 
 let with_options_override options f =
   let saved = Domain.DLS.get options_override in
@@ -90,17 +88,6 @@ let with_solver solver f =
   let saved = Domain.DLS.get solver_override in
   Domain.DLS.set solver_override (Some solver);
   Fun.protect ~finally:(fun () -> Domain.DLS.set solver_override saved) f
-
-(* --- convergence diagnostics ------------------------------------------ *)
-
-type fallback = Plain_newton | Gmin_stepping | Source_stepping
-
-let fallback_name = function
-  | Plain_newton -> "plain Newton"
-  | Gmin_stepping -> "gmin stepping"
-  | Source_stepping -> "source stepping"
-
-type diagnostics = { iterations : int; fallback : fallback }
 
 (* --- compiled netlist ------------------------------------------------ *)
 
@@ -800,11 +787,13 @@ let newton ~state ~options ~mode ~alpha ~t compiled x0 =
   in
   iterate options.max_iterations
 
-(* Solve one point, recording how many Newton iterations were spent and
-   which convergence aid finally succeeded. [what] names the point for
-   the failure message; it is formatted only on failure, since a
+(* Solve one point, counting the Newton iterations spent and which
+   convergence aid finally succeeded. A point's iterations are counted
+   when it is solved or refused, not as its attempts run, so a deadline
+   that expires inside the point leaves them out. [what] names the point
+   for the failure message; it is formatted only on failure, since a
    transient solves hundreds of thousands of points per run. *)
-let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
+let solve_point ~state ~options ~mode ~t compiled x0 ~what =
   let spent = ref 0 in
   let try_newton ~options ~alpha x =
     match newton ~state ~options ~mode ~alpha ~t compiled x with
@@ -822,16 +811,10 @@ let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
     c.solves <- c.solves + 1;
     c.iterations <- c.iterations + !spent
   in
-  let finish x fallback =
-    count_solve ();
-    (match fallback with
-    | Plain_newton -> ()
-    | Gmin_stepping -> c.fallbacks_gmin <- c.fallbacks_gmin + 1
-    | Source_stepping -> c.fallbacks_source <- c.fallbacks_source + 1);
-    x, { iterations = !spent; fallback }
-  in
   match try_newton ~options ~alpha:1.0 x0 with
-  | Some x -> finish x Plain_newton
+  | Some x ->
+    count_solve ();
+    x
   | None ->
     (* gmin stepping: solve heavily shunted, then relax toward gmin. *)
     let rec gmin_steps x = function
@@ -843,7 +826,10 @@ let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
     in
     let schedule = [ 1e-2; 1e-4; 1e-6; 1e-8; 1e-10; options.gmin ] in
     (match gmin_steps x0 schedule with
-    | Some x -> finish x Gmin_stepping
+    | Some x ->
+      count_solve ();
+      c.fallbacks_gmin <- c.fallbacks_gmin + 1;
+      x
     | None ->
       (* Source stepping: ramp all sources from 10 % to 100 %. *)
       let rec source_steps x = function
@@ -855,14 +841,14 @@ let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
       in
       let alphas = [ 0.1; 0.3; 0.5; 0.7; 0.9; 1.0 ] in
       (match source_steps (Array.make compiled.n_unknowns 0.0) alphas with
-      | Some x -> finish x Source_stepping
+      | Some x ->
+        count_solve ();
+        c.fallbacks_source <- c.fallbacks_source + 1;
+        x
       | None ->
         count_solve ();
         c.no_convergence <- c.no_convergence + 1;
         raise (No_convergence (what ()))))
-
-let solve_point ~state ~options ~mode ~t compiled x0 ~what =
-  fst (solve_point_diag ~state ~options ~mode ~t compiled x0 ~what)
 
 (* --- cross-class shared nominal warm start ------------------------------ *)
 
@@ -1090,8 +1076,8 @@ let try_shared_seed ~netlist ~options compiled =
 let make_solution compiled ~t x =
   { sol_time = t; x; branches = compiled.branch_of_source }
 
-let dc_operating_point_diag ?options netlist =
-  let options = resolve_options options in
+let dc_operating_point netlist =
+  let options = current_options () in
   let compiled = compile netlist in
   counting @@ fun counts ->
   let state = make_state ~counts compiled in
@@ -1100,20 +1086,15 @@ let dc_operating_point_diag ?options netlist =
     | Some warm -> warm
     | None -> Array.make compiled.n_unknowns 0.0
   in
-  let x, diag =
-    solve_point_diag ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
-      ~what:(fun () -> "dc operating point")
-  in
-  make_solution compiled ~t:0.0 x, diag
-
-let dc_operating_point ?options netlist =
-  fst (dc_operating_point_diag ?options netlist)
+  make_solution compiled ~t:0.0
+    (solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
+       ~what:(fun () -> "dc operating point"))
 
 (* Diagnostic: the DC Jacobian linearized at [x], assembled on the plan
    and scattered into an n×n matrix. Exposed so tests can check the
    assembly against stamps they build by hand; not a hot path. *)
-let dense_jacobian ?options netlist ~x =
-  let options = resolve_options options in
+let dense_jacobian netlist ~x =
+  let options = current_options () in
   let compiled = compile netlist in
   if Array.length x <> compiled.n_unknowns then
     invalid_arg "Engine.dense_jacobian: x has the wrong length";
@@ -1123,9 +1104,9 @@ let dense_jacobian ?options netlist ~x =
   assemble state;
   Linear.Pattern.to_dense state.rpattern state.rjac_vals
 
-let transient ?options netlist ~stop ~step =
+let transient netlist ~stop ~step =
   if step <= 0. || stop < step then invalid_arg "Engine.transient: bad time grid";
-  let options = resolve_options options in
+  let options = current_options () in
   let compiled = compile netlist in
   counting @@ fun counts ->
   (* One plan for the whole transient: under the reuse policy the
@@ -1172,63 +1153,14 @@ let transient ?options netlist ~stop ~step =
   in
   advance 1 x_dc [ make_solution compiled ~t:0.0 x_dc ]
 
-let dc_sweep ?options netlist ~source ~values =
-  let options = resolve_options options in
-  let netlist = Netlist.copy netlist in
-  if not (Netlist.has_device netlist source) then
-    invalid_arg (Printf.sprintf "Engine.dc_sweep: no source %S" source);
-  (* Re-point the named source at each sweep value by rebuilding it. *)
-  let view =
-    match
-      List.find_opt
-        (fun dv -> dv.Netlist.dev_name = source)
-        (Netlist.devices netlist)
-    with
-    | Some v -> v
-    | None -> assert false
-  in
-  let pos = List.assoc "+" view.Netlist.pin_nodes in
-  let neg = List.assoc "-" view.Netlist.pin_nodes in
-  (match view.Netlist.kind with
-  | Netlist.Vsource _ -> ()
-  | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Isource _
-  | Netlist.Mosfet _ ->
-    invalid_arg "Engine.dc_sweep: named device is not a voltage source");
-  counting @@ fun counts ->
-  let solve_at value seed =
-    Netlist.remove_device netlist source;
-    Netlist.add_vsource netlist ~name:source ~pos ~neg (Waveform.dc value);
-    let compiled = compile netlist in
-    let state = make_state ~counts compiled in
-    let x =
-      solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled seed
-        ~what:(fun () -> Printf.sprintf "dc sweep %s=%g" source value)
-    in
-    make_solution compiled ~t:0.0 x, x
-  in
-  let compiled0 = compile netlist in
-  let rec sweep values seed acc =
-    match values with
-    | [] -> List.rev acc
-    | v :: rest ->
-      let sol, x = solve_at v seed in
-      sweep rest x (sol :: acc)
-  in
-  sweep values (Array.make compiled0.n_unknowns 0.0) []
-
 (* --- AC small-signal analysis ------------------------------------------ *)
 
-type ac_solution = {
-  ac_freq : float;
-  ac_x : Complex.t array;
-  ac_n_nodes : int;
-}
-
-let ac_frequency sol = sol.ac_freq
+(* Node voltages then branch currents, as phasors. *)
+type ac_solution = Complex.t array
 
 let ac_voltage sol node =
   if Netlist.node_equal node Netlist.ground then Complex.zero
-  else sol.ac_x.(Netlist.index_of_node node - 1)
+  else sol.(Netlist.index_of_node node - 1)
 
 let ac_magnitude_db sol node =
   20.0 *. log10 (Float.max 1e-300 (Complex.norm (ac_voltage sol node)))
@@ -1245,8 +1177,8 @@ let decades ~lo ~hi ~per_decade =
   in
   build [] (log10 lo)
 
-let ac_sweep ?options netlist ~source ~frequencies =
-  let options = resolve_options options in
+let ac_sweep netlist ~source ~frequencies =
+  let options = current_options () in
   List.iter
     (fun f ->
       if f <= 0. then invalid_arg "Engine.ac_sweep: frequencies must be positive")
@@ -1318,7 +1250,6 @@ let ac_sweep ?options netlist ~source ~frequencies =
         add s s (small.gm +. small.gds)
     in
     List.iter stamp_device compiled.cdevices;
-    let x = Linear_complex.solve a rhs in
-    freq, { ac_freq = freq; ac_x = x; ac_n_nodes = compiled.n_nodes }
+    freq, Linear_complex.solve a rhs
   in
   List.map solve_at frequencies

@@ -13,7 +13,14 @@
     [Util.Watchdog.Deadline_exceeded] out of the analysis (through the
     convergence fallbacks and transient sub-stepping — the budget covers
     the whole analysis, not one Newton attempt). With no deadline armed
-    the metering is a single domain-local read per iteration. *)
+    the metering is a single domain-local read per iteration.
+
+    Convergence effort is reported only through {!Util.Telemetry}
+    counters, totalled per analysis: [engine.solves] (solved points),
+    [newton_iterations] (spent over every point, a failed attempt at its
+    full budget), [engine.fallback_gmin] and [engine.fallback_source]
+    (points that needed gmin or source stepping) and
+    [engine.no_convergence] (points every aid failed). *)
 
 exception No_convergence of string
 
@@ -50,12 +57,12 @@ val escalation_levels : int
     [base]; [level <= 0] returns [base] unchanged. *)
 val escalation : options -> level:int -> options
 
-(** [with_options_override options f] makes every analysis call inside
-    [f] that does not pass an explicit [?options] use [options] instead
-    of {!default_options}. The override is scoped to the current domain
-    and dynamic extent of [f] (it nests and is exception-safe), so the
-    retry layer can escalate a macro's measurement procedure without
-    threading options through it. *)
+(** [with_options_override options f] makes every analysis started
+    inside [f] use [options] instead of {!default_options}; it is the one
+    way to set them. The override is scoped to the current domain and
+    dynamic extent of [f] (it nests and is exception-safe), so the retry
+    layer can escalate a macro's measurement procedure without threading
+    options through it. *)
 val with_options_override : options -> (unit -> 'a) -> 'a
 
 (** {1 Solver selection}
@@ -150,24 +157,6 @@ val shared_nominal : strip:(string -> bool) -> unit -> shared_nominal
     workers — install inside each worker task. *)
 val with_shared_nominal : shared_nominal -> (unit -> 'a) -> 'a
 
-(** {1 Convergence diagnostics} *)
-
-(** Which convergence aid produced the solution. *)
-type fallback =
-  | Plain_newton      (** converged without any aid *)
-  | Gmin_stepping     (** needed the gmin relaxation schedule *)
-  | Source_stepping   (** needed the source ramp (last resort) *)
-
-val fallback_name : fallback -> string
-
-type diagnostics = {
-  iterations : int;
-      (** Newton iterations spent, summed over every solved point
-          (failed attempts count their full iteration budget) *)
-  fallback : fallback;
-      (** the most escalated aid that was needed at any point *)
-}
-
 (** One solved time point. *)
 type solution
 
@@ -181,24 +170,19 @@ val voltage : solution -> Netlist.node -> float
     circuit draws from the source). @raise Not_found for unknown names. *)
 val source_current : solution -> string -> float
 
-(** [dc_operating_point ?options netlist] solves the bias point with
-    sources at their [t = 0] values and capacitors open.
+(** [dc_operating_point netlist] solves the bias point with sources at
+    their [t = 0] values and capacitors open.
     @raise No_convergence when all fallbacks fail. *)
-val dc_operating_point : ?options:options -> Netlist.t -> solution
+val dc_operating_point : Netlist.t -> solution
 
-(** Like {!dc_operating_point}, also reporting how hard the solve was. *)
-val dc_operating_point_diag :
-  ?options:options -> Netlist.t -> solution * diagnostics
-
-(** [dense_jacobian ?options netlist ~x] — the DC MNA Jacobian
+(** [dense_jacobian netlist ~x] — the DC MNA Jacobian
     linearized at guess [x] (length = unknowns: node voltages then
     branch currents), assembled on the plan exactly as a Newton
     iteration would and returned as an n×n matrix. A diagnostic for
     tests that check the assembly against hand-built stamps; not a hot
     path.
     @raise Invalid_argument when [x] has the wrong length. *)
-val dense_jacobian :
-  ?options:options -> Netlist.t -> x:float array -> float array array
+val dense_jacobian : Netlist.t -> x:float array -> float array array
 
 (** [linearization_moved ~cur ~baked] is the reuse policy's test on one
     MOSFET conductance (gm or gds): whether its value at the current
@@ -209,18 +193,10 @@ val dense_jacobian :
     either side never counts as moved. Pure; exposed for tests. *)
 val linearization_moved : cur:float -> baked:float -> bool
 
-(** [transient ?options netlist ~stop ~step] integrates from 0 to [stop]
-    with fixed step [step] (backward Euler), returning the DC point at
-    [t = 0] followed by every accepted step in time order. *)
-val transient :
-  ?options:options -> Netlist.t -> stop:float -> step:float -> solution list
-
-(** [dc_sweep ?options netlist ~source ~values] re-solves the operating
-    point for each value of the named voltage source (in order), seeding
-    each solve with the previous solution. *)
-val dc_sweep :
-  ?options:options ->
-  Netlist.t -> source:string -> values:float list -> solution list
+(** [transient netlist ~stop ~step] integrates from 0 to [stop] with
+    fixed step [step] (backward Euler), returning the DC point at [t = 0]
+    followed by every accepted step in time order. *)
+val transient : Netlist.t -> stop:float -> step:float -> solution list
 
 (** {1 AC small-signal analysis}
 
@@ -232,8 +208,6 @@ val dc_sweep :
 
 type ac_solution
 
-val ac_frequency : ac_solution -> float
-
 (** Complex node voltage (phasor) for 1 V AC at the excitation source. *)
 val ac_voltage : ac_solution -> Netlist.node -> Complex.t
 
@@ -243,12 +217,12 @@ val ac_magnitude_db : ac_solution -> Netlist.node -> float
 (** Phase in degrees, in (-180, 180]. *)
 val ac_phase_deg : ac_solution -> Netlist.node -> float
 
-(** [ac_sweep ?options netlist ~source ~frequencies] — [source] must name
-    a voltage source; it is excited with 1 V AC while every other source
-    is AC-quiet. Frequencies in Hz, each must be positive.
+(** [ac_sweep netlist ~source ~frequencies] — [source] must name a
+    voltage source; it is excited with 1 V AC while every other source is
+    AC-quiet. Frequencies in Hz, each must be positive; each comes back
+    beside its solution.
     @raise Invalid_argument on an unknown or non-voltage source. *)
 val ac_sweep :
-  ?options:options ->
   Netlist.t ->
   source:string ->
   frequencies:float list ->

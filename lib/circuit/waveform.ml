@@ -84,8 +84,6 @@ let value w t =
   in
   w.gain *. raw
 
-let dc_value w = value w 0.0
-
 type view =
   | View_dc of float
   | View_pwl of (float * float) list

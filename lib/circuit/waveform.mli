@@ -37,9 +37,6 @@ val scale : float -> t -> t
 (** [value w t] evaluates the waveform. *)
 val value : t -> float -> float
 
-(** [dc_value w] is the waveform at [t = 0] — the level DC analyses use. *)
-val dc_value : t -> float
-
 (** Structural view of a waveform, for serialization. The [gain] from
     {!scale} is folded into the values. *)
 type view =

@@ -2,17 +2,20 @@ type stats = { restored : int; recorded : int; flushes : int }
 
 type t = {
   resume : bool;
-  flush_every : int;
   interrupt_after : int option;
   restored_n : int Atomic.t;
   recorded_n : int Atomic.t;
   flushes_n : int Atomic.t;
 }
 
-let create ?(resume = false) ?(flush_every = 8) ?interrupt_after () =
+(* Recorded outcomes per flush. A flush rewrites the whole partial, so
+   the interval trades write volume against how many outcomes a hard
+   kill can lose: at 8, one rewrite per 8 classes and at most 7 lost. *)
+let flush_every = 8
+
+let create ?(resume = false) ?interrupt_after () =
   {
     resume;
-    flush_every = max 1 flush_every;
     interrupt_after;
     restored_n = Atomic.make 0;
     recorded_n = Atomic.make 0;
@@ -114,7 +117,7 @@ let record h ~section ~index outcome =
   (with_lock h @@ fun () ->
    Hashtbl.replace h.outcomes (section, index) outcome;
    h.unflushed <- h.unflushed + 1;
-   if h.unflushed >= h.registry.flush_every then flush_locked h);
+   if h.unflushed >= flush_every then flush_locked h);
   let total = 1 + Atomic.fetch_and_add h.registry.recorded_n 1 in
   match h.registry.interrupt_after with
   | Some n when total = n ->

@@ -39,17 +39,14 @@ type t
 
 (** [create ()] — a registry with checkpointing on and resume off.
     [resume] makes handles load any existing partial and serve
-    {!restore} hits from it. [flush_every] bounds how many freshly
-    recorded outcomes may be lost to a hard kill (default 8; clamped to
-    at least 1): a flush rewrites the whole partial, so smaller values
-    trade write volume for a tighter loss window. [interrupt_after] is a
-    deterministic test hook (compare [Pipeline.Config.inject_failures]):
+    {!restore} hits from it. Every 8th freshly recorded outcome triggers
+    a flush, which bounds how many a hard kill may lose. [interrupt_after]
+    is a deterministic test hook (compare [Pipeline.Config.inject_failures]):
     after the [n]-th recorded outcome, run-wide, it calls
     {!Util.Watchdog.request_shutdown} — letting tests exercise the
     kill-and-resume path without racing a real signal against the
     scheduler. *)
-val create :
-  ?resume:bool -> ?flush_every:int -> ?interrupt_after:int -> unit -> t
+val create : ?resume:bool -> ?interrupt_after:int -> unit -> t
 
 val resume_enabled : t -> bool
 
@@ -80,8 +77,8 @@ val restore :
   handle -> section:string -> index:int -> Macro.Evaluate.outcome option
 
 (** [record h ~section ~index outcome] adds a freshly simulated outcome;
-    every [flush_every]-th recorded outcome triggers a flush. Called
-    from worker domains. *)
+    every 8th recorded outcome triggers a flush. Called from worker
+    domains. *)
 val record :
   handle -> section:string -> index:int -> Macro.Evaluate.outcome -> unit
 

@@ -10,7 +10,6 @@ module Config = struct
     strict : bool;
     failure_budget : int option;
     inject_failures : float option;
-    telemetry : Util.Telemetry.sink;
     cache : Util.Cache.t option;
     deadline : Util.Watchdog.limits option;
     checkpoint : Checkpoint.t option;
@@ -30,7 +29,6 @@ module Config = struct
       strict = false;
       failure_budget = None;
       inject_failures = None;
-      telemetry = Util.Telemetry.null;
       cache = None;
       deadline = None;
       checkpoint = None;
@@ -48,7 +46,6 @@ module Config = struct
   let with_failure_budget failure_budget config = { config with failure_budget }
   let with_inject_failures inject_failures config =
     { config with inject_failures }
-  let with_telemetry telemetry config = { config with telemetry }
 
   let with_cache_handle cache config = { config with cache }
   let with_deadline deadline config = { config with deadline }
@@ -141,15 +138,6 @@ let injection_of config =
   Option.map
     (fun fraction -> { Macro.Evaluate.seed = config.seed; fraction })
     config.inject_failures
-
-(* Install the config's sink only at the outermost pipeline entry: when
-   [analyze] runs inside a pool worker of [analyze_all], the ambient sink
-   is already this very sink and must not be re-installed (with_sink is
-   not reentrant from worker domains). *)
-let install_sink config f =
-  let sink = config.telemetry in
-  if Util.Telemetry.is_null sink || Util.Telemetry.sink () == sink then f ()
-  else Util.Telemetry.with_sink sink f
 
 (* Content address of one macro's analysis: everything the result is a
    function of. The macro's measure/classify closures are the one input a
@@ -245,7 +233,10 @@ let store_analysis config analysis ~key =
     config.cache
 
 let analyze config (macro : Macro.Macro_cell.t) =
-  install_sink config @@ fun () ->
+  (* The one place the config's solver is installed, around every stage
+     that simulates: good space, golden and both evaluate stages. Under
+     [analyze_all] this runs inside the pool worker that simulates. *)
+  Circuit.Engine.with_solver config.solver @@ fun () ->
   Util.Telemetry.with_span
     ~attrs:[ "macro", Util.Telemetry.String macro.Macro.Macro_cell.name ]
     "pipeline.macro"
@@ -319,9 +310,8 @@ let analyze config (macro : Macro.Macro_cell.t) =
         (List.length classes_non_catastrophic));
   let good =
     timed "good-space" (fun () ->
-        Circuit.Engine.with_solver config.solver (fun () ->
-            Macro.Good_space.compile ~n:config.good_space_dies ~k:config.sigma
-              ~tech:config.tech macro good_prng))
+        Macro.Good_space.compile ~n:config.good_space_dies ~k:config.sigma
+          ~tech:config.tech macro good_prng)
   in
   let inject = injection_of config in
   (* Remembered classes are only valid where a class's result depends on
@@ -337,11 +327,7 @@ let analyze config (macro : Macro.Macro_cell.t) =
      on the same nominal netlist as the good space and the faulty
      circuits, under the run's solver. It is measured on first use, so
      its cost falls inside the first evaluate stage. *)
-  let golden =
-    lazy
-      (Macro.Evaluate.golden ?memo ~solver:config.solver ~macro
-         nominal_netlist)
-  in
+  let golden = lazy (Macro.Evaluate.golden ?memo ~macro nominal_netlist) in
   (* Checkpointing stores partials through the result cache, so it is
      inert without one (the CLI warns; a library caller reads the
      survival stats). *)
@@ -365,8 +351,8 @@ let analyze config (macro : Macro.Macro_cell.t) =
     in
     Macro.Evaluate.run ~retries:config.max_retries ?inject
       ?deadline:config.deadline ?resume ?on_outcome ~strict:config.strict
-      ~solver:config.solver ?memo ~macro ~nominal:nominal_netlist
-      ~golden:(Lazy.force golden) ~good classes
+      ?memo ~macro ~nominal:nominal_netlist ~golden:(Lazy.force golden) ~good
+      classes
   in
   (* The flush finalizer is what makes an interrupt lose at most the
      in-flight classes: the pool drains them, the exception unwinds
@@ -409,7 +395,6 @@ let analyze config (macro : Macro.Macro_cell.t) =
   finish ~from_cache:false analysis
 
 let analyze_all config macros =
-  install_sink config @@ fun () ->
   Util.Telemetry.with_span
     ~attrs:[ "macros", Util.Telemetry.Int (List.length macros) ]
     "pipeline.run"

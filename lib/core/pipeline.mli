@@ -9,7 +9,11 @@
     convergence failures are retried along the engine's escalation ladder
     and, if still failing, recorded as unresolved instead of aborting the
     run. Per-macro health counters roll up into a {!run_health} record
-    whose counters are byte-identical across {!Util.Pool} job counts. *)
+    whose counters are byte-identical across {!Util.Pool} job counts.
+
+    Spans and counters go to the ambient sink: a caller that wants a
+    trace or metrics installs one with {!Util.Telemetry.with_sink} around
+    the call. *)
 
 (** Pipeline configuration as a value: build one with {!Config.default}
     and the [with_*] setters, pass it to {!analyze} / {!analyze_all}.
@@ -39,10 +43,6 @@ module Config : sig
     inject_failures : float option;
         (** test hook: force this fraction of fault-class simulations to
             raise [No_convergence] deterministically (default [None]) *)
-    telemetry : Util.Telemetry.sink;
-        (** observability sink installed for the duration of {!analyze} /
-            {!analyze_all}; {!Util.Telemetry.null} (the default) leaves
-            the ambient sink untouched and costs nothing *)
     cache : Util.Cache.t option;
         (** persistent result cache consulted per macro before any
             simulation work is spawned (default [None] = simulate
@@ -61,10 +61,11 @@ module Config : sig
             without one. See {!Checkpoint}. *)
     solver : Circuit.Engine.solver;
         (** Newton factorization policy for every simulation stage
-            (default {!Circuit.Engine.default_solver} = [Auto]). Both
-            policies must produce identical tables; [Dense] (full Newton)
-            is the reference for bisecting solver regressions. Part of
-            the cache key. *)
+            (default {!Circuit.Engine.default_solver} = [Auto]), installed
+            by {!analyze} with {!Circuit.Engine.with_solver} around them
+            all. Both policies must produce identical tables; [Dense]
+            (full Newton) is the reference for bisecting solver
+            regressions. Part of the cache key. *)
     memo : Macro.Evaluate.Memo.t option;
         (** fault-class results kept across analyses by a long-lived
             caller (default [None]; [Core.Service] keeps one per macro
@@ -85,7 +86,6 @@ module Config : sig
   val with_strict : bool -> t -> t
   val with_failure_budget : int option -> t -> t
   val with_inject_failures : float option -> t -> t
-  val with_telemetry : Util.Telemetry.sink -> t -> t
 
   (** [with_cache_handle cache config] installs a result cache (see
       {!Util.Cache.create}, versioned with {!Codec.version}); keep the

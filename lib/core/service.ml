@@ -179,9 +179,7 @@ let execute t ~queue_seconds (r : Request.t) =
   @@ fun () ->
   let started = Util.Watchdog.now_seconds () in
   let result =
-    (* Config telemetry stays null: the service already installed its
-       sink as ambient for the span above, and [Pipeline] leaves the
-       ambient sink untouched when the config's own sink is null. *)
+    (* The pipeline reports to the sink installed above. *)
     try Ok (tables_of t (config_of t r) r) with e -> Error e
   in
   let evaluate_seconds = Util.Watchdog.now_seconds () -. started in

@@ -425,7 +425,7 @@ let analyze ~tech ~cell ~netlist ~extraction mechanism circle =
    (equally valid) defect sample. *)
 let chunk_size = 1_000
 
-let run ?jobs ~tech ~stats ~cell ~netlist prng ~n =
+let run ~tech ~stats ~cell ~netlist prng ~n =
   if n <= 0 then invalid_arg "Defect.Simulate.run: n must be positive";
   let extraction = Layout.Extract.extract cell in
   let bounds = Layout.Cell.bounds cell in
@@ -457,7 +457,7 @@ let run ?jobs ~tech ~stats ~cell ~netlist prng ~n =
     !effective, List.rev !instances
   in
   let per_chunk =
-    Util.Pool.parallel_mapi ?jobs
+    Util.Pool.parallel_mapi
       (fun chunk stream ->
         Util.Telemetry.with_span
           ~attrs:

@@ -46,14 +46,12 @@ val chunk_size : int
 (** [run ~tech ~stats ~cell ~netlist prng ~n] sprinkles [n] spots and
     collects the effective ones. The draws are partitioned into
     {!chunk_size}-draw chunks, each consuming its own [Util.Prng.split]
-    stream, and the chunks run on a {!Util.Pool} of [?jobs] worker
-    domains (defaulting to the pool's process-wide setting). Because the
-    partition and the stream assignment depend only on [n] and the PRNG
-    state — never on the job count — the result is bit-identical for any
-    [?jobs].
+    stream, and the chunks run on the {!Util.Pool} at its process-wide
+    job count. Because the partition and the stream assignment depend
+    only on [n] and the PRNG state — never on the job count — the result
+    is bit-identical for any job count.
     @raise Invalid_argument when [n] is not positive. *)
 val run :
-  ?jobs:int ->
   tech:Process.Tech.t ->
   stats:Process.Defect_stats.t ->
   cell:Layout.Cell.t ->

@@ -112,10 +112,3 @@ let pp_fault ppf = function
     Format.fprintf ppf "shorted device %s (%g ohm)" device resistance
   | Parasitic_mos { gate_net; net_a; net_b } ->
     Format.fprintf ppf "new device gate=%s %s-%s" gate_net net_a net_b
-
-let pp_instance ppf i =
-  Format.fprintf ppf "%a [%s, %a]" pp_fault i.fault
-    (match i.severity with
-    | Catastrophic -> "catastrophic"
-    | Non_catastrophic -> "non-catastrophic")
-    Process.Defect_stats.pp_mechanism i.mechanism

@@ -70,4 +70,3 @@ type instance = {
 val canonical_key : fault -> string
 
 val pp_fault : Format.formatter -> fault -> unit
-val pp_instance : Format.formatter -> instance -> unit

@@ -167,11 +167,3 @@ let summary violations =
     violations;
   Hashtbl.fold (fun rule count acc -> (rule, count) :: acc) table []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-let pp_violation ppf v =
-  Format.fprintf ppf "%s on %a: shape %d%s — %s" v.rule Process.Layer.pp
-    v.layer v.shape_a
-    (match v.shape_b with
-    | Some other -> Printf.sprintf " vs %d" other
-    | None -> "")
-    v.detail

@@ -31,5 +31,3 @@ val check : ?tech:Process.Tech.t -> Cell.t -> violation list
 
 (** [summary violations] — count per rule name, sorted by count. *)
 val summary : violation list -> (string * int) list
-
-val pp_violation : Format.formatter -> violation -> unit

@@ -133,10 +133,8 @@ let classify ~(macro : Macro_cell.t) ~good ~golden fc { vector; status } =
   in
   { fault_class = fc; signature; status }
 
-let evaluate_class ?retries ?inject ?deadline ?index ~macro ~nominal ~good
-    ~golden fc =
-  classify ~macro ~good ~golden fc
-    (simulate ?retries ?inject ?deadline ?index ~macro ~nominal fc)
+let evaluate_class ?retries ~macro ~nominal ~good ~golden fc =
+  classify ~macro ~good ~golden fc (simulate ?retries ~macro ~nominal fc)
 
 module Memo = struct
   type key = {
@@ -206,31 +204,25 @@ module Memo = struct
       g
 end
 
-let resolve_solver = function
-  | Some s -> s
-  | None -> Circuit.Engine.current_solver ()
-
-let golden ?memo ?solver ~(macro : Macro_cell.t) nominal =
-  let solver = resolve_solver solver in
-  let measure () =
-    Circuit.Engine.with_solver solver (fun () -> macro.Macro_cell.measure nominal)
-  in
+let golden ?memo ~(macro : Macro_cell.t) nominal =
+  let measure () = macro.Macro_cell.measure nominal in
   match memo with
   | None -> measure ()
-  | Some memo -> Memo.golden memo ~macro ~solver measure
+  | Some memo ->
+    Memo.golden memo ~macro ~solver:(Circuit.Engine.current_solver ()) measure
 
 let run ?jobs ?(retries = default_retries) ?inject ?deadline ?resume
-    ?on_outcome ?(strict = false) ?solver ?memo ~(macro : Macro_cell.t)
-    ~nominal ~golden ~good classes =
+    ?on_outcome ?(strict = false) ?memo ~(macro : Macro_cell.t) ~nominal
+    ~golden ~good classes =
   if Option.is_some memo && (Option.is_some inject || Option.is_some deadline)
   then
     invalid_arg
       "Evaluate.run: a memo cannot serve a run with injection or a deadline";
   (* Solver choice must survive the hop into pool worker domains:
      domain-local overrides installed by the caller do not propagate, so
-     the effective solver is resolved here and re-installed explicitly
-     inside every worker task. *)
-  let solver = resolve_solver solver in
+     the solver in effect is read here and re-installed explicitly inside
+     every worker task. *)
+  let solver = Circuit.Engine.current_solver () in
   let key fc =
     { Memo.fault = fc.Fault.Collapse.representative.Fault.Types.fault; solver;
       retries }

@@ -51,20 +51,16 @@ exception Simulation_failed of { index : int; attempts : int; error : string }
 type injection = { seed : int; fraction : float }
 
 (** [evaluate_class ~macro ~nominal ~good ~golden fc] fault-simulates one
-    class. [nominal] is the macro's fault-free netlist (built once by the
-    caller; injection copies it, so it is never mutated) and [golden] is
-    the nominal fault-free measurement vector (pass the same one to every
-    call; it is the reference for voltage classification). [retries]
-    bounds escalated re-attempts after a convergence failure (default 1);
-    [index] is the class's position in its batch, used by the [inject]
-    hook and for error attribution. Exceptions other than
-    [No_convergence] and deadline expiry are never retried or contained —
-    programming errors still propagate. *)
+    class, as {!run} does for each of its classes. [nominal] is the
+    macro's fault-free netlist (built once by the caller; injection
+    copies it, so it is never mutated) and [golden] is the nominal
+    fault-free measurement vector (pass the same one to every call; it
+    is the reference for voltage classification). [retries] bounds
+    escalated re-attempts after a convergence failure (default 1).
+    Exceptions other than [No_convergence] and deadline expiry are never
+    retried or contained — programming errors still propagate. *)
 val evaluate_class :
   ?retries:int ->
-  ?inject:injection ->
-  ?deadline:Util.Watchdog.limits ->
-  ?index:int ->
   macro:Macro_cell.t ->
   nominal:Circuit.Netlist.t ->
   good:Good_space.t ->
@@ -99,12 +95,12 @@ module Memo : sig
   val size : t -> int
 end
 
-(** [golden ?memo ?solver ~macro nominal] — the macro's fault-free
-    measurement vector on [nominal], under [solver] (default: the solver
-    in effect). With a memo, it is measured once per macro and solver. *)
+(** [golden ?memo ~macro nominal] — the macro's fault-free measurement
+    vector on [nominal], under the solver in effect
+    ({!Circuit.Engine.current_solver}). With a memo, it is measured once
+    per macro and solver. *)
 val golden :
   ?memo:Memo.t ->
-  ?solver:Circuit.Engine.solver ->
   macro:Macro_cell.t ->
   Circuit.Netlist.t ->
   Macro_cell.vector
@@ -127,10 +123,10 @@ val golden :
     Iteration caps preserve the any-job-count byte-identity contract;
     wall-clock caps are machine-dependent and best-effort.
 
-    [?solver] picks the {!Circuit.Engine.solver} backend for every class
-    simulation. It defaults to the solver in effect at the call
-    ({!Circuit.Engine.current_solver}), and is re-installed inside each
-    pool worker — domain-local [with_solver] scopes do not propagate into
+    Every class is simulated under the solver in effect at the call
+    ({!Circuit.Engine.current_solver}; [Core.Pipeline.analyze] installs
+    its config's), read once on entry and re-installed inside each pool
+    worker — domain-local [with_solver] scopes do not propagate into
     worker domains on their own.
 
     [?resume] and [?on_outcome] are the checkpoint hooks (see
@@ -159,7 +155,6 @@ val run :
   ?resume:(int -> outcome option) ->
   ?on_outcome:(int -> outcome -> unit) ->
   ?strict:bool ->
-  ?solver:Circuit.Engine.solver ->
   ?memo:Memo.t ->
   macro:Macro_cell.t ->
   nominal:Circuit.Netlist.t ->

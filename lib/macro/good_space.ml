@@ -1,8 +1,9 @@
 type t = (string * Util.Stats.window) list
 
-let compile ?(n = 48) ?(k = 3.0) ?(spread = Process.Variation.default_spread)
-    ~tech (macro : Macro_cell.t) prng =
-  let samples = Process.Variation.monte_carlo ~n spread tech prng in
+let compile ?(n = 48) ?(k = 3.0) ~tech (macro : Macro_cell.t) prng =
+  let samples =
+    Process.Variation.monte_carlo ~n Process.Variation.default_spread tech prng
+  in
   let vectors = List.map (fun s -> macro.Macro_cell.measure (macro.Macro_cell.build s)) samples in
   let names =
     List.concat_map (List.map fst) vectors |> List.sort_uniq compare

@@ -8,14 +8,14 @@
 
 type t
 
-(** [compile ?n ?k ?spread ~tech macro prng] measures [n] Monte-Carlo dies
-    (default 48, nominal included) and windows every measurement at
+(** [compile ?n ?k ~tech macro prng] measures [n] Monte-Carlo dies
+    (default 48, nominal included) drawn at
+    {!Process.Variation.default_spread}, and windows every measurement at
     [k]·σ (default 3). Measurements missing from some vectors are
     windowed over the vectors that do carry them. *)
 val compile :
   ?n:int ->
   ?k:float ->
-  ?spread:Process.Variation.spread ->
   tech:Process.Tech.t ->
   Macro_cell.t ->
   Util.Prng.t ->

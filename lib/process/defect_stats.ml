@@ -16,8 +16,6 @@ let mechanism_name = function
   | Extra_contact -> "extra-contact"
   | Missing_contact -> "missing-contact"
 
-let pp_mechanism ppf m = Format.pp_print_string ppf (mechanism_name m)
-
 type entry = {
   mechanism : mechanism;
   relative_rate : float;

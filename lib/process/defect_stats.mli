@@ -19,7 +19,6 @@ type mechanism =
   | Missing_contact              (** open contact/via *)
 
 val mechanism_name : mechanism -> string
-val pp_mechanism : Format.formatter -> mechanism -> unit
 
 (** Per-mechanism statistics. *)
 type entry = {

@@ -73,5 +73,3 @@ let cmos1um =
     vdd = 5.0;
     temperature = 27.0;
   }
-
-let wire_resistance t layer ~squares = t.sheet_resistance layer *. squares

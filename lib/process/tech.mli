@@ -30,7 +30,3 @@ type t = {
 (** The double-metal 1 µm CMOS process used throughout the case study,
     with the paper's fault-model resistances. *)
 val cmos1um : t
-
-(** [wire_resistance t layer ~squares] is the series resistance of a wire
-    of the given number of squares. *)
-val wire_resistance : t -> Layer.t -> squares:float -> float

@@ -61,37 +61,6 @@ let monte_carlo ?(n = 64) spread tech prng =
   if n < 1 then invalid_arg "Variation.monte_carlo: n must be >= 1";
   nominal tech :: List.init (n - 1) (fun _ -> draw spread tech prng)
 
-let corners spread (tech : Tech.t) =
-  let t_lo, t_hi = spread.temperature_range in
-  let base = nominal tech in
-  let supply = [ tech.Tech.vdd -. spread.vdd_tolerance; tech.Tech.vdd +. spread.vdd_tolerance ] in
-  let speeds =
-    (* slow: high Vth, low beta, high R; fast: the opposite. Each at 3σ. *)
-    [
-      3.0 *. spread.vth_sigma, 1.0 -. (3.0 *. spread.beta_sigma), 1.0 +. (3.0 *. spread.resistance_sigma);
-      -3.0 *. spread.vth_sigma, 1.0 +. (3.0 *. spread.beta_sigma), 1.0 -. (3.0 *. spread.resistance_sigma);
-    ]
-  in
-  let temps = [ t_lo; t_hi ] in
-  List.concat_map
-    (fun vdd ->
-      List.concat_map
-        (fun (dvth, beta, rf) ->
-          List.map
-            (fun temperature ->
-              {
-                base with
-                vth_n_shift = dvth;
-                vth_p_shift = dvth;
-                beta_factor = beta;
-                resistance_factor = rf;
-                vdd;
-                temperature;
-              })
-            temps)
-        speeds)
-    supply
-
 let pp ppf s =
   Format.fprintf ppf
     "{dVthN=%.3f dVthP=%.3f beta=%.2f R=%.2f C=%.2f Vdd=%.2f T=%.0f}"

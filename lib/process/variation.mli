@@ -3,8 +3,8 @@
     The good signature of an analog macro is a region, not a point: §2 of
     the paper compiles it per stimulus over environmental conditions. A
     [sample] multiplies or shifts the nominal device parameters of one
-    simulated die; [monte_carlo] draws dies for the good-space compilation
-    and [corners] gives the deterministic extreme points. *)
+    simulated die; [monte_carlo] draws dies for the good-space
+    compilation. *)
 
 type sample = {
   vth_n_shift : float;   (** V, additive shift of NMOS threshold *)
@@ -40,9 +40,5 @@ val draw : spread -> Tech.t -> Util.Prng.t -> sample
 (** [monte_carlo ?n spread tech prng] draws [n] dies (default 64),
     nominal first so the nominal signature is always in the good space. *)
 val monte_carlo : ?n:int -> spread -> Tech.t -> Util.Prng.t -> sample list
-
-(** [corners spread tech] is the 8-point deterministic corner set
-    (slow/fast × low/high Vdd × cold/hot). *)
-val corners : spread -> Tech.t -> sample list
 
 val pp : Format.formatter -> sample -> unit

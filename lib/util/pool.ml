@@ -160,7 +160,3 @@ let chunk_ranges ~n ~chunk_size =
       build (offset + length) ((offset, length) :: acc)
   in
   build 0 []
-
-let parallel_chunks ?jobs ~n ~chunk_size f =
-  chunk_ranges ~n ~chunk_size
-  |> parallel_mapi ?jobs (fun chunk (offset, length) -> f ~chunk ~offset ~length)

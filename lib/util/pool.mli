@@ -77,14 +77,3 @@ val parallel_mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
     stable across machines. [n = 0] gives the empty list.
     @raise Invalid_argument if [n < 0] or [chunk_size <= 0]. *)
 val chunk_ranges : n:int -> chunk_size:int -> (int * int) list
-
-(** [parallel_chunks ?jobs ~n ~chunk_size f] applies
-    [f ~chunk ~offset ~length] to every range of
-    [chunk_ranges ~n ~chunk_size] ([chunk] is the 0-based range index) and
-    returns the results in chunk order, computed like {!parallel_map}. *)
-val parallel_chunks :
-  ?jobs:int ->
-  n:int ->
-  chunk_size:int ->
-  (chunk:int -> offset:int -> length:int -> 'a) ->
-  'a list

@@ -39,8 +39,6 @@ let multi = function
 
 let ambient = Atomic.make null
 
-let set_sink sink = Atomic.set ambient sink
-let sink () = Atomic.get ambient
 let enabled () = not (is_null (Atomic.get ambient))
 
 (* --- per-domain state -------------------------------------------------- *)

@@ -74,9 +74,6 @@ type sink = { emit : event -> unit; flush : unit -> unit }
 (** The zero-cost default: no events are constructed, no clock is read. *)
 val null : sink
 
-(** [is_null sink] — physical test for the {!null} sink. *)
-val is_null : sink -> bool
-
 (** [multi sinks] forwards every event to each sink in order. [multi []]
     is {!null}. *)
 val multi : sink list -> sink
@@ -118,19 +115,16 @@ val event_of_json : Json.t -> (event, string) result
 
 (** {1 Ambient sink} *)
 
-(** [set_sink sink] installs the process-wide sink ({!null} initially). *)
-val set_sink : sink -> unit
-
-val sink : unit -> sink
-
 (** [enabled ()] — [false] iff the ambient sink is {!null}. Hot paths may
     use it to skip attribute construction entirely. *)
 val enabled : unit -> bool
 
 (** [with_sink sink f] installs [sink] for the duration of [f], then
-    restores the previous sink and flushes the per-domain counter buffer
-    of the calling domain. Not reentrant from worker domains; install
-    from the orchestrating domain only. *)
+    flushes the per-domain counter buffer of the calling domain and
+    [sink], and restores the previous sink. It is the one way to set the
+    ambient sink, a single process-wide value, so pool workers started
+    inside [f] report to [sink] too. Not reentrant from worker domains;
+    install from the orchestrating domain only. *)
 val with_sink : sink -> (unit -> 'a) -> 'a
 
 (** {1 Instrumentation} *)

@@ -281,14 +281,10 @@ let metrics_with_jobs ~config jobs =
     ~finally:(fun () -> Util.Pool.set_jobs saved)
     (fun () ->
       let memory = Util.Telemetry.in_memory () in
-      let config =
-        Core.Pipeline.Config.with_telemetry
-          (Util.Telemetry.memory_sink memory)
-          config
-      in
       let _ =
-        Core.Pipeline.analyze config
-          (Adc.Comparator.macro Adc.Comparator.default_options)
+        Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
+            Core.Pipeline.analyze config
+              (Adc.Comparator.macro Adc.Comparator.default_options))
       in
       Util.Telemetry.metrics memory)
 
@@ -332,14 +328,10 @@ let test_telemetry_jsonl_roundtrip () =
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
-          let config =
-            Core.Pipeline.Config.with_telemetry
-              (Util.Telemetry.jsonl oc)
-              telemetry_config
-          in
           let _ =
-            Core.Pipeline.analyze config
-              (Adc.Comparator.macro Adc.Comparator.default_options)
+            Util.Telemetry.with_sink (Util.Telemetry.jsonl oc) (fun () ->
+                Core.Pipeline.analyze telemetry_config
+                  (Adc.Comparator.macro Adc.Comparator.default_options))
           in
           ());
       let lines =
@@ -514,12 +506,10 @@ let test_cache_hit_skips_simulation () =
   (* Second run with an in-memory sink: the simulation counters must stay
      silent — the analysis came from the cache, not the solver. *)
   let memory = Util.Telemetry.in_memory () in
-  let config =
-    Core.Pipeline.Config.with_telemetry
-      (Util.Telemetry.memory_sink memory)
-      telemetry_config
+  let _, stats =
+    Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
+        analyze_cached ~dir ~jobs:1 telemetry_config)
   in
-  let _, stats = analyze_cached ~dir ~jobs:1 config in
   Alcotest.(check int) "hit" 1 stats.Util.Cache.hits;
   let m = Util.Telemetry.metrics memory in
   Alcotest.(check (option int)) "no classes simulated" None
@@ -806,6 +796,49 @@ let test_solver_tables_invariant () =
       );
     ]
 
+(* The config's solver reaches every simulating stage, on whichever
+   domain runs it. Both policies print identical tables, so only the
+   engine's counters can tell them apart: under [Dense] no iteration may
+   take the reuse policy's bypass or rank-1 paths, under [Auto] both
+   must fire, and neither may depend on the job count. A solver
+   installed around some stages only, or outside the pool hop into
+   [analyze_all]'s workers, lets [Auto] leak into a [Dense] run. *)
+let test_solver_reaches_every_stage () =
+  let macros = [ Adc.Bias_gen.macro (); Adc.Clock_gen.macro () ] in
+  let counters ~solver ~jobs =
+    let saved = Util.Pool.jobs () in
+    Util.Pool.set_jobs jobs;
+    Fun.protect ~finally:(fun () -> Util.Pool.set_jobs saved) @@ fun () ->
+    let memory = Util.Telemetry.in_memory () in
+    Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
+        ignore
+          (Core.Pipeline.analyze_all
+             Core.Pipeline.Config.(
+               default |> with_defects 300 |> with_good_space_dies 4
+               |> with_solver solver)
+             macros));
+    (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters
+  in
+  List.iter
+    (fun solver ->
+      let name = Circuit.Engine.solver_name solver in
+      let at_1 = counters ~solver ~jobs:1 in
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": same counters at jobs 1 and 2")
+        at_1 (counters ~solver ~jobs:2);
+      List.iter
+        (fun key ->
+          let n = Option.value ~default:0 (List.assoc_opt key at_1) in
+          match solver with
+          | Circuit.Engine.Dense ->
+            Alcotest.(check int) (Printf.sprintf "%s: %s" name key) 0 n
+          | Circuit.Engine.Auto ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s fired" name key)
+              true (n > 0))
+        [ "engine.jacobian_bypass"; "engine.rank1_solves" ])
+    Circuit.Engine.all_solvers
+
 let test_run_survival_renders () =
   let contains hay needle =
     let n = String.length needle and h = String.length hay in
@@ -1049,6 +1082,8 @@ let suites =
       [
         Alcotest.test_case "tables invariant across backends and jobs" `Slow
           test_solver_tables_invariant;
+        Alcotest.test_case "config solver reaches every stage" `Quick
+          test_solver_reaches_every_stage;
       ] );
     ( "core.report",
       [

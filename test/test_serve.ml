@@ -601,11 +601,11 @@ let test_memo_refill_past_bound () =
       (fun seed want ->
         let memory = Util.Telemetry.in_memory () in
         let analyses =
-          Pipeline.analyze_all
-            Pipeline.Config.(
-              config seed |> with_memo (Some memo)
-              |> with_telemetry (Util.Telemetry.memory_sink memory))
-            macros
+          Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory)
+            (fun () ->
+              Pipeline.analyze_all
+                Pipeline.Config.(config seed |> with_memo (Some memo))
+                macros)
         in
         Alcotest.(check (list (pair string string)))
           (Printf.sprintf "seed %d at jobs %d" seed jobs)

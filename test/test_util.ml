@@ -589,19 +589,6 @@ let test_pool_chunk_ranges () =
     (Invalid_argument "Pool.chunk_ranges: chunk_size must be positive")
     (fun () -> ignore (Pool.chunk_ranges ~n:3 ~chunk_size:0))
 
-let test_pool_parallel_chunks_cover () =
-  let ranges =
-    Pool.parallel_chunks ~jobs:4 ~n:103 ~chunk_size:10
-      (fun ~chunk ~offset ~length -> chunk, offset, length)
-  in
-  let total = List.fold_left (fun acc (_, _, len) -> acc + len) 0 ranges in
-  Alcotest.(check int) "covers n" 103 total;
-  List.iteri
-    (fun i (chunk, offset, _) ->
-      Alcotest.(check int) "chunk order" i chunk;
-      Alcotest.(check int) "contiguous" (i * 10) offset)
-    ranges
-
 let test_pool_nested_stays_sequential () =
   (* A parallel_map inside a worker must not spawn further domains; it
      still has to produce correct, ordered results. *)
@@ -1162,7 +1149,6 @@ let suites =
         Alcotest.test_case "singleton failure wrapped" `Quick test_pool_singleton_failure_wrapped;
         Alcotest.test_case "failure printer" `Quick test_pool_worker_failure_printer;
         Alcotest.test_case "chunk ranges" `Quick test_pool_chunk_ranges;
-        Alcotest.test_case "chunks cover" `Quick test_pool_parallel_chunks_cover;
         Alcotest.test_case "nested sequential" `Quick test_pool_nested_stays_sequential;
         Alcotest.test_case "set_jobs floor" `Quick test_pool_set_jobs_floor;
         Alcotest.test_case "cancels after failure" `Quick
