@@ -7,114 +7,58 @@
      --quick         smaller defect counts (fast smoke run)
      --no-ablations  skip the ablation sweeps
      --jobs N        worker domains (default: cores-1, min 1; DOTEST_JOBS)
-     --json          emit per-stage timings of one macro pipeline as one
-                     JSON object (schema dotest-bench/10, history at
-                     json_run) on stdout and exit (machine-readable
-                     perf trajectory; nothing else is printed)
-     --macro M       macro for --json: comparator (default) or scaled
-     --bits N        size of the scaled macro: 2^N ladder taps (default 8)
      --scaling       emit the scaling study as one JSON object (schema
                      dotest-bench/11): per-N raw-solve table (dense vs
                      auto vs auto+shared) plus pipeline evaluate-stage
                      A/Bs on the n=37 comparator (quick) and the large-N
                      scaled ADC; nothing else is printed
-     --cache DIR     persist per-macro results under DIR; a warm --json
-                     run reports cache "warm" with nonzero hits
-     --deadline S    wall-clock budget per fault-class simulation attempt
-     --deadline-iterations N
-                     Newton-iteration budget per attempt (deterministic)
-     --solver B      Newton factorization policy: dense (re-factor every
-                     iteration) | auto (reuse, the default); both produce
-                     identical tables                                      *)
+     --bits N        size of --scaling's scaled macro: 2^N ladder taps
+                     (2..14; default 11, 10 under --quick)
 
-let quick = Array.exists (( = ) "--quick") Sys.argv
-let no_ablations = Array.exists (( = ) "--no-ablations") Sys.argv
-let json_mode = Array.exists (( = ) "--json") Sys.argv
-let scaling_mode = Array.exists (( = ) "--scaling") Sys.argv
+   An unknown flag, or a flag missing its value, prints the usage and
+   exits 2. *)
 
-let jobs =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then Util.Pool.default_jobs ()
-    else if Sys.argv.(i) = "--jobs" then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n when n > 0 -> n
-      | Some _ | None -> failwith "--jobs expects a positive integer"
-    else scan (i + 1)
+let quick, no_ablations, jobs, scaling_mode, bench_bits =
+  let quick = ref false and no_ablations = ref false and scaling = ref false in
+  let jobs = ref None and bits = ref None in
+  let checked r ok msg =
+    Arg.Int (fun n -> if ok n then r := Some n else raise (Arg.Bad msg))
   in
-  scan 1
-
-let cache =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--cache" then
-      Some (Util.Cache.create ~dir:Sys.argv.(i + 1) ~version:Core.Codec.version ())
-    else scan (i + 1)
-  in
-  scan 1
-
-let flag_value name parse =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name then
-      match parse Sys.argv.(i + 1) with
-      | Some v -> Some v
-      | None -> failwith (name ^ " expects a number")
-    else scan (i + 1)
-  in
-  scan 1
-
-let deadline =
-  match
-    ( flag_value "--deadline" float_of_string_opt,
-      flag_value "--deadline-iterations" int_of_string_opt )
-  with
-  | None, None -> None
-  | wall_seconds, max_iterations ->
-    Some { Util.Watchdog.wall_seconds; max_iterations }
-
-let solver =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then Circuit.Engine.default_solver
-    else if Sys.argv.(i) = "--solver" then
-      match Circuit.Engine.solver_of_string Sys.argv.(i + 1) with
-      | Some s -> s
-      | None -> failwith "--solver expects dense or auto"
-    else scan (i + 1)
-  in
-  scan 1
-
-let bench_bits =
-  match flag_value "--bits" int_of_string_opt with
-  | Some b when b >= 2 && b <= 14 -> b
-  | Some _ -> failwith "--bits expects an integer in 2..14"
-  (* --scaling targets the regime where per-iteration factorization
-     dominates per-class fixed costs; below ~1000 unknowns the dense
-     backend hides behind warm-started two-iteration Newton runs. Full
-     mode goes one size further out, where the n³ term is unambiguous. *)
-  | None -> if scaling_mode then (if quick then 10 else 11) else 8
-
-let bench_macro =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then `Comparator
-    else if Sys.argv.(i) = "--macro" then
-      match Sys.argv.(i + 1) with
-      | "comparator" -> `Comparator
-      | "scaled" -> `Scaled
-      | _ -> failwith "--macro expects comparator or scaled"
-    else scan (i + 1)
-  in
-  scan 1
+  Arg.parse
+    (Arg.align
+       [
+         "--quick", Arg.Set quick, " smaller defect counts";
+         "--no-ablations", Arg.Set no_ablations, " skip the ablation sweeps";
+         ( "--jobs",
+           checked jobs (fun n -> n > 0) "--jobs expects a positive integer",
+           "N worker domains" );
+         "--scaling", Arg.Set scaling, " emit the scaling study as JSON";
+         ( "--bits",
+           checked bits
+             (fun b -> b >= 2 && b <= 14)
+             "--bits expects an integer in 2..14",
+           "N --scaling's scaled macro: 2^N ladder taps" );
+       ])
+    (fun arg -> raise (Arg.Bad ("unexpected argument " ^ arg)))
+    "Usage: main.exe [--quick] [--no-ablations] [--jobs N] [--scaling] \
+     [--bits N]";
+  ( !quick,
+    !no_ablations,
+    Option.value !jobs ~default:(Util.Pool.default_jobs ()),
+    !scaling,
+    (* --scaling targets the regime where per-iteration factorization
+       dominates per-class fixed costs; below ~1000 unknowns the dense
+       backend hides behind warm-started two-iteration Newton runs. Full
+       mode goes one size further out, where the n³ term is unambiguous. *)
+    Option.value !bits ~default:(if !quick then 10 else 11) )
 
 let () = Util.Pool.set_jobs jobs
 
 let config =
-  (if quick then
-     Core.Pipeline.Config.(
-       default |> with_defects 5_000 |> with_good_space_dies 16)
-   else Core.Pipeline.Config.default)
-  |> Core.Pipeline.Config.with_cache_handle cache
-  |> Core.Pipeline.Config.with_deadline deadline
-  |> Core.Pipeline.Config.with_solver solver
+  if quick then
+    Core.Pipeline.Config.(
+      default |> with_defects 5_000 |> with_good_space_dies 16)
+  else Core.Pipeline.Config.default
 
 let banner title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
@@ -402,167 +346,7 @@ let ablation_defect_count () =
   print_table t
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable timings (--json)                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-stage wall-clock of the comparator pipeline as one JSON object on
-   stdout: the perf trajectory future PRs compare against (BENCH_*.json).
-   Schema 2 added the run-health counters of the resilience layer; schema 3
-   embedded the aggregated telemetry metrics (counter totals are
-   deterministic across job counts, so they diff cleanly between PRs)
-   and moved emission to Util.Json; schema 4 added the result-cache counters
-   ("cache": state cold|warm|off plus hits/misses/stale/evictions) and
-   emitted metrics through Core.Codec, the library's single JSON surface;
-   schema 4 added the result-cache counters and schema 5 the "survival"
-   object (deadline budgets and the deadline-expiry counter); schema 6
-   adds the "solver" object — the selected backend plus the engine's
-   factorization-reuse counters (factorizations, rank1_solves,
-   jacobian_bypass, rank1_fallbacks), pulled from the same deterministic
-   counter totals as "metrics"; schema 8 adds macro selection (--macro
-   comparator|scaled with "bits" for the generated ADC), the
-   shared-nominal counters in "solver", and the "throughput" object
-   (classes_per_s / solves_per_s are wall-clock-derived and vary run to
-   run; newton_iterations_per_class is deterministic); schema 10 (9 is
-   --scaling's) drops the shared-nominal fallback count from "solver":
-   the shared nominal is only a warm start now, with no factor seed
-   whose guard could trip. *)
-let bench_macro_cell () =
-  match bench_macro with
-  | `Comparator -> Adc.Comparator.macro Adc.Comparator.default_options
-  | `Scaled -> Adc.Scaled.macro ~bits:bench_bits ()
-
-let json_run () =
-  let macro = bench_macro_cell () in
-  ignore (Lazy.force macro.Macro.Macro_cell.cell);
-  let memory = Util.Telemetry.in_memory () in
-  let analysis, total_s =
-    seconds (fun () ->
-        Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
-            Core.Pipeline.analyze config macro))
-  in
-  let health = analysis.Core.Pipeline.health in
-  let stage name =
-    try List.assoc name health.Core.Pipeline.stage_seconds
-    with Not_found -> 0.0
-  in
-  let coverage outcomes =
-    Testgen.Overlap.coverage
-      (Testgen.Overlap.venn_of_partition (Testgen.Overlap.partition outcomes))
-  in
-  let m = Util.Telemetry.metrics memory in
-  let counter name =
-    try List.assoc name m.Util.Telemetry.Metrics.counters with Not_found -> 0
-  in
-  let cache_json =
-    match cache with
-    | None -> Core.Codec.cache_stats_to_json ~state:`Off Util.Cache.no_stats
-    | Some c ->
-      let s = Util.Cache.stats c in
-      Core.Codec.cache_stats_to_json
-        ~state:(Core.Report.cache_state s :> [ `Cold | `Warm | `Off ])
-        s
-  in
-  let evaluate_s = stage "evaluate-cat" +. stage "evaluate-ncat" in
-  let classes = counter "classes_simulated" in
-  let rate count elapsed =
-    if elapsed > 0.0 then Util.Json.Float (float_of_int count /. elapsed)
-    else Util.Json.Null
-  in
-  let json =
-    Util.Json.Obj
-      [
-        "schema", Util.Json.String "dotest-bench/10";
-        "macro", Util.Json.String macro.Macro.Macro_cell.name;
-        ( "bits",
-          match bench_macro with
-          | `Comparator -> Util.Json.Null
-          | `Scaled -> Util.Json.Int bench_bits );
-        "mode", Util.Json.String (if quick then "quick" else "full");
-        "jobs", Util.Json.Int jobs;
-        "seed", Util.Json.Int config.Core.Pipeline.Config.seed;
-        "defects", Util.Json.Int analysis.Core.Pipeline.sprinkled;
-        "effective", Util.Json.Int analysis.Core.Pipeline.effective;
-        ( "classes_catastrophic",
-          Util.Json.Int (List.length analysis.Core.Pipeline.classes_catastrophic)
-        );
-        ( "classes_non_catastrophic",
-          Util.Json.Int
-            (List.length analysis.Core.Pipeline.classes_non_catastrophic) );
-        ( "coverage_catastrophic",
-          Util.Json.Float
-            (coverage analysis.Core.Pipeline.outcomes_catastrophic) );
-        ( "coverage_non_catastrophic",
-          Util.Json.Float
-            (coverage analysis.Core.Pipeline.outcomes_non_catastrophic) );
-        ( "health",
-          Util.Json.Obj
-            [
-              "classes", Util.Json.Int health.Core.Pipeline.classes;
-              "retried", Util.Json.Int health.Core.Pipeline.retried;
-              "degraded", Util.Json.Int health.Core.Pipeline.degraded;
-              "unresolved", Util.Json.Int health.Core.Pipeline.unresolved;
-            ] );
-        ( "stages",
-          Util.Json.Obj
-            [
-              "sprinkle_s", Util.Json.Float (stage "sprinkle");
-              "collapse_s", Util.Json.Float (stage "collapse");
-              "good_space_s", Util.Json.Float (stage "good-space");
-              ( "evaluate_s",
-                Util.Json.Float (stage "evaluate-cat" +. stage "evaluate-ncat")
-              );
-              "total_s", Util.Json.Float total_s;
-            ] );
-        "cache", cache_json;
-        ( "solver",
-          Util.Json.Obj
-            [
-              ( "backend",
-                Util.Json.String (Circuit.Engine.solver_name solver) );
-              "factorizations", Util.Json.Int (counter "engine.factorizations");
-              "rank1_solves", Util.Json.Int (counter "engine.rank1_solves");
-              "jacobian_bypass", Util.Json.Int (counter "engine.jacobian_bypass");
-              "rank1_fallbacks", Util.Json.Int (counter "engine.rank1_fallbacks");
-              ( "shared_nominal_hits",
-                Util.Json.Int (counter "engine.shared_nominal_hits") );
-              ( "shared_nominal_misses",
-                Util.Json.Int (counter "engine.shared_nominal_misses") );
-            ] );
-        ( "throughput",
-          Util.Json.Obj
-            [
-              "classes_per_s", rate classes evaluate_s;
-              "solves_per_s", rate (counter "engine.solves") evaluate_s;
-              ( "newton_iterations_per_class",
-                if classes = 0 then Util.Json.Null
-                else
-                  Util.Json.Float
-                    (float_of_int (counter "newton_iterations")
-                    /. float_of_int classes) );
-            ] );
-        ( "survival",
-          Util.Json.Obj
-            [
-              ( "deadline_wall_s",
-                match deadline with
-                | Some { Util.Watchdog.wall_seconds = Some s; _ } ->
-                  Util.Json.Float s
-                | Some _ | None -> Util.Json.Null );
-              ( "deadline_iterations",
-                match deadline with
-                | Some { Util.Watchdog.max_iterations = Some n; _ } ->
-                  Util.Json.Int n
-                | Some _ | None -> Util.Json.Null );
-              ( "deadline_expired",
-                Util.Json.Int (counter "watchdog.deadline_exceeded") );
-            ] );
-        "metrics", Core.Codec.metrics_to_json m;
-      ]
-  in
-  print_endline (Util.Json.to_string json)
-
-(* ------------------------------------------------------------------ *)
-(* PR-10 scaling study (--scaling)                                      *)
+(* Scaling study (--scaling)                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Raw-solve sweep: for each size, solve a batch of near-miss-bridge
@@ -571,12 +355,17 @@ let json_run () =
    derivation amortized over the whole batch + warm starts). This is the
    per-class solve pattern of the evaluate stage, isolated from
    sprinkling and classification, so the full-Newton-vs-reuse-vs-shared
-   crossover is directly visible per N. Schema 9 dropped the rank1
-   column with the backend. Schema 11 (10 is --json's) measures dense
-   in every row and drops the per-row flag that marked it skipped: the
-   n <= 1200 cap behind it was set for the retired dense LU, and on the
-   sparse LU a dense row costs a fraction of a second even at bits 11. *)
+   crossover is directly visible per N. A cell times [scaling_passes]
+   passes over the batch: its "s_per_solve" is the median pass's
+   wall-clock per solve, so one host stall cannot move it, and its
+   "newton_iterations" is the first pass's total, which every pass
+   repeats. Schema 9 dropped the rank1 column with the backend. Schema
+   11 (10 was the since-retired --json mode's) measures dense in every
+   row and drops the per-row flag that marked it skipped: the n <= 1200
+   cap behind it was set for the retired dense LU, and on the sparse LU
+   a dense row costs a fraction of a second even at bits 11. *)
 let scaling_variants = 12
+let scaling_passes = 5
 
 let scaling_netlists bits =
   let nominal =
@@ -597,42 +386,46 @@ let scaling_netlists bits =
   in
   nominal, variants
 
-(* The batch's Newton iterations are the engine's own counter, read from
-   an in-memory sink. *)
-let timed_batch ?shared solver variants =
-  let run () =
-    Circuit.Engine.with_solver solver @@ fun () ->
-    let solve_all () =
-      List.iter (fun nl -> ignore (Circuit.Engine.dc_operating_point nl)) variants
+(* A pass's Newton iterations are the engine's own counter, read from
+   an in-memory sink. Each [~shared] pass installs a fresh shared-nominal
+   context, so it pays its own skeleton derivation. *)
+let timed_batch ?(shared = false) solver variants =
+  let solve_all () =
+    List.iter (fun nl -> ignore (Circuit.Engine.dc_operating_point nl)) variants
+  in
+  let pass () =
+    let run =
+      if shared then
+        let sn =
+          Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device ()
+        in
+        fun () -> Circuit.Engine.with_shared_nominal sn solve_all
+      else solve_all
     in
-    match shared with
-    | None -> solve_all ()
-    | Some sn -> Circuit.Engine.with_shared_nominal sn solve_all
+    let memory = Util.Telemetry.in_memory () in
+    let (), elapsed =
+      Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
+          seconds (fun () -> Circuit.Engine.with_solver solver run))
+    in
+    ( elapsed /. float_of_int (List.length variants),
+      Option.value ~default:0
+        (List.assoc_opt "newton_iterations"
+           (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters) )
   in
-  let memory = Util.Telemetry.in_memory () in
-  let (), elapsed =
-    Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
-        seconds run)
-  in
-  let iterations =
-    Option.value ~default:0
-      (List.assoc_opt "newton_iterations"
-         (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters)
-  in
+  let passes = List.init scaling_passes (fun _ -> pass ()) in
+  let sorted = List.sort compare (List.map fst passes) in
   Util.Json.Obj
     [
-      "s_per_solve",
-      Util.Json.Float (elapsed /. float_of_int (List.length variants));
-      "newton_iterations", Util.Json.Int iterations;
+      "s_per_solve", Util.Json.Float (List.nth sorted (scaling_passes / 2));
+      "newton_iterations", Util.Json.Int (snd (List.hd passes));
     ]
 
 let scaling_row bits =
   let nominal, variants = scaling_netlists bits in
   let n = Circuit.Netlist.node_count nominal + 2 in
-  let sn = Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device () in
   let dense = timed_batch Circuit.Engine.Dense variants in
   let auto = timed_batch Circuit.Engine.Auto variants in
-  let auto_shared = timed_batch ~shared:sn Circuit.Engine.Auto variants in
+  let auto_shared = timed_batch ~shared:true Circuit.Engine.Auto variants in
   Format.eprintf "scaling: bits=%d n=%d done@." bits n;
   Util.Json.Obj
     [
@@ -643,14 +436,12 @@ let scaling_row bits =
       "auto_shared", auto_shared;
     ]
 
-(* One pipeline run (no cache) under [solver]; returns the evaluate-stage
+(* One uncached pipeline run under [solver]; returns the evaluate-stage
    wall-clock plus the deterministic counters behind the throughput
    numbers. *)
 let pipeline_measure config macro solver =
   let memory = Util.Telemetry.in_memory () in
-  let cfg =
-    Core.Pipeline.Config.(config |> with_solver solver |> with_cache_handle None)
-  in
+  let cfg = Core.Pipeline.Config.with_solver solver config in
   let analysis =
     Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
         Core.Pipeline.analyze cfg macro)
@@ -738,7 +529,6 @@ let scaling_run () =
 
 let () =
   if scaling_mode then scaling_run ()
-  else if json_mode then json_run ()
   else begin
     Format.printf
       "dotest benchmark harness — reproduction of Kuijstermans, Thijssen & \

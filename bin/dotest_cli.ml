@@ -9,16 +9,6 @@ let setup_logging verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
 
-let config_of ~defects ~dies ~sigma ~seed ~max_retries ~strict ~failure_budget
-    ~inject_failures ~cache ?(deadline = None) ?(checkpoint = None) ~solver () =
-  Core.Pipeline.Config.(
-    default |> with_defects defects |> with_good_space_dies dies
-    |> with_sigma sigma |> with_seed seed |> with_max_retries max_retries
-    |> with_strict strict |> with_failure_budget failure_budget
-    |> with_inject_failures inject_failures |> with_cache_handle cache
-    |> with_deadline deadline |> with_checkpoint checkpoint
-    |> with_solver solver)
-
 let defaults = Core.Pipeline.Config.default
 
 (* --- shared options ---------------------------------------------------- *)
@@ -197,14 +187,6 @@ let resume =
            them. A resumed run prints the same coverage tables, health \
            counters and bounds byte-for-byte as an uninterrupted one.")
 
-let no_checkpoint =
-  Arg.(
-    value & flag
-    & info [ "no-checkpoint" ]
-        ~doc:
-          "Disable incremental checkpointing of fault-class outcomes \
-           (checkpointing is on by default whenever $(b,--cache) is set).")
-
 let deadline_of ~deadline ~deadline_iterations =
   match deadline, deadline_iterations with
   | None, None -> None
@@ -213,14 +195,13 @@ let deadline_of ~deadline ~deadline_iterations =
 
 (* Checkpointing rides the result cache, so it is on exactly when a cache
    is; --resume without one cannot restore anything and says so. *)
-let checkpoint_of ~cache ~resume ~no_checkpoint =
+let checkpoint_of ~cache ~resume =
   match cache with
   | None ->
     if resume then
       Format.eprintf
         "dotest: --resume requires --cache; running from scratch@.";
     None
-  | Some _ when no_checkpoint -> None
   | Some _ -> Some (Core.Checkpoint.create ~resume ())
 
 let format_arg =
@@ -325,24 +306,66 @@ let log_stage_seconds analyses =
 
 (* --- commands ----------------------------------------------------------- *)
 
+(* An analysis command's flags, set up: logging, the pool size and the
+   signal handlers are installed; [sink] is the run's telemetry sink and
+   [memory] its in-memory aggregate under --metrics. *)
+type run = {
+  config : Core.Pipeline.Config.t;
+  cache : Util.Cache.t option;
+  sink : Util.Telemetry.sink;
+  memory : Util.Telemetry.memory option;
+  format : [ `Text | `Json | `Csv ];
+}
+
+(* The containment flags: retries, strictness, the failure budget, failure
+   injection, deadlines and --resume. [dft] has none of them. *)
+let containment =
+  let make strict max_retries failure_budget inject_failures deadline
+      deadline_iterations resume =
+    ( resume,
+      Core.Pipeline.Config.(
+        fun config ->
+          config |> with_max_retries max_retries |> with_strict strict
+          |> with_failure_budget failure_budget
+          |> with_inject_failures inject_failures
+          |> with_deadline (deadline_of ~deadline ~deadline_iterations)) )
+  in
+  Term.(
+    const make $ strict $ max_retries $ failure_budget $ inject_failures
+    $ deadline_arg $ deadline_iterations $ resume)
+
+(* [analysis_with containment] is the term of every flag an analysis
+   command shares: it evaluates to a function that sets the run up and
+   hands it to its argument. *)
+let analysis_with containment =
+  let make verbose jobs defects dies sigma seed trace metrics cache_dir
+      no_cache solver format (resume, contain) f =
+    setup_logging verbose;
+    Util.Pool.set_jobs jobs;
+    Util.Watchdog.install_signal_handlers ();
+    with_telemetry ~trace ~metrics @@ fun sink memory ->
+    let cache = cache_handle ~cache_dir ~no_cache in
+    let config =
+      Core.Pipeline.Config.(
+        default |> with_defects defects |> with_good_space_dies dies
+        |> with_sigma sigma |> with_seed seed |> contain
+        |> with_cache_handle cache
+        |> with_checkpoint (checkpoint_of ~cache ~resume)
+        |> with_solver solver)
+    in
+    f { config; cache; sink; memory; format }
+  in
+  Term.(
+    const make $ verbose $ jobs $ defects $ dies $ sigma $ seed $ trace
+    $ metrics_flag $ cache_dir $ no_cache $ solver_arg $ format_arg
+    $ containment)
+
+let analysis = analysis_with containment
+let dft_analysis = analysis_with (Term.const (false, Fun.id))
+
 (* Shared driver for the single-macro commands (comparator, scaled): run
    one macro through the pipeline and print the per-macro tables. *)
-let run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
-    ~max_retries ~failure_budget ~inject_failures ~trace ~metrics ~cache_dir
-    ~no_cache ~deadline ~deadline_iterations ~resume ~no_checkpoint ~solver
-    ~format macro =
-  setup_logging verbose;
-  Util.Pool.set_jobs jobs;
-  Util.Watchdog.install_signal_handlers ();
-  with_telemetry ~trace ~metrics @@ fun sink memory ->
-  let cache = cache_handle ~cache_dir ~no_cache in
-  let checkpoint = checkpoint_of ~cache ~resume ~no_checkpoint in
-  let config =
-    config_of ~defects ~dies ~sigma ~seed ~max_retries ~strict ~failure_budget
-      ~inject_failures ~cache
-      ~deadline:(deadline_of ~deadline ~deadline_iterations)
-      ~checkpoint ~solver ()
-  in
+let run_single_macro macro { config; cache; sink; memory; format } =
   let analysis, elapsed =
     timed (fun () ->
         handle_failures ~sink (fun () -> Core.Pipeline.analyze config macro))
@@ -354,36 +377,20 @@ let run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
   print_metrics ~elapsed ~format memory
 
 let comparator_cmd =
-  let run verbose jobs defects dies sigma seed dft strict max_retries
-      failure_budget inject_failures trace metrics cache_dir no_cache deadline
-      deadline_iterations resume no_checkpoint solver format =
+  let run analysis dft =
     let options =
       if dft then Adc.Comparator.dft_options else Adc.Comparator.default_options
     in
-    run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
-      ~max_retries ~failure_budget ~inject_failures ~trace ~metrics ~cache_dir
-      ~no_cache ~deadline ~deadline_iterations ~resume ~no_checkpoint ~solver
-      ~format
-      (Adc.Comparator.macro options)
+    analysis (run_single_macro (Adc.Comparator.macro options))
   in
   Cmd.v
     (Cmd.info "comparator"
        ~doc:"Run the defect-oriented test path for the comparator macro.")
-    Term.(
-      const run $ verbose $ jobs $ defects $ dies $ sigma $ seed $ dft $ strict
-      $ max_retries $ failure_budget $ inject_failures $ trace $ metrics_flag
-      $ cache_dir $ no_cache $ deadline_arg $ deadline_iterations $ resume
-      $ no_checkpoint $ solver_arg $ format_arg)
+    Term.(const run $ analysis $ dft)
 
 let scaled_cmd =
-  let run verbose jobs bits defects dies sigma seed strict max_retries
-      failure_budget inject_failures trace metrics cache_dir no_cache deadline
-      deadline_iterations resume no_checkpoint solver format =
-    run_single_macro ~verbose ~jobs ~defects ~dies ~sigma ~seed ~strict
-      ~max_retries ~failure_budget ~inject_failures ~trace ~metrics ~cache_dir
-      ~no_cache ~deadline ~deadline_iterations ~resume ~no_checkpoint ~solver
-      ~format
-      (Adc.Scaled.macro ~bits ())
+  let run analysis bits =
+    analysis (run_single_macro (Adc.Scaled.macro ~bits ()))
   in
   let bits =
     Arg.(
@@ -403,29 +410,11 @@ let scaled_cmd =
           transistor per tap. The workload for solver scaling studies — \
           same pipeline, same determinism contract, adjustable circuit \
           size.")
-    Term.(
-      const run $ verbose $ jobs $ bits $ defects $ dies $ sigma $ seed
-      $ strict $ max_retries $ failure_budget $ inject_failures $ trace
-      $ metrics_flag $ cache_dir $ no_cache $ deadline_arg
-      $ deadline_iterations $ resume $ no_checkpoint $ solver_arg
-      $ format_arg)
+    Term.(const run $ analysis $ bits)
 
 let global_cmd =
-  let run verbose jobs defects dies sigma seed dft strict max_retries
-      failure_budget inject_failures trace metrics cache_dir no_cache deadline
-      deadline_iterations resume no_checkpoint solver format =
-    setup_logging verbose;
-    Util.Pool.set_jobs jobs;
-    Util.Watchdog.install_signal_handlers ();
-    with_telemetry ~trace ~metrics @@ fun sink memory ->
-    let cache = cache_handle ~cache_dir ~no_cache in
-    let checkpoint = checkpoint_of ~cache ~resume ~no_checkpoint in
-    let config =
-      config_of ~defects ~dies ~sigma ~seed ~max_retries ~strict
-        ~failure_budget ~inject_failures ~cache
-        ~deadline:(deadline_of ~deadline ~deadline_iterations)
-        ~checkpoint ~solver ()
-    in
+  let run analysis dft =
+    analysis @@ fun { config; cache; sink; memory; format } ->
     let measures = if dft then Dft.Measures.all_measures else [] in
     let macros = Dft.Measures.macro_set ~measures in
     let analyses, elapsed =
@@ -442,27 +431,11 @@ let global_cmd =
   Cmd.v
     (Cmd.info "global"
        ~doc:"Run all five macros and the global scaling step.")
-    Term.(
-      const run $ verbose $ jobs $ defects $ dies $ sigma $ seed $ dft $ strict
-      $ max_retries $ failure_budget $ inject_failures $ trace $ metrics_flag
-      $ cache_dir $ no_cache $ deadline_arg $ deadline_iterations $ resume
-      $ no_checkpoint $ solver_arg $ format_arg)
+    Term.(const run $ analysis $ dft)
 
 let dft_cmd =
-  let run verbose jobs defects dies sigma seed trace metrics cache_dir no_cache
-      solver format =
-    setup_logging verbose;
-    Util.Pool.set_jobs jobs;
-    Util.Watchdog.install_signal_handlers ();
-    with_telemetry ~trace ~metrics @@ fun sink memory ->
-    let cache = cache_handle ~cache_dir ~no_cache in
-    let config =
-      config_of ~defects ~dies ~sigma ~seed
-        ~max_retries:defaults.Core.Pipeline.Config.max_retries
-        ~strict:false ~failure_budget:None ~inject_failures:None ~cache
-        ~checkpoint:(checkpoint_of ~cache ~resume:false ~no_checkpoint:false)
-        ~solver ()
-    in
+  let run analysis =
+    analysis @@ fun { config; cache; sink; memory; format } ->
     let original, improved =
       handle_failures ~sink (fun () -> Core.Global.compare_coverage ~config ())
     in
@@ -479,9 +452,7 @@ let dft_cmd =
   in
   Cmd.v
     (Cmd.info "dft" ~doc:"Compare coverage before and after the DfT measures.")
-    Term.(
-      const run $ verbose $ jobs $ defects $ dies $ sigma $ seed $ trace
-      $ metrics_flag $ cache_dir $ no_cache $ solver_arg $ format_arg)
+    Term.(const run $ dft_analysis)
 
 (* --- the analysis service ----------------------------------------------- *)
 

@@ -523,35 +523,6 @@ let cell_fingerprint = Layout.Cell.fingerprint
 
 let table_to_json = Util.Table.to_json
 
-let metrics_to_json (m : Util.Telemetry.Metrics.t) =
-  J.Obj
-    [
-      ( "counters",
-        J.Obj
-          (List.map
-             (fun (name, total) -> name, J.Int total)
-             m.Util.Telemetry.Metrics.counters) );
-      ( "gauges",
-        J.Obj
-          (List.map
-             (fun (name, value) -> name, J.Float value)
-             m.Util.Telemetry.Metrics.gauges) );
-    ]
-
-let cache_stats_to_json ~state (s : Util.Cache.stats) =
-  J.Obj
-    [
-      ( "state",
-        J.String
-          (match state with `Cold -> "cold" | `Warm -> "warm" | `Off -> "off")
-      );
-      "hits", J.Int s.Util.Cache.hits;
-      "misses", J.Int s.Util.Cache.misses;
-      "stale", J.Int s.Util.Cache.stale;
-      "evictions", J.Int s.Util.Cache.evictions;
-      "write_errors", J.Int s.Util.Cache.write_errors;
-    ]
-
 (* --- the request/response wire format ------------------------------------ *)
 
 (* Version of the wire protocol, independent of the cache codec version:

@@ -4,9 +4,8 @@
     module, so the schema of each value is defined in exactly one place:
     the result cache stores per-macro analyses with {!analysis},
     checkpoints store {!partial_outcomes}, [dotest serve] speaks
-    {!request} and {!response}, and {!Report.render}'s [`Json] format and
-    the bench harness's [--json] mode render through {!table_to_json} /
-    {!metrics_to_json} / {!cache_stats_to_json}.
+    {!request} and {!response}, and {!Report.render}'s [`Json] format
+    renders through {!table_to_json}.
 
     Each schema is one two-way codec value: a single description of its
     member names, case tags and member order gives both directions, so
@@ -153,11 +152,3 @@ val response_of_json : Request.response decoder
 (** [table_to_json t] — array of row objects keyed by column title (the
     [`Json] report format). *)
 val table_to_json : Util.Table.t -> Util.Json.t
-
-(** [metrics_to_json m] — [{counters: {...}, gauges: {...}}]. *)
-val metrics_to_json : Util.Telemetry.Metrics.t -> Util.Json.t
-
-(** [cache_stats_to_json ~state s] — the five counters plus
-    ["state": "cold"|"warm"|"off"]. *)
-val cache_stats_to_json :
-  state:[ `Cold | `Warm | `Off ] -> Util.Cache.stats -> Util.Json.t

@@ -1,7 +1,6 @@
 module Config = struct
   type t = {
     tech : Process.Tech.t;
-    stats : Process.Defect_stats.t;
     defects : int;
     good_space_dies : int;
     sigma : float;
@@ -20,7 +19,6 @@ module Config = struct
   let default =
     {
       tech = Process.Tech.cmos1um;
-      stats = Process.Defect_stats.default;
       defects = 25_000;
       good_space_dies = 48;
       sigma = 3.0;
@@ -151,7 +149,7 @@ let cache_key config (macro : Macro.Macro_cell.t) ~nominal_netlist ~cell =
       "netlist=" ^ Codec.netlist_fingerprint nominal_netlist;
       "cell=" ^ Codec.cell_fingerprint cell;
       "tech=" ^ Codec.tech_fingerprint config.tech;
-      "stats=" ^ Codec.stats_fingerprint config.stats;
+      "stats=" ^ Codec.stats_fingerprint Process.Defect_stats.default;
       Printf.sprintf "defects=%d" config.defects;
       (* The chunk size re-partitions draws over split PRNG streams, so
          it selects the defect sample. *)
@@ -293,8 +291,9 @@ let analyze config (macro : Macro.Macro_cell.t) =
   Log.info (fun m -> m "[%s] sprinkling %d defects" macro.Macro.Macro_cell.name config.defects);
   let defect_result =
     timed "sprinkle" (fun () ->
-        Defect.Simulate.run ~tech:config.tech ~stats:config.stats ~cell
-          ~netlist:nominal_netlist defect_prng ~n:config.defects)
+        Defect.Simulate.run ~tech:config.tech
+          ~stats:Process.Defect_stats.default ~cell ~netlist:nominal_netlist
+          defect_prng ~n:config.defects)
   in
   let classes_catastrophic, classes_non_catastrophic =
     timed "collapse" (fun () ->

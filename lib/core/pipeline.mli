@@ -26,7 +26,6 @@
 module Config : sig
   type t = {
     tech : Process.Tech.t;
-    stats : Process.Defect_stats.t;
     defects : int;        (** spots sprinkled per macro *)
     good_space_dies : int;  (** Monte-Carlo dies for the good space *)
     sigma : float;        (** acceptance window width, in σ *)

@@ -47,9 +47,6 @@ val coverage_bounds : Global.t -> Util.Table.t
     any byte-identity contract. *)
 val metrics : ?elapsed:float -> Util.Telemetry.Metrics.t -> Util.Table.t
 
-(** [cache_state stats] — [`Warm] when at least one lookup hit. *)
-val cache_state : Util.Cache.stats -> [ `Cold | `Warm ]
-
 (** Result-cache counters of one run: state (cold/warm), hits, misses,
     stale entries, LRU evictions and contained write errors. Unlike the
     coverage artefacts this table is {e not} part of the warm-vs-cold

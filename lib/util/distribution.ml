@@ -69,11 +69,3 @@ let cases d =
          let prev = if i = 0 then 0. else d.cumulative.(i - 1) in
          ((d.cumulative.(i) -. prev) /. d.total, v))
        d.values)
-
-let shuffle prng arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = Prng.int prng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

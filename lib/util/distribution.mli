@@ -36,6 +36,3 @@ val draw : Prng.t -> 'a discrete -> 'a
 
 (** [cases d] returns the normalized [(probability, value)] pairs. *)
 val cases : 'a discrete -> (float * 'a) list
-
-(** [shuffle prng arr] permutes [arr] in place (Fisher–Yates). *)
-val shuffle : Prng.t -> 'a array -> unit

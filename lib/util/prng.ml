@@ -63,8 +63,3 @@ let uniform t ~lo ~hi =
   lo +. float t (hi -. lo)
 
 let bool t = Int64.compare (bits64 t) 0L < 0
-
-let bernoulli t p =
-  if p <= 0. then false
-  else if p >= 1. then true
-  else float t 1.0 < p

@@ -36,6 +36,3 @@ val uniform : t -> lo:float -> hi:float -> float
 
 (** [bool t] is a fair coin flip. *)
 val bool : t -> bool
-
-(** [bernoulli t p] is [true] with probability [p] (clamped to \[0, 1\]). *)
-val bernoulli : t -> float -> bool

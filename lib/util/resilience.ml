@@ -20,13 +20,6 @@ let run ~classify ~attempts f =
   in
   attempt_at 0
 
-let step schedule attempt =
-  match schedule with
-  | [] -> invalid_arg "Resilience.step: empty schedule"
-  | _ ->
-    let last = List.length schedule - 1 in
-    List.nth schedule (max 0 (min attempt last))
-
 exception Budget_exhausted of { failures : int; limit : int }
 
 let () =
@@ -38,21 +31,3 @@ let () =
             budget of %d"
            failures limit)
     | _ -> None)
-
-type budget = { limit : int option; mutable recorded : int }
-
-let budget ~limit = { limit = Some (max 0 limit); recorded = 0 }
-let unlimited () = { limit = None; recorded = 0 }
-let failures b = b.recorded
-
-let spend b n =
-  b.recorded <- b.recorded + max 0 n;
-  match b.limit with
-  | Some limit when b.recorded > limit ->
-    raise (Budget_exhausted { failures = b.recorded; limit })
-  | Some _ | None -> ()
-
-let remaining b =
-  match b.limit with
-  | None -> None
-  | Some limit -> Some (max 0 (limit - b.recorded))

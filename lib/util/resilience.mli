@@ -12,10 +12,10 @@
       derive its (progressively looser) solver settings from it, so a
       retry sequence is a pure function of the attempt count — never of
       wall-clock time or scheduling.
-    - {!budget}, a per-run failure budget. Containment must not silently
-      turn a completely broken run into an "everything unresolved"
-      report; once more failures have been recorded than the budget
-      allows, {!spend} raises {!Budget_exhausted}.
+    - {!Budget_exhausted}, the failure of a run that exceeded its failure
+      budget. Containment must not silently turn a completely broken run
+      into an "everything unresolved" report; the caller counts the
+      failures and raises this once they exceed its limit.
 
     Nothing here is specific to circuit simulation; the classifier
     decides which exceptions are worth retrying. *)
@@ -44,37 +44,6 @@ val run :
   (attempt:int -> 'a) ->
   'a outcome
 
-(** [step schedule attempt] is element [attempt] of [schedule], clamped
-    to the last element — the standard way to map an unbounded attempt
-    counter onto a finite ladder of escalated settings.
-    @raise Invalid_argument on an empty schedule. *)
-val step : 'a list -> int -> 'a
-
 (** {1 Failure budget} *)
 
 exception Budget_exhausted of { failures : int; limit : int }
-
-(** A mutable failure counter with an optional hard limit. Not
-    thread-safe: record failures from one domain only — in the pipeline
-    that means after a parallel stage has merged its (deterministically
-    ordered) results, which also keeps the point of exhaustion
-    independent of the job count. *)
-type budget
-
-(** [budget ~limit] allows at most [limit] failures ([limit < 0] is
-    treated as 0). *)
-val budget : limit:int -> budget
-
-(** A budget that never exhausts. *)
-val unlimited : unit -> budget
-
-(** Failures recorded so far. *)
-val failures : budget -> int
-
-(** [spend b n] records [n] more failures.
-    @raise Budget_exhausted when the total exceeds the limit. *)
-val spend : budget -> int -> unit
-
-(** [remaining b] is [Some (limit - failures)] (never negative), or
-    [None] for an unlimited budget. *)
-val remaining : budget -> int option

@@ -2,20 +2,15 @@ type accumulator = {
   mutable n : int;
   mutable mean : float;
   mutable m2 : float;
-  mutable min_v : float;
-  mutable max_v : float;
 }
 
-let accumulator () =
-  { n = 0; mean = 0.; m2 = 0.; min_v = infinity; max_v = neg_infinity }
+let accumulator () = { n = 0; mean = 0.; m2 = 0. }
 
 let add acc x =
   acc.n <- acc.n + 1;
   let delta = x -. acc.mean in
   acc.mean <- acc.mean +. (delta /. float_of_int acc.n);
-  acc.m2 <- acc.m2 +. (delta *. (x -. acc.mean));
-  if x < acc.min_v then acc.min_v <- x;
-  if x > acc.max_v then acc.max_v <- x
+  acc.m2 <- acc.m2 +. (delta *. (x -. acc.mean))
 
 let count acc = acc.n
 
@@ -25,8 +20,6 @@ let mean acc =
 
 let variance acc = if acc.n < 2 then 0. else acc.m2 /. float_of_int (acc.n - 1)
 let stddev acc = sqrt (variance acc)
-let min_value acc = acc.min_v
-let max_value acc = acc.max_v
 
 type window = { low : float; high : float }
 
@@ -38,29 +31,3 @@ let inside w x = x >= w.low && x <= w.high
 let widen w ~by = { low = w.low -. by; high = w.high +. by }
 
 let pp_window ppf w = Format.fprintf ppf "[%g, %g]" w.low w.high
-
-let mean_of xs =
-  let acc = accumulator () in
-  List.iter (add acc) xs;
-  mean acc
-
-let stddev_of xs =
-  let acc = accumulator () in
-  List.iter (add acc) xs;
-  stddev acc
-
-let percentile p xs =
-  match xs with
-  | [] -> invalid_arg "Stats.percentile: empty list"
-  | xs ->
-    assert (p >= 0. && p <= 100.);
-    let arr = Array.of_list xs in
-    Array.sort compare arr;
-    let n = Array.length arr in
-    let rank = p /. 100. *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = int_of_float (Float.ceil rank) in
-    if lo = hi then arr.(lo)
-    else
-      let frac = rank -. float_of_int lo in
-      arr.(lo) +. (frac *. (arr.(hi) -. arr.(lo)))

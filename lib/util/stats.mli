@@ -26,9 +26,6 @@ val variance : accumulator -> float
 (** Sample standard deviation, [sqrt (variance acc)]. *)
 val stddev : accumulator -> float
 
-val min_value : accumulator -> float
-val max_value : accumulator -> float
-
 (** Closed pass window [\[centre - k·σ, centre + k·σ\]]. *)
 type window = { low : float; high : float }
 
@@ -44,12 +41,3 @@ val inside : window -> float -> bool
 val widen : window -> by:float -> window
 
 val pp_window : Format.formatter -> window -> unit
-
-(** [mean_of xs] and [stddev_of xs] are one-shot conveniences over a list. *)
-val mean_of : float list -> float
-
-val stddev_of : float list -> float
-
-(** [percentile p xs] is the [p]-th percentile (0-100, linear
-    interpolation) of a non-empty list. *)
-val percentile : float -> float list -> float

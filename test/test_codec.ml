@@ -376,7 +376,7 @@ let test_cache_keys_pinned () =
   Alcotest.(check string) "tech" "db5621bd1ceaacc6d03e1a28d34574ab"
     (Core.Codec.tech_fingerprint config.tech);
   Alcotest.(check string) "defect statistics" "74b0cd4b2de5ba538ac9285b33898faa"
-    (Core.Codec.stats_fingerprint config.stats)
+    (Core.Codec.stats_fingerprint Process.Defect_stats.default)
 
 (* --- encoded bytes pinned ---------------------------------------------------- *)
 
