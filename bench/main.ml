@@ -366,6 +366,7 @@ let ablation_defect_count () =
    a dense row costs a fraction of a second even at bits 11. *)
 let scaling_variants = 12
 let scaling_passes = 5
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
 
 let scaling_netlists bits =
   let nominal =
@@ -413,10 +414,9 @@ let timed_batch ?(shared = false) solver variants =
            (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters) )
   in
   let passes = List.init scaling_passes (fun _ -> pass ()) in
-  let sorted = List.sort compare (List.map fst passes) in
   Util.Json.Obj
     [
-      "s_per_solve", Util.Json.Float (List.nth sorted (scaling_passes / 2));
+      "s_per_solve", Util.Json.Float (median (List.map fst passes));
       "newton_iterations", Util.Json.Int (snd (List.hd passes));
     ]
 
@@ -436,41 +436,65 @@ let scaling_row bits =
       "auto_shared", auto_shared;
     ]
 
-(* One uncached pipeline run under [solver]; returns the evaluate-stage
-   wall-clock plus the deterministic counters behind the throughput
+(* One uncached pipeline run under [solver]: the evaluate-stage
+   wall-clock, the summed durations of the two evaluate [pipeline.stage]
+   spans, plus the deterministic counters behind the throughput
    numbers. *)
-let pipeline_measure config macro solver =
+let pipeline_pass config macro solver =
   let memory = Util.Telemetry.in_memory () in
+  let lock = Mutex.create () and evaluate_s = ref 0.0 in
+  let evaluate = function
+    | Util.Telemetry.Span_end { name = "pipeline.stage"; attrs; duration_ns; _ }
+      when List.exists
+             (fun s -> List.mem ("stage", Util.Telemetry.String s) attrs)
+             [ "evaluate-cat"; "evaluate-ncat" ] ->
+      Mutex.protect lock (fun () ->
+          evaluate_s := !evaluate_s +. (Int64.to_float duration_ns /. 1e9))
+    | _ -> ()
+  in
+  let sink =
+    Util.Telemetry.multi
+      [ Util.Telemetry.memory_sink memory; { emit = evaluate; flush = ignore } ]
+  in
   let cfg = Core.Pipeline.Config.with_solver solver config in
   let analysis =
-    Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory) (fun () ->
-        Core.Pipeline.analyze cfg macro)
-  in
-  let stage name =
-    try List.assoc name analysis.Core.Pipeline.health.Core.Pipeline.stage_seconds
-    with Not_found -> 0.0
+    Util.Telemetry.with_sink sink (fun () -> Core.Pipeline.analyze cfg macro)
   in
   let m = Util.Telemetry.metrics memory in
   let counter name =
     try List.assoc name m.Util.Telemetry.Metrics.counters with Not_found -> 0
   in
-  let evaluate_s = stage "evaluate-cat" +. stage "evaluate-ncat" in
+  ( !evaluate_s,
+    [
+      "total_classes",
+      Util.Json.Int analysis.Core.Pipeline.health.Core.Pipeline.classes;
+      "solves", Util.Json.Int (counter "engine.solves");
+      "newton_iterations", Util.Json.Int (counter "newton_iterations");
+      ( "shared_nominal_hits",
+        Util.Json.Int (counter "engine.shared_nominal_hits") );
+    ] )
+
+(* A cell's evaluate time is the median of [pipeline_passes] passes, as a
+   raw cell's is; its counts are the first pass's, which every pass
+   repeats. Dense and auto passes alternate, so a drift in the host's
+   speed reaches both cells alike. *)
+let pipeline_passes = 3
+
+let pipeline_cell passes =
+  let evaluate_s = median (List.map fst passes) in
   ( evaluate_s,
     Util.Json.Obj
-      [
-        "evaluate_s", Util.Json.Float evaluate_s;
-        "total_classes",
-        Util.Json.Int analysis.Core.Pipeline.health.Core.Pipeline.classes;
-        "solves", Util.Json.Int (counter "engine.solves");
-        "newton_iterations", Util.Json.Int (counter "newton_iterations");
-        ( "shared_nominal_hits",
-          Util.Json.Int (counter "engine.shared_nominal_hits") );
-      ] )
+      (("evaluate_s", Util.Json.Float evaluate_s) :: snd (List.hd passes)) )
 
 let pipeline_ab config macro =
   ignore (Lazy.force macro.Macro.Macro_cell.cell);
-  let dense_s, dense = pipeline_measure config macro Circuit.Engine.Dense in
-  let auto_s, auto = pipeline_measure config macro Circuit.Engine.Auto in
+  let passes =
+    List.init pipeline_passes (fun _ ->
+        let dense = pipeline_pass config macro Circuit.Engine.Dense in
+        dense, pipeline_pass config macro Circuit.Engine.Auto)
+  in
+  let dense_s, dense = pipeline_cell (List.map fst passes) in
+  let auto_s, auto = pipeline_cell (List.map snd passes) in
   Util.Json.Obj
     [
       "macro", Util.Json.String macro.Macro.Macro_cell.name;

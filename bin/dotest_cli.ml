@@ -281,7 +281,7 @@ let interrupted reason =
 let handle_failures ~sink f =
   try Util.Telemetry.with_sink sink f with
   | Util.Watchdog.Interrupted reason -> interrupted reason
-  | ( Util.Pool.Worker_failure _ | Util.Resilience.Budget_exhausted _
+  | ( Util.Pool.Worker_failure _ | Core.Pipeline.Budget_exhausted _
     | Macro.Evaluate.Simulation_failed _ ) as e ->
     (match root_cause e with
     | Util.Watchdog.Interrupted reason -> interrupted reason
@@ -291,18 +291,6 @@ let handle_failures ~sink f =
 
 let print_tables ~format tables =
   List.iter (fun (title, table) -> print_table ~format title table) tables
-
-(* Stage wall-clock varies run to run, so it is logged, never tabled. *)
-let log_stage_seconds analyses =
-  if Logs.level () = Some Logs.Info then
-    List.iter
-      (fun (m : Core.Pipeline.macro_health) ->
-        List.iter
-          (fun (stage, seconds) ->
-            Logs.info (fun f ->
-                f "[%s] stage %-13s %.3f s" m.macro_name stage seconds))
-          m.stage_seconds)
-      (Core.Pipeline.run_health analyses).per_macro
 
 (* --- commands ----------------------------------------------------------- *)
 
@@ -371,7 +359,6 @@ let run_single_macro macro { config; cache; sink; memory; format } =
         handle_failures ~sink (fun () -> Core.Pipeline.analyze config macro))
   in
   print_tables ~format (Core.Report.macro_tables analysis);
-  log_stage_seconds [ analysis ];
   print_cache_stats ~format cache;
   print_table ~format "Run survival" (Core.Report.run_survival config);
   print_metrics ~elapsed ~format memory
@@ -423,7 +410,6 @@ let global_cmd =
               Core.Pipeline.analyze_all config macros))
     in
     print_tables ~format (Core.Report.global_tables ~dft analyses);
-    log_stage_seconds analyses;
     print_cache_stats ~format cache;
     print_table ~format "Run survival" (Core.Report.run_survival config);
     print_metrics ~elapsed ~format memory

@@ -157,8 +157,6 @@ let bench_netlist options (s : Process.Variation.sample) =
 
 (* --- measurement ------------------------------------------------------- *)
 
-let decision_measurements = [ "v:dec:p8"; "v:dec:m8"; "v:dec:p300"; "v:dec:m300" ]
-
 let set_vin nl v =
   let vin = Circuit.Netlist.node nl "vin" in
   Circuit.Netlist.remove_device nl "VIN";

@@ -44,8 +44,3 @@ val layout : options -> Layout.Cell.t
 
 (** The macro-cell bundle (256 instances in the flash ADC). *)
 val macro : options -> Macro.Macro_cell.t
-
-(** Decision measurement names, exposed for tests: the comparator decision
-    (sign of the flipflop differential) at small and large positive and
-    negative overdrives. *)
-val decision_measurements : string list

@@ -65,11 +65,6 @@ let solver_name = function
   | Dense -> "dense"
   | Auto -> "auto"
 
-let solver_of_string = function
-  | "dense" -> Some Dense
-  | "auto" -> Some Auto
-  | _ -> None
-
 let all_solvers = [ Dense; Auto ]
 let default_solver = Auto
 

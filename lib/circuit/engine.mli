@@ -38,8 +38,8 @@ val default_options : options
 (** {1 Escalation ladder}
 
     When a simulation fails to converge even through the gmin/source
-    stepping aids, the resilience layer retries it with progressively
-    looser options. The ladder is documented and deterministic; level 0
+    stepping aids, [Macro.Evaluate] retries it with progressively looser
+    options. The ladder is documented and deterministic; level 0
     is the base options and each higher level loosens further:
 
     - level 1: [reltol] ×10, [max_iterations] ×2
@@ -96,7 +96,6 @@ val default_solver : solver
 (** [Auto]. *)
 
 val solver_name : solver -> string
-val solver_of_string : string -> solver option
 
 val all_solvers : solver list
 (** In CLI-enumeration order: dense, auto. *)

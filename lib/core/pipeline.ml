@@ -17,20 +17,21 @@ module Config = struct
   }
 
   let default =
+    let r = Request.default in
     {
       tech = Process.Tech.cmos1um;
-      defects = 25_000;
-      good_space_dies = 48;
-      sigma = 3.0;
-      seed = 1995;
-      max_retries = 1;
-      strict = false;
+      defects = r.Request.defects;
+      good_space_dies = r.Request.good_space_dies;
+      sigma = r.Request.sigma;
+      seed = r.Request.seed;
+      max_retries = r.Request.max_retries;
+      strict = r.Request.strict;
       failure_budget = None;
-      inject_failures = None;
+      inject_failures = r.Request.inject_failures;
       cache = None;
-      deadline = None;
+      deadline = r.Request.deadline;
       checkpoint = None;
-      solver = Circuit.Engine.default_solver;
+      solver = r.Request.solver;
       memo = None;
     }
 
@@ -60,7 +61,6 @@ type macro_health = {
   retried : int;
   degraded : int;
   unresolved : int;
-  stage_seconds : (string * float) list;
 }
 
 type run_health = {
@@ -89,8 +89,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Health counters are derived from the merged, input-ordered outcome
    lists, never from worker-local state — that is what makes them
-   byte-identical across job counts (stage wall-clock, by nature, is
-   not). *)
+   byte-identical across job counts. *)
 let count_outcomes outcomes (retried, degraded, unresolved) =
   List.fold_left
     (fun (r, d, u) (o : Macro.Evaluate.outcome) ->
@@ -102,7 +101,7 @@ let count_outcomes outcomes (retried, degraded, unresolved) =
     (retried, degraded, unresolved)
     outcomes
 
-let health_of ~macro_name ~outcomes ~stage_seconds =
+let health_of ~macro_name ~outcomes =
   let retried, degraded, unresolved =
     List.fold_left (fun acc o -> count_outcomes o acc) (0, 0, 0) outcomes
   in
@@ -112,7 +111,6 @@ let health_of ~macro_name ~outcomes ~stage_seconds =
     retried;
     degraded;
     unresolved;
-    stage_seconds;
   }
 
 let run_health analyses =
@@ -126,10 +124,22 @@ let run_health analyses =
     total_unresolved = sum (fun h -> h.unresolved);
   }
 
+exception Budget_exhausted of { failures : int; limit : int }
+
+let () =
+  Printexc.register_printer (function
+    | Budget_exhausted { failures; limit } ->
+      Some
+        (Printf.sprintf
+           "Pipeline.Budget_exhausted: %d failures exceed the per-run budget \
+            of %d"
+           failures limit)
+    | _ -> None)
+
 let check_budget config ~unresolved =
   match config.failure_budget with
   | Some limit when unresolved > limit ->
-    raise (Util.Resilience.Budget_exhausted { failures = unresolved; limit })
+    raise (Budget_exhausted { failures = unresolved; limit })
   | Some _ | None -> ()
 
 let injection_of config =
@@ -164,22 +174,11 @@ let cache_key config (macro : Macro.Macro_cell.t) ~nominal_netlist ~cell =
          regression can never poison a warm cache and a bisection against
          [dense] always re-simulates. *)
       "solver=" ^ Circuit.Engine.solver_name config.solver;
-      (match config.inject_failures with
-      | None -> "inject=none"
-      | Some fraction -> Printf.sprintf "inject=%h" fraction);
+      Request.inject_part config.inject_failures;
       (* A deadline changes which classes end unresolved, so it is part
          of the content address. (Wall-clock caps are machine-dependent
          on top of that — see the .mli caveat.) *)
-      (match config.deadline with
-      | None -> "deadline=none"
-      | Some l ->
-        Printf.sprintf "deadline=wall:%s,iters:%s"
-          (match l.Util.Watchdog.wall_seconds with
-          | None -> "none"
-          | Some s -> Printf.sprintf "%h" s)
-          (match l.Util.Watchdog.max_iterations with
-          | None -> "none"
-          | Some n -> string_of_int n));
+      Request.deadline_part config.deadline;
     ]
 
 let cached_analysis config (macro : Macro.Macro_cell.t) ~key =
@@ -192,7 +191,6 @@ let cached_analysis config (macro : Macro.Macro_cell.t) ~key =
       let health =
         health_of ~macro_name:macro.Macro.Macro_cell.name
           ~outcomes:[ a.outcomes_catastrophic; a.outcomes_non_catastrophic ]
-          ~stage_seconds:[]
       in
       Some
         {
@@ -239,15 +237,17 @@ let analyze config (macro : Macro.Macro_cell.t) =
     ~attrs:[ "macro", Util.Telemetry.String macro.Macro.Macro_cell.name ]
     "pipeline.macro"
   @@ fun () ->
-  let stage_seconds = ref [] in
+  (* Stage wall-clock varies run to run, so it is logged, never kept. *)
   let timed stage f =
     Util.Telemetry.with_span
       ~attrs:[ "stage", Util.Telemetry.String stage ]
       "pipeline.stage"
     @@ fun () ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Util.Watchdog.now_seconds () in
     let result = f () in
-    stage_seconds := (stage, Unix.gettimeofday () -. t0) :: !stage_seconds;
+    Log.info (fun m ->
+        m "[%s] stage %-13s %.3f s" macro.Macro.Macro_cell.name stage
+          (Util.Watchdog.now_seconds () -. t0));
     result
   in
   let prng = Util.Prng.create config.seed in
@@ -373,7 +373,6 @@ let analyze config (macro : Macro.Macro_cell.t) =
   let health =
     health_of ~macro_name:macro.Macro.Macro_cell.name
       ~outcomes:[ outcomes_catastrophic; outcomes_non_catastrophic ]
-      ~stage_seconds:(List.rev !stage_seconds)
   in
   let analysis =
     {

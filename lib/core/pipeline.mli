@@ -74,6 +74,9 @@ module Config : sig
             neither reads nor writes it. Not part of the cache key. *)
   }
 
+  (** [cmos1um]; no failure budget, cache, checkpoint or memo. Every
+      other field is read off {!Request.default}, the one place the
+      per-analysis defaults are stated. *)
   val default : t
 
   val with_tech : Process.Tech.t -> t -> t
@@ -102,19 +105,14 @@ module Config : sig
   val with_memo : Macro.Evaluate.Memo.t option -> t -> t
 end
 
-(** Containment counters for one macro, plus stage wall-clock times.
-    All counters are functions of the merged outcome lists only;
-    [stage_seconds] is wall-clock and naturally varies between runs, so
-    it must be excluded from any determinism comparison. *)
+(** Containment counters for one macro, functions of the merged outcome
+    lists only. *)
 type macro_health = {
   macro_name : string;
   classes : int;      (** fault classes simulated (both severities) *)
   retried : int;      (** classes that needed more than one attempt *)
   degraded : int;     (** classes that recovered on an escalated retry *)
   unresolved : int;   (** classes whose every attempt failed *)
-  stage_seconds : (string * float) list;
-      (** per-stage wall-clock: sprinkle, collapse, good-space,
-          evaluate-cat, evaluate-ncat *)
 }
 
 (** {!macro_health} aggregated over a whole run. *)
@@ -142,6 +140,11 @@ type macro_analysis = {
     totals (macros in list order). *)
 val run_health : macro_analysis list -> run_health
 
+(** Raised once more fault classes end unresolved than
+    [config.failure_budget] allows. Containment must not silently turn a
+    completely broken run into an "everything unresolved" report. *)
+exception Budget_exhausted of { failures : int; limit : int }
+
 (** [analyze config macro] runs the whole per-macro path. Deterministic
     for a given [config.seed] regardless of the {!Util.Pool} job count:
     the defect draws are chunked with per-chunk PRNG streams and all
@@ -154,10 +157,9 @@ val run_health : macro_analysis list -> run_health
     {!Codec.version}); a hit skips all simulation and re-attaches the
     in-memory [macro]. Determinism contract: a warm run produces
     byte-identical coverage tables, health counters and bounds to the
-    cold run at any job count — only [health.stage_seconds] (empty on a
-    hit) and wall-clock telemetry differ. The failure budget is
-    re-checked on hits, so a cached degraded run still raises under a
-    tighter budget.
+    cold run at any job count — only wall-clock telemetry differs. The
+    failure budget is re-checked on hits, so a cached degraded run still
+    raises under a tighter budget.
 
     With [config.checkpoint] set (and a cache), completed fault-class
     outcomes are persisted incrementally during evaluation and — with
@@ -165,7 +167,11 @@ val run_health : macro_analysis list -> run_health
     so an interrupted run resumed later produces the same bytes as an
     uninterrupted one (see {!Checkpoint}).
 
-    @raise Util.Resilience.Budget_exhausted when the macro alone exceeds
+    Each stage (sprinkle, collapse, good-space, evaluate-cat,
+    evaluate-ncat) runs in a [pipeline.stage] span and logs its
+    wall-clock duration at Info level as it ends; a hit runs none.
+
+    @raise Budget_exhausted when the macro alone exceeds
     [config.failure_budget].
     @raise Util.Pool.Worker_failure wrapping
     [Macro.Evaluate.Simulation_failed] when [config.strict] and a class

@@ -17,10 +17,10 @@ type t = {
   format : format;
 }
 
-(* Kept literal (not read off [Pipeline.Config.default]) because [Codec]
-   encodes requests and [Pipeline] depends on [Codec] — reading them here
-   would close a dependency cycle. A core.request test pins every field
-   to the pipeline default, so the two cannot drift silently. *)
+(* The one place the per-analysis defaults are literals:
+   [Pipeline.Config.default] reads them from here. [Pipeline] depends on
+   [Request] through [Codec], so the opposite direction would be a
+   dependency cycle. *)
 let default =
   {
     id = None;
@@ -61,6 +61,21 @@ let target_of_name ~name ~dft =
 let format_name = function `Text -> "text" | `Json -> "json" | `Csv -> "csv"
 let all_formats = [ `Text; `Json; `Csv ]
 
+let inject_part = function
+  | None -> "inject=none"
+  | Some fraction -> Printf.sprintf "inject=%h" fraction
+
+let deadline_part = function
+  | None -> "deadline=none"
+  | Some l ->
+    Printf.sprintf "deadline=wall:%s,iters:%s"
+      (match l.Util.Watchdog.wall_seconds with
+      | None -> "none"
+      | Some s -> Printf.sprintf "%h" s)
+      (match l.Util.Watchdog.max_iterations with
+      | None -> "none"
+      | Some n -> string_of_int n)
+
 (* Everything except [id], spelled with the same conventions as the
    pipeline's cache key (%h for floats, explicit none markers) so a
    fingerprint never aliases across field boundaries. *)
@@ -76,19 +91,8 @@ let fingerprint r =
       Printf.sprintf "seed=%d" r.seed;
       Printf.sprintf "max_retries=%d" r.max_retries;
       Printf.sprintf "strict=%b" r.strict;
-      (match r.inject_failures with
-      | None -> "inject=none"
-      | Some fraction -> Printf.sprintf "inject=%h" fraction);
-      (match r.deadline with
-      | None -> "deadline=none"
-      | Some l ->
-        Printf.sprintf "deadline=wall:%s,iters:%s"
-          (match l.Util.Watchdog.wall_seconds with
-          | None -> "none"
-          | Some s -> Printf.sprintf "%h" s)
-          (match l.Util.Watchdog.max_iterations with
-          | None -> "none"
-          | Some n -> string_of_int n));
+      inject_part r.inject_failures;
+      deadline_part r.deadline;
       "solver=" ^ Circuit.Engine.solver_name r.solver;
       "format=" ^ format_name r.format;
     ]

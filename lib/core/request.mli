@@ -41,8 +41,10 @@ type t = {
   format : format;  (** rendering of the response tables *)
 }
 
-(** Same numeric defaults as {!Pipeline.Config.default}; target
-    [Global { dft = false }], text format, no id. *)
+(** The per-analysis defaults, stated here only:
+    {!Pipeline.Config.default} reads its values for the shared fields
+    from this record. Target [Global { dft = false }], text format, no
+    id. *)
 val default : t
 
 val with_id : string option -> t -> t
@@ -68,6 +70,14 @@ val format_name : format -> string
 val all_formats : format list
 
 val target_of_name : name:string -> dft:bool -> (target, string) result
+
+(** The [inject=…] part of a content address, shared by {!fingerprint}
+    and the pipeline's cache key. *)
+val inject_part : float option -> string
+
+(** The [deadline=wall:…,iters:…] part of a content address, shared by
+    {!fingerprint} and the pipeline's cache key. *)
+val deadline_part : Util.Watchdog.limits option -> string
 
 (** Content address of the work a request demands: every field except
     [id]. Requests with equal fingerprints produce byte-identical

@@ -163,7 +163,7 @@ let execute t ~queue_seconds (r : Request.t) =
     match root_cause cause with
     | Util.Watchdog.Interrupted reason ->
       Failed (Request.Shutting_down, "interrupted: " ^ reason)
-    | Util.Resilience.Budget_exhausted _ as e ->
+    | Pipeline.Budget_exhausted _ as e ->
       fail Request.Budget_exhausted e
     | Macro.Evaluate.Simulation_failed _ as e ->
       fail Request.Simulation_failed e

@@ -42,8 +42,6 @@ let injection_hits { seed; fraction } ~index ~attempt =
   else if u < fraction then attempt = 0
   else false
 
-let default_retries = 1
-
 let src = Logs.Src.create "dotest.macro" ~doc:"macro fault simulation"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -57,22 +55,12 @@ let gross_signature =
   { Signature.voltage = Signature.Output_stuck_at;
     currents = Signature.all_current }
 
-let simulate ?(retries = default_retries) ?inject
-    ?(deadline = Util.Watchdog.no_limits) ?(index = 0)
-    ~(macro : Macro_cell.t) ~nominal fc =
+let simulate ~retries ?inject ?(deadline = Util.Watchdog.no_limits)
+    ~index ~(macro : Macro_cell.t) ~nominal fc =
   let faulty_netlist =
     Fault.Inject.inject_instance nominal fc.Fault.Collapse.representative
   in
-  (* A deadline expiry is a known, contained failure mode of a
-     pathological class — exactly like a convergence failure, it walks the
-     escalation ladder (with a doubled budget per retry, see below) and
-     ends Unresolved if the ladder runs out. *)
-  let classify = function
-    | Circuit.Engine.No_convergence _ | Util.Watchdog.Deadline_exceeded _ ->
-      Util.Resilience.Retryable
-    | _ -> Util.Resilience.Fatal
-  in
-  let measure ~attempt =
+  let measure attempt =
     (match inject with
     | Some inj when injection_hits inj ~index ~attempt ->
       raise (Circuit.Engine.No_convergence "injected failure (test hook)")
@@ -93,32 +81,35 @@ let simulate ?(retries = default_retries) ?inject
            ~level:attempt)
         (fun () -> macro.Macro_cell.measure faulty_netlist)
   in
-  match
-    Util.Resilience.run ~classify ~attempts:(1 + max 0 retries) measure
-  with
-  | Util.Resilience.Resolved { value = vector; attempts } ->
-    let status =
-      if attempts = 1 then Converged
-      else begin
-        Log.debug (fun m ->
-            m "fault %a: recovered on attempt %d (escalated options)"
-              Fault.Types.pp_fault fc.representative.Fault.Types.fault attempts);
-        Recovered { attempts }
-      end
-    in
-    { vector; status }
-  | Util.Resilience.Exhausted { error; attempts } ->
-    let what =
-      match error with
-      | Circuit.Engine.No_convergence what -> what
-      | Util.Watchdog.Deadline_exceeded e -> Util.Watchdog.expiry_message e
-      | e -> Printexc.to_string e
-    in
+  (* Attempt [n] is 0-based. A convergence failure or a deadline expiry
+     is a known, contained failure mode of a pathological class: it walks
+     the escalation ladder and ends Unresolved once the ladder runs out.
+     Anything else is a programming error and propagates from the first
+     attempt with its backtrace. *)
+  let unresolved n error =
     Log.debug (fun m ->
         m "fault %a: unresolved after %d attempts (%s)"
-          Fault.Types.pp_fault fc.representative.Fault.Types.fault attempts
-          what);
-    { vector = []; status = Unresolved { attempts; error = what } }
+          Fault.Types.pp_fault fc.representative.Fault.Types.fault (n + 1)
+          error);
+    { vector = []; status = Unresolved { attempts = n + 1; error } }
+  in
+  let rec attempt n =
+    match measure n with
+    | vector when n = 0 -> { vector; status = Converged }
+    | vector ->
+      Log.debug (fun m ->
+          m "fault %a: recovered on attempt %d (escalated options)"
+            Fault.Types.pp_fault fc.representative.Fault.Types.fault (n + 1));
+      { vector; status = Recovered { attempts = n + 1 } }
+    | exception
+        (Circuit.Engine.No_convergence _ | Util.Watchdog.Deadline_exceeded _)
+      when n < max 0 retries ->
+      attempt (n + 1)
+    | exception Circuit.Engine.No_convergence error -> unresolved n error
+    | exception Util.Watchdog.Deadline_exceeded e ->
+      unresolved n (Util.Watchdog.expiry_message e)
+  in
+  attempt 0
 
 let classify ~(macro : Macro_cell.t) ~good ~golden fc { vector; status } =
   let signature =
@@ -132,9 +123,6 @@ let classify ~(macro : Macro_cell.t) ~good ~golden fc { vector; status } =
       }
   in
   { fault_class = fc; signature; status }
-
-let evaluate_class ?retries ~macro ~nominal ~good ~golden fc =
-  classify ~macro ~good ~golden fc (simulate ?retries ~macro ~nominal fc)
 
 module Memo = struct
   type key = {
@@ -211,7 +199,7 @@ let golden ?memo ~(macro : Macro_cell.t) nominal =
   | Some memo ->
     Memo.golden memo ~macro ~solver:(Circuit.Engine.current_solver ()) measure
 
-let run ?jobs ?(retries = default_retries) ?inject ?deadline ?resume
+let run ?jobs ~retries ?inject ?deadline ?resume
     ?on_outcome ?(strict = false) ?memo ~(macro : Macro_cell.t) ~nominal
     ~golden ~good classes =
   if Option.is_some memo && (Option.is_some inject || Option.is_some deadline)

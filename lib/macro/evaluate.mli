@@ -50,24 +50,6 @@ exception Simulation_failed of { index : int; attempts : int; error : string }
     attempt (ending {!Recovered}). *)
 type injection = { seed : int; fraction : float }
 
-(** [evaluate_class ~macro ~nominal ~good ~golden fc] fault-simulates one
-    class, as {!run} does for each of its classes. [nominal] is the
-    macro's fault-free netlist (built once by the caller; injection
-    copies it, so it is never mutated) and [golden] is the nominal
-    fault-free measurement vector (pass the same one to every call; it
-    is the reference for voltage classification). [retries] bounds
-    escalated re-attempts after a convergence failure (default 1).
-    Exceptions other than [No_convergence] and deadline expiry are never
-    retried or contained — programming errors still propagate. *)
-val evaluate_class :
-  ?retries:int ->
-  macro:Macro_cell.t ->
-  nominal:Circuit.Netlist.t ->
-  good:Good_space.t ->
-  golden:Macro_cell.vector ->
-  Fault.Collapse.fault_class ->
-  outcome
-
 (** A bounded memo of measured fault classes, kept across analyses by a
     long-lived caller (the daemon keeps one per macro set).
 
@@ -105,11 +87,14 @@ val golden :
   Circuit.Netlist.t ->
   Macro_cell.vector
 
-(** [run ~macro ~nominal ~golden ~good classes] evaluates every class
-    against the caller's nominal netlist and golden vector (see
-    {!golden}). Classes are simulated on a {!Util.Pool} of [?jobs] worker
-    domains (defaulting to the pool's process-wide setting); outcomes
-    keep the input order, so the result is identical for any job count.
+(** [run ~retries ~macro ~nominal ~golden ~good classes] evaluates every
+    class against the caller's nominal netlist and golden vector (see
+    {!golden}). [retries] bounds the escalated re-attempts after a
+    convergence failure or a deadline expiry. Any other exception is
+    never retried or contained: programming errors propagate. Classes
+    are simulated on a {!Util.Pool} of [?jobs] worker domains
+    (defaulting to the pool's process-wide setting); outcomes keep the
+    input order, so the result is identical for any job count.
     With [~strict:true], containment is off: the first (lowest-indexed)
     unresolved class raises {!Simulation_failed} wrapped in
     [Util.Pool.Worker_failure].
@@ -149,7 +134,7 @@ val golden :
     [deadline]. *)
 val run :
   ?jobs:int ->
-  ?retries:int ->
+  retries:int ->
   ?inject:injection ->
   ?deadline:Util.Watchdog.limits ->
   ?resume:(int -> outcome option) ->

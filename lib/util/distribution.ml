@@ -61,11 +61,3 @@ let draw prng d =
       if d.cumulative.(mid) > u then search lo mid else search (mid + 1) hi
   in
   d.values.(search 0 (Array.length d.cumulative - 1))
-
-let cases d =
-  Array.to_list
-    (Array.mapi
-       (fun i v ->
-         let prev = if i = 0 then 0. else d.cumulative.(i - 1) in
-         ((d.cumulative.(i) -. prev) /. d.total, v))
-       d.values)

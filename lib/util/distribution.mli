@@ -33,6 +33,3 @@ val discrete : (float * 'a) list -> 'a discrete
 
 (** [draw prng d] samples one value according to the weights. *)
 val draw : Prng.t -> 'a discrete -> 'a
-
-(** [cases d] returns the normalized [(probability, value)] pairs. *)
-val cases : 'a discrete -> (float * 'a) list

@@ -13,10 +13,6 @@ type t
     [seed]. Equal seeds yield equal sequences. *)
 val create : int -> t
 
-(** [copy t] is a generator with the same state as [t]; advancing one does
-    not affect the other. *)
-val copy : t -> t
-
 (** [split t] advances [t] and returns a statistically independent
     generator. Use one split per subsystem so adding draws to one subsystem
     does not perturb another. *)

@@ -95,7 +95,5 @@ let to_json t =
               headers))
        (row_cells t))
 
-let render_json t = Json.to_string (to_json t)
-
 let cell_float ?(decimals = 1) v = Printf.sprintf "%.*f" decimals v
 let cell_pct ?(decimals = 1) v = Printf.sprintf "%.*f%%" decimals v

@@ -44,9 +44,6 @@ val render_csv : t -> string
     not retain the numbers behind them. *)
 val to_json : t -> Json.t
 
-(** [render_json t] = [Json.to_string (to_json t)]. *)
-val render_json : t -> string
-
 (** [cell_float ?decimals v] formats a float cell ([decimals] defaults
     to 1). *)
 val cell_float : ?decimals:int -> float -> string

@@ -4,7 +4,8 @@
     cannot contain: a pathological fault class drags one Newton loop on
     for minutes, or the scheduler delivers SIGTERM and everything since
     the last completed macro is lost. This module supplies the two
-    mechanisms the pipeline layers on top of {!Resilience}:
+    mechanisms the pipeline layers on top of [Macro.Evaluate]'s retry
+    ladder:
 
     - {e Deadlines}: a budget of solver iterations and/or wall-clock
       seconds armed for the dynamic extent of one simulation attempt

@@ -585,17 +585,6 @@ let test_transient_rejects_bad_grid () =
 (* Engine: solver backends                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_solver_names_roundtrip () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Engine.solver_name s ^ " round-trips")
-        true
-        (Engine.solver_of_string (Engine.solver_name s) = Some s))
-    Engine.all_solvers;
-  Alcotest.(check bool) "unknown rejected" true
-    (Engine.solver_of_string "cholesky" = None)
-
 let test_with_solver_scoped () =
   Alcotest.(check bool) "default in effect" true
     (Engine.current_solver () = Engine.default_solver);
@@ -1326,7 +1315,6 @@ let suites =
       ] );
     ( "circuit.engine.solver",
       [
-        Alcotest.test_case "names round-trip" `Quick test_solver_names_roundtrip;
         Alcotest.test_case "with_solver scoped" `Quick test_with_solver_scoped;
         Alcotest.test_case "backends agree" `Quick test_solver_backends_agree;
         Alcotest.test_case "counters at a deadline" `Quick

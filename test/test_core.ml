@@ -158,10 +158,7 @@ let test_pipeline_clean_run_health () =
   Alcotest.(check int) "all classes counted"
     (List.length a.Core.Pipeline.outcomes_catastrophic
     + List.length a.Core.Pipeline.outcomes_non_catastrophic)
-    h.Core.Pipeline.classes;
-  Alcotest.(check bool) "stages timed" true
-    (List.map fst h.Core.Pipeline.stage_seconds
-    = [ "sprinkle"; "collapse"; "good-space"; "evaluate-cat"; "evaluate-ncat" ])
+    h.Core.Pipeline.classes
 
 let test_pipeline_injected_run_completes_degraded () =
   (* With 20 % of the simulations forced to fail, the run must complete —
@@ -253,7 +250,7 @@ let test_pipeline_failure_budget () =
       (Adc.Comparator.macro Adc.Comparator.default_options)
   with
   | _ -> Alcotest.fail "zero budget must be exhausted"
-  | exception Util.Resilience.Budget_exhausted { failures; limit } ->
+  | exception Core.Pipeline.Budget_exhausted { failures; limit } ->
     Alcotest.(check int) "limit echoed" 0 limit;
     Alcotest.(check bool) "failures counted" true (failures > 0)
 
@@ -394,7 +391,18 @@ let test_telemetry_jsonl_roundtrip () =
             | None -> Alcotest.fail "pipeline.stage must have a parent")
         ends;
       Alcotest.(check bool) "has a pipeline.macro span" true
-        (Hashtbl.fold (fun _ n acc -> acc || n = "pipeline.macro") starts false))
+        (Hashtbl.fold (fun _ n acc -> acc || n = "pipeline.macro") starts false);
+      (* One span per stage, in pipeline order. *)
+      Alcotest.(check (list string)) "stages in order"
+        [ "sprinkle"; "collapse"; "good-space"; "evaluate-cat"; "evaluate-ncat" ]
+        (List.filter_map
+           (function
+             | Util.Telemetry.Span_end { name = "pipeline.stage"; attrs; _ } ->
+               (match List.assoc_opt "stage" attrs with
+               | Some (Util.Telemetry.String s) -> Some s
+               | Some _ | None -> None)
+             | _ -> None)
+           events))
 
 (* --- report formats ---------------------------------------------------- *)
 
@@ -495,9 +503,7 @@ let test_cache_warm_equals_cold () =
       Alcotest.(check string)
         (Printf.sprintf "byte-identical output (jobs=%d)" jobs)
         (analysis_fingerprint cold)
-        (analysis_fingerprint warm);
-      Alcotest.(check bool) "stage timings empty on a hit" true
-        (warm.Core.Pipeline.health.Core.Pipeline.stage_seconds = []))
+        (analysis_fingerprint warm))
     [ 1; 4 ]
 
 let test_cache_hit_skips_simulation () =
@@ -564,7 +570,7 @@ let test_cache_warm_run_recheck_budget () =
   in
   match analyze_cached ~dir ~jobs:1 strict_budget with
   | _ -> Alcotest.fail "warm hit must still honour the budget"
-  | exception Util.Resilience.Budget_exhausted { limit; _ } ->
+  | exception Core.Pipeline.Budget_exhausted { limit; _ } ->
     Alcotest.(check int) "limit echoed" 0 limit
 
 let test_cache_analyze_all_warm () =
@@ -734,7 +740,7 @@ let test_deadline_respects_failure_budget () =
       (Adc.Comparator.macro Adc.Comparator.default_options)
   with
   | _ -> Alcotest.fail "zero budget must be exhausted by expiries"
-  | exception Util.Resilience.Budget_exhausted { limit; _ } ->
+  | exception Core.Pipeline.Budget_exhausted { limit; _ } ->
     Alcotest.(check int) "limit echoed" 0 limit
 
 let test_deadline_part_of_cache_key () =

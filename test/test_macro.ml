@@ -127,18 +127,27 @@ let fault_class fault =
     count = 3;
   }
 
+(* One class through [Evaluate.run], against the toy's own golden vector:
+   the macro under test may swap [measure] for one that raises. One
+   escalated retry unless told otherwise. *)
+let evaluate_one ?(retries = 1) ~macro fc =
+  let nominal = toy_build (Process.Variation.nominal tech) in
+  match
+    Macro.Evaluate.run ~retries ~macro ~nominal ~golden:(toy_measure nominal)
+      ~good:(compile_good ()) [ fc ]
+  with
+  | [ o ] -> o
+  | _ -> Alcotest.fail "one class in, one outcome out"
+
 let test_evaluate_detects_hard_short () =
   let macro = toy_macro () in
-  let good = compile_good () in
-  let nominal = toy_build (Process.Variation.nominal tech) in
-  let golden = toy_measure nominal in
   let fc =
     fault_class
       (Fault.Types.Bridge
          { net_a = "mid"; net_b = "0"; resistance = 1.0; capacitance = None;
            origin = Fault.Types.Short })
   in
-  let o = Macro.Evaluate.evaluate_class ~macro ~nominal ~good ~golden fc in
+  let o = evaluate_one ~macro fc in
   Alcotest.(check bool) "stuck" true
     (o.signature.Macro.Signature.voltage = Macro.Signature.Output_stuck_at);
   Alcotest.(check bool) "IVdd deviates" true
@@ -150,9 +159,6 @@ let test_evaluate_detects_hard_short () =
 
 let test_evaluate_benign_fault () =
   let macro = toy_macro () in
-  let good = compile_good () in
-  let nominal = toy_build (Process.Variation.nominal tech) in
-  let golden = toy_measure nominal in
   (* A 10 Mohm bridge moves nothing measurable. *)
   let fc =
     fault_class
@@ -160,7 +166,7 @@ let test_evaluate_benign_fault () =
          { net_a = "mid"; net_b = "0"; resistance = 1e7; capacitance = None;
            origin = Fault.Types.Short })
   in
-  let o = Macro.Evaluate.evaluate_class ~macro ~nominal ~good ~golden fc in
+  let o = evaluate_one ~macro fc in
   Alcotest.(check bool) "no deviation" true
     (o.signature = Macro.Signature.fault_free)
 
@@ -171,20 +177,17 @@ let test_evaluate_sim_failure_is_gross () =
         (fun _ -> raise (Circuit.Engine.No_convergence "forced"))
     }
   in
-  let good = compile_good () in
-  let nominal = toy_build (Process.Variation.nominal tech) in
-  let golden = toy_measure nominal in
   let fc =
     fault_class
       (Fault.Types.Bridge
          { net_a = "mid"; net_b = "0"; resistance = 1.0; capacitance = None;
            origin = Fault.Types.Short })
   in
-  let o = Macro.Evaluate.evaluate_class ~macro ~nominal ~good ~golden fc in
+  let o = evaluate_one ~macro fc in
   Alcotest.(check bool) "flagged" true (Macro.Evaluate.simulation_failed o);
   (match o.status with
   | Macro.Evaluate.Unresolved { attempts; error } ->
-    (* default: one escalated retry after the first failure *)
+    (* one escalated retry after the first failure *)
     Alcotest.(check int) "attempts" 2 attempts;
     Alcotest.(check bool) "error recorded" true (error = "forced")
   | Macro.Evaluate.Converged | Macro.Evaluate.Recovered _ ->
@@ -205,10 +208,10 @@ let injected_classes =
 
 (* [Evaluate.run] against the toy macro's nominal netlist and golden
    vector, as the pipeline hands them over. *)
-let run_toy ?jobs ?retries ?inject ?strict ~(macro : Macro.Macro_cell.t) ~good
-    classes =
+let run_toy ?jobs ?(retries = 1) ?inject ?strict ~(macro : Macro.Macro_cell.t)
+    ~good classes =
   let nominal = toy_build (Process.Variation.nominal tech) in
-  Macro.Evaluate.run ?jobs ?retries ?inject ?strict ~macro ~nominal
+  Macro.Evaluate.run ?jobs ~retries ?inject ?strict ~macro ~nominal
     ~golden:(Macro.Evaluate.golden ~macro nominal)
     ~good classes
 
@@ -291,26 +294,26 @@ let test_evaluate_strict_fails_fast_with_index () =
   check_strict 4
 
 let test_evaluate_fatal_exception_not_contained () =
+  let calls = ref 0 in
   let macro =
     { (toy_macro ()) with
-      Macro.Macro_cell.measure = (fun _ -> failwith "programming error")
+      Macro.Macro_cell.measure =
+        (fun _ ->
+          incr calls;
+          failwith "programming error")
     }
   in
-  let good = compile_good () in
-  let nominal = toy_build (Process.Variation.nominal tech) in
-  let golden = toy_measure nominal in
   let fc =
     fault_class
       (Fault.Types.Bridge
          { net_a = "mid"; net_b = "0"; resistance = 1.0; capacitance = None;
            origin = Fault.Types.Short })
   in
-  match
-    Macro.Evaluate.evaluate_class ~retries:3 ~macro ~nominal ~good ~golden fc
-  with
+  match evaluate_one ~retries:3 ~macro fc with
   | _ -> Alcotest.fail "fatal exception must propagate"
-  | exception Failure msg ->
-    Alcotest.(check string) "original exception" "programming error" msg
+  | exception Util.Pool.Worker_failure (0, Failure msg) ->
+    Alcotest.(check string) "original exception" "programming error" msg;
+    Alcotest.(check int) "never retried" 1 !calls
 
 let test_voltage_table_sums_to_one () =
   let macro = toy_macro () in

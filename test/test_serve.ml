@@ -1,35 +1,9 @@
-(* The PR-9 service layer: Request/Response wire codecs (round-trip +
-   adversarial decode), the Request/Pipeline default pinning, coalescing
-   and admission control, and the serve-vs-direct byte-identity contract
-   over a real Unix socket. *)
+(* The service layer: Request/Response wire codecs (round-trip +
+   adversarial decode), coalescing and admission control, contained
+   failures as error codes, and the serve-vs-direct byte-identity
+   contract over a real Unix socket. *)
 
 open Core
-
-(* ------------------------------------------------------------------ *)
-(* Request.default must track Pipeline.Config.default                  *)
-(* ------------------------------------------------------------------ *)
-
-(* [Request.default]'s numbers are literals (the Codec <-> Pipeline
-   dependency order forbids reading them off the config); this pin is
-   what keeps the two from drifting apart silently. *)
-let test_default_pins_config () =
-  let r = Request.default in
-  let c = Pipeline.Config.default in
-  Alcotest.(check int) "defects" c.Pipeline.Config.defects r.Request.defects;
-  Alcotest.(check int) "good_space_dies" c.Pipeline.Config.good_space_dies
-    r.Request.good_space_dies;
-  Alcotest.(check (float 0.0)) "sigma" c.Pipeline.Config.sigma r.Request.sigma;
-  Alcotest.(check int) "seed" c.Pipeline.Config.seed r.Request.seed;
-  Alcotest.(check int) "max_retries" c.Pipeline.Config.max_retries
-    r.Request.max_retries;
-  Alcotest.(check bool) "strict" c.Pipeline.Config.strict r.Request.strict;
-  Alcotest.(check bool) "inject_failures" true
-    (c.Pipeline.Config.inject_failures = r.Request.inject_failures);
-  Alcotest.(check bool) "deadline" true
-    (c.Pipeline.Config.deadline = r.Request.deadline);
-  Alcotest.(check string) "solver"
-    (Circuit.Engine.solver_name c.Pipeline.Config.solver)
-    (Circuit.Engine.solver_name r.Request.solver)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck round-trips for the wire codecs                              *)
@@ -196,6 +170,10 @@ let test_handle_line_errors () =
   Alcotest.(check string) "negative defects" "bad_request"
     (Request.error_code_name
        (code "{\"api\":\"dotest-api/1\",\"target\":\"global\",\"defects\":-1}"));
+  Alcotest.(check string) "unknown solver" "bad_request"
+    (Request.error_code_name
+       (code
+          "{\"api\":\"dotest-api/1\",\"target\":\"global\",\"solver\":\"cholesky\"}"));
   (* The json bomb from the depth-limit satellite, arriving as a wire
      line: still just a bad_request. *)
   Alcotest.(check string) "nesting bomb" "bad_request"
@@ -373,6 +351,24 @@ let test_serve_concurrent_clients () =
   Thread.join server;
   Alcotest.(check string) "draining refuses" "shutting_down"
     (Request.error_code_name (error_code (Service.submit service small_request)))
+
+let test_contained_failures_map_to_codes () =
+  (* The two contained failure modes the pipeline raises reach the
+     client as their own codes, not as internal_error. *)
+  let service = Service.create ~failure_budget:0 () in
+  let code r = Request.error_code_name (error_code (Service.submit service r)) in
+  Alcotest.(check string) "over budget" "budget_exhausted"
+    (code
+       Request.(
+         default |> with_defects 2000 |> with_good_space_dies 8
+         |> with_inject_failures (Some 0.2)));
+  Alcotest.(check string) "strict" "simulation_failed"
+    (code
+       Request.(
+         default
+         |> with_target (Comparator { dft = false })
+         |> with_defects 1000 |> with_good_space_dies 4 |> with_strict true
+         |> with_inject_failures (Some 0.5)))
 
 let test_submit_coalesces_and_sheds () =
   (* max_pending=1: while one cold flight runs, an identical request
@@ -680,9 +676,7 @@ let test_address_parsing () =
 let suites =
   [
     ( "serve.codec",
-      Alcotest.test_case "defaults pin the pipeline config" `Quick
-        test_default_pins_config
-      :: Alcotest.test_case "hostile wire lines" `Quick test_handle_line_errors
+      Alcotest.test_case "hostile wire lines" `Quick test_handle_line_errors
       :: Alcotest.test_case "address parsing" `Quick test_address_parsing
       :: Alcotest.test_case "rank1 decodes as auto" `Quick
            test_rank1_decodes_as_auto
@@ -693,6 +687,8 @@ let suites =
           test_serve_concurrent_clients;
         Alcotest.test_case "coalesce + shed under max_pending=1" `Slow
           test_submit_coalesces_and_sheds;
+        Alcotest.test_case "contained failures map to error codes" `Quick
+          test_contained_failures_map_to_codes;
         Alcotest.test_case "wire equals direct submit" `Slow
           test_handle_line_matches_submit;
         Alcotest.test_case "target variants kept apart" `Slow

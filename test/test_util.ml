@@ -24,18 +24,6 @@ let test_prng_seed_sensitivity () =
   done;
   Alcotest.(check bool) "different seeds diverge" true !differs
 
-let test_prng_copy_independent () =
-  let a = Prng.create 7 in
-  let b = Prng.copy a in
-  let xa = Prng.bits64 a in
-  let xb = Prng.bits64 b in
-  Alcotest.(check int64) "copy starts at same point" xa xb;
-  ignore (Prng.bits64 a);
-  let a3 = Prng.bits64 a in
-  let b2 = Prng.bits64 b in
-  Alcotest.(check bool) "streams advance independently"
-    false (Int64.equal a3 b2 && Int64.equal a3 xb)
-
 let test_prng_split_independent () =
   let parent = Prng.create 3 in
   let child = Prng.split parent in
@@ -167,14 +155,6 @@ let test_discrete_weights () =
   done;
   check_floatish "weight ratio" 0.02 0.75 (float_of_int !hits_b /. float_of_int n)
 
-let test_discrete_cases_normalized () =
-  let d = Distribution.discrete [ 2.0, "x"; 6.0, "y" ] in
-  match Distribution.cases d with
-  | [ (px, "x"); (py, "y") ] ->
-    check_float "P(x)" 0.25 px;
-    check_float "P(y)" 0.75 py
-  | _ -> Alcotest.fail "unexpected case list"
-
 let test_discrete_drops_zero_weights () =
   let prng = Prng.create 43 in
   let d = Distribution.discrete [ 0.0, `Never; 1.0, `Always ] in
@@ -272,7 +252,7 @@ let test_table_json_rows () =
   Table.add_row t [ "y" ] (* short row pads with an empty cell *);
   Alcotest.(check string) "json"
     "[{\"a\":\"x\",\"b\":\"1\"},{\"a\":\"y\",\"b\":\"\"}]"
-    (Table.render_json t)
+    (Json.to_string (Table.to_json t))
 
 (* ------------------------------------------------------------------ *)
 (* Json                                                                *)
@@ -566,55 +546,6 @@ let test_pool_set_jobs_floor () =
   let clamped = Pool.jobs () in
   Pool.set_jobs before;
   Alcotest.(check int) "clamped to 1" 1 clamped
-
-(* ------------------------------------------------------------------ *)
-(* Resilience                                                          *)
-(* ------------------------------------------------------------------ *)
-
-exception Transient of int
-exception Permanent
-
-let retry_all = function
-  | Transient _ -> Resilience.Retryable
-  | _ -> Resilience.Fatal
-
-let test_resilience_first_try () =
-  match Resilience.run ~classify:retry_all ~attempts:3 (fun ~attempt -> attempt * 10) with
-  | Resilience.Resolved { value; attempts } ->
-    Alcotest.(check int) "attempt 0 value" 0 value;
-    Alcotest.(check int) "one attempt" 1 attempts
-  | Resilience.Exhausted _ -> Alcotest.fail "must resolve"
-
-let test_resilience_retries_then_succeeds () =
-  match
-    Resilience.run ~classify:retry_all ~attempts:4 (fun ~attempt ->
-        if attempt < 2 then raise (Transient attempt) else attempt)
-  with
-  | Resilience.Resolved { value; attempts } ->
-    Alcotest.(check int) "value from attempt 2" 2 value;
-    Alcotest.(check int) "three attempts" 3 attempts
-  | Resilience.Exhausted _ -> Alcotest.fail "must resolve on the third try"
-
-let test_resilience_exhausts () =
-  match
-    Resilience.run ~classify:retry_all ~attempts:3 (fun ~attempt ->
-        (raise (Transient attempt) : unit))
-  with
-  | Resilience.Resolved _ -> Alcotest.fail "must exhaust"
-  | Resilience.Exhausted { error; attempts } ->
-    Alcotest.(check int) "all attempts spent" 3 attempts;
-    Alcotest.(check bool) "last error kept" true (error = Transient 2)
-
-let test_resilience_fatal_not_retried () =
-  let calls = ref 0 in
-  (match
-     Resilience.run ~classify:retry_all ~attempts:5 (fun ~attempt:_ ->
-         incr calls;
-         (raise Permanent : unit))
-   with
-  | _ -> Alcotest.fail "fatal must re-raise"
-  | exception Permanent -> ());
-  Alcotest.(check int) "single call" 1 !calls
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -1095,18 +1026,10 @@ let suites =
         Alcotest.test_case "shutdown interrupts sequential" `Quick
           test_pool_shutdown_interrupts_sequential;
       ] );
-    ( "util.resilience",
-      [
-        Alcotest.test_case "first try" `Quick test_resilience_first_try;
-        Alcotest.test_case "retries then succeeds" `Quick test_resilience_retries_then_succeeds;
-        Alcotest.test_case "exhausts" `Quick test_resilience_exhausts;
-        Alcotest.test_case "fatal not retried" `Quick test_resilience_fatal_not_retried;
-      ] );
     ( "util.prng",
       [
         Alcotest.test_case "determinism" `Quick test_prng_determinism;
         Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
-        Alcotest.test_case "copy independence" `Quick test_prng_copy_independent;
         Alcotest.test_case "split reproducible" `Quick test_prng_split_independent;
         Alcotest.test_case "int range" `Quick test_prng_int_range;
         Alcotest.test_case "int invalid bound" `Quick test_prng_int_invalid;
@@ -1127,7 +1050,6 @@ let suites =
         Alcotest.test_case "truncated normal unreachable window" `Quick test_truncated_normal_unreachable_window;
         Alcotest.test_case "power law shape" `Quick test_power_law_bounds_and_shape;
         Alcotest.test_case "discrete weights" `Quick test_discrete_weights;
-        Alcotest.test_case "discrete cases normalized" `Quick test_discrete_cases_normalized;
         Alcotest.test_case "discrete drops zero weights" `Quick test_discrete_drops_zero_weights;
         Alcotest.test_case "discrete rejects all-zero" `Quick test_discrete_rejects_all_zero;
       ] );
