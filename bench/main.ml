@@ -8,7 +8,7 @@
      --no-ablations  skip the ablation sweeps
      --jobs N        worker domains (default: cores-1, min 1; DOTEST_JOBS)
      --scaling       emit the scaling study as one JSON object (schema
-                     dotest-bench/11): per-N raw-solve table (dense vs
+                     dotest-bench/12): per-N raw-solve table (dense vs
                      auto vs auto+shared) plus pipeline evaluate-stage
                      A/Bs on the n=37 comparator (quick) and the large-N
                      scaled ADC; nothing else is printed
@@ -363,7 +363,9 @@ let ablation_defect_count () =
    11 (10 was the since-retired --json mode's) measures dense in every
    row and drops the per-row flag that marked it skipped: the n <= 1200
    cap behind it was set for the retired dense LU, and on the sparse LU
-   a dense row costs a fraction of a second even at bits 11. *)
+   a dense row costs a fraction of a second even at bits 11. Schema 12
+   adds each pipeline cell's factorization count, which tells a live
+   reuse path from a dead one without a timing. *)
 let scaling_variants = 12
 let scaling_passes = 5
 let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
@@ -469,6 +471,7 @@ let pipeline_pass config macro solver =
       "total_classes",
       Util.Json.Int analysis.Core.Pipeline.health.Core.Pipeline.classes;
       "solves", Util.Json.Int (counter "engine.solves");
+      "factorizations", Util.Json.Int (counter "engine.factorizations");
       "newton_iterations", Util.Json.Int (counter "newton_iterations");
       ( "shared_nominal_hits",
         Util.Json.Int (counter "engine.shared_nominal_hits") );
@@ -529,7 +532,7 @@ let scaling_run () =
   let json =
     Util.Json.Obj
       [
-        "schema", Util.Json.String "dotest-bench/11";
+        "schema", Util.Json.String "dotest-bench/12";
         "mode", Util.Json.String "scaling";
         "jobs", Util.Json.Int jobs;
         "quick", Util.Json.Bool quick;

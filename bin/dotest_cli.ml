@@ -182,10 +182,10 @@ let resume =
     value & flag
     & info [ "resume" ]
         ~doc:
-          "Restore fault-class outcomes checkpointed by an earlier \
-           interrupted run (requires $(b,--cache)) instead of re-simulating \
-           them. A resumed run prints the same coverage tables, health \
-           counters and bounds byte-for-byte as an uninterrupted one.")
+          "Reuse the fault classes an earlier cached run stored (requires \
+           $(b,--cache)) instead of re-simulating them. A resumed run \
+           prints the same coverage tables, health counters and bounds \
+           byte-for-byte as an uninterrupted one.")
 
 let deadline_of ~deadline ~deadline_iterations =
   match deadline, deadline_iterations with
@@ -193,8 +193,9 @@ let deadline_of ~deadline ~deadline_iterations =
   | wall_seconds, max_iterations ->
     Some { Util.Watchdog.wall_seconds; max_iterations }
 
-(* Checkpointing rides the result cache, so it is on exactly when a cache
-   is; --resume without one cannot restore anything and says so. *)
+(* The per-class store writes through the result cache, so the CLI keeps
+   one exactly when it has a cache; --resume without one cannot read
+   anything back and says so. *)
 let checkpoint_of ~cache ~resume =
   match cache with
   | None ->
@@ -499,9 +500,9 @@ let serve_cmd =
     in
     (* First signal: drain — finish queued and running analyses, refuse
        new ones, exit 0. Second signal: escalate to the cooperative
-       watchdog, which aborts in-flight pipeline work (checkpoints still
-       flush on the way out). The handlers only record: they run at
-       safepoints on whatever thread is executing, so taking the
+       watchdog, which aborts in-flight pipeline work (the classes it
+       already measured stay stored). The handlers only record: they run
+       at safepoints on whatever thread is executing, so taking the
        service mutex here could self-deadlock. [poll], called from the
        accept loop and throughout the drain, applies the state
        changes. *)

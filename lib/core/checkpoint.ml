@@ -1,128 +1,137 @@
-type stats = { restored : int; recorded : int; flushes : int }
+type stats = { restored : int; recorded : int }
+
+(* One macro's classes in memory. [order] lists the class keys oldest
+   first, so the oldest is the one evicted. *)
+type slot = {
+  mutable goldens : (Circuit.Engine.solver * Macro.Macro_cell.vector) list;
+  classes : (string, Macro.Evaluate.measured) Hashtbl.t;
+  order : string Queue.t;
+}
 
 type t = {
   resume : bool;
   interrupt_after : int option;
+  capacity : int;
+  lock : Mutex.t;
+  slots : (string, slot) Hashtbl.t;
   restored_n : int Atomic.t;
   recorded_n : int Atomic.t;
-  flushes_n : int Atomic.t;
 }
 
-(* Recorded outcomes per flush. A flush rewrites the whole partial, so
-   the interval trades write volume against how many outcomes a hard
-   kill can lose: at 8, one rewrite per 8 classes and at most 7 lost. *)
-let flush_every = 8
-
-let create ?(resume = false) ?interrupt_after () =
+let create ?(resume = false) ?interrupt_after ?(capacity = 4096) () =
   {
     resume;
     interrupt_after;
+    capacity = max 1 capacity;
+    lock = Mutex.create ();
+    slots = Hashtbl.create 8;
     restored_n = Atomic.make 0;
     recorded_n = Atomic.make 0;
-    flushes_n = Atomic.make 0;
   }
 
 let resume_enabled t = t.resume
 
 let stats t =
-  {
-    restored = Atomic.get t.restored_n;
-    recorded = Atomic.get t.recorded_n;
-    flushes = Atomic.get t.flushes_n;
-  }
+  { restored = Atomic.get t.restored_n; recorded = Atomic.get t.recorded_n }
 
-let src = Logs.Src.create "dotest.checkpoint" ~doc:"incremental checkpoints"
+let size t =
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.fold (fun _ s acc -> acc + Hashtbl.length s.classes) t.slots 0)
+
+let src = Logs.Src.create "dotest.checkpoint" ~doc:"per-class result store"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type handle = {
-  registry : t;
-  cache : Util.Cache.t;
-  partial_key : string;
-  lock : Mutex.t;
-  (* Restored-from-disk and freshly recorded outcomes share one table:
-     each fault-class index is either restored or simulated, never both,
-     so a [restore] lookup can only hit a disk-loaded entry. *)
-  outcomes : (string * int, Macro.Evaluate.outcome) Hashtbl.t;
-  mutable unflushed : int;
-}
-
-let partial_key key = key ^ "-partial"
-
-let handle registry ~cache ~key =
-  let partial_key = partial_key key in
-  let outcomes = Hashtbl.create 64 in
-  if registry.resume then begin
-    (* A partial is read beside its macro's result entry, whose lookup
-       already counted the miss. *)
-    match Util.Cache.peek cache ~key:partial_key with
-    | None -> ()
-    | Some payload ->
-      (match Codec.partial_outcomes_of_json payload with
-      | Ok ps ->
-        List.iter
-          (fun (p : Codec.partial_outcome) ->
-            Hashtbl.replace outcomes (p.Codec.section, p.Codec.index)
-              p.Codec.outcome)
-          ps;
-        Log.info (fun m ->
-            m "resuming from %d checkpointed fault-class outcomes"
-              (List.length ps))
-      | Error e ->
-        (* Same containment as a corrupt cache entry: a checkpoint may
-           only ever save work, never fail a run. *)
-        Log.warn (fun m ->
-            m "undecodable checkpoint partial (%s): re-simulating" e))
-  end;
-  { registry; cache; partial_key; lock = Mutex.create (); outcomes;
-    unflushed = 0 }
-
-let with_lock h f =
-  Mutex.lock h.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock h.lock) f
-
-let restore h ~section ~index =
-  if not h.registry.resume then None
-  else
-    with_lock h @@ fun () ->
-    match Hashtbl.find_opt h.outcomes (section, index) with
-    | Some o ->
-      Atomic.incr h.registry.restored_n;
-      Some o
-    | None -> None
-
-(* The payload is sorted by (section, index) so its bytes are a function
-   of the outcome set alone, not of worker scheduling. *)
-let flush_locked h =
-  if h.unflushed > 0 then begin
-    let ps =
-      Hashtbl.fold
-        (fun (section, index) outcome acc ->
-          { Codec.section; index; outcome } :: acc)
-        h.outcomes []
-      |> List.sort (fun (a : Codec.partial_outcome) (b : Codec.partial_outcome) ->
-             match compare a.Codec.section b.Codec.section with
-             | 0 -> compare a.Codec.index b.Codec.index
-             | c -> c)
+(* Call under the lock. *)
+let slot t macro =
+  match Hashtbl.find_opt t.slots macro with
+  | Some s -> s
+  | None ->
+    let s =
+      { goldens = []; classes = Hashtbl.create 64; order = Queue.create () }
     in
-    Util.Cache.store h.cache ~key:h.partial_key
-      (Codec.partial_outcomes_to_json ps);
-    h.unflushed <- 0;
-    Atomic.incr h.registry.flushes_n
+    Hashtbl.add t.slots macro s;
+    s
+
+(* The golden is measured outside the lock: other macros' analyses
+   may be reading their own slots meanwhile. *)
+let golden t ~macro measure =
+  let solver = Circuit.Engine.current_solver () in
+  match
+    Mutex.protect t.lock (fun () -> List.assoc_opt solver (slot t macro).goldens)
+  with
+  | Some g -> g
+  | None ->
+    let g = measure () in
+    Mutex.protect t.lock (fun () ->
+        let s = slot t macro in
+        if not (List.mem_assoc solver s.goldens) then
+          s.goldens <- (solver, g) :: s.goldens);
+    g
+
+(* Call under the lock. *)
+let keep t s key m =
+  if not (Hashtbl.mem s.classes key) then begin
+    if Hashtbl.length s.classes >= t.capacity then
+      Hashtbl.remove s.classes (Queue.pop s.order);
+    Hashtbl.add s.classes key m;
+    Queue.push key s.order
   end
 
-let flush h = with_lock h (fun () -> flush_locked h)
+(* An entry is used only for the fault it was stored for. An
+   undecodable one is absent, as a corrupt cache entry is a miss: the
+   store may only ever save work, never fail a run. *)
+let read_back cache ~key (fc : Fault.Collapse.fault_class) =
+  Option.bind (Util.Cache.peek cache ~key) @@ fun payload ->
+  match Codec.class_entry.dec payload with
+  | Ok (fault, m) when fault = fc.representative.Fault.Types.fault -> Some m
+  | Ok _ -> None
+  | Error e ->
+    Log.warn (fun m -> m "undecodable class entry (%s): re-simulating" e);
+    None
 
-let record h ~section ~index outcome =
-  (with_lock h @@ fun () ->
-   Hashtbl.replace h.outcomes (section, index) outcome;
-   h.unflushed <- h.unflushed + 1;
-   if h.unflushed >= flush_every then flush_locked h);
-  let total = 1 + Atomic.fetch_and_add h.registry.recorded_n 1 in
-  match h.registry.interrupt_after with
-  | Some n when total = n ->
-    Util.Watchdog.request_shutdown
-      ~reason:"checkpoint interrupt_after (test hook)" ()
-  | Some _ | None -> ()
-
-let finish h = Util.Cache.remove h.cache ~key:h.partial_key
+let evaluate t ~cache ~macro ~key f =
+  let s = Mutex.protect t.lock (fun () -> slot t macro) in
+  (* What this evaluation adds to memory, by class index. *)
+  let added = Hashtbl.create 64 in
+  let add index k m =
+    Mutex.protect t.lock (fun () -> Hashtbl.replace added index (k, m))
+  in
+  let find ~index fc =
+    let k = key ~index fc in
+    let held = Mutex.protect t.lock (fun () -> Hashtbl.find_opt s.classes k) in
+    let found =
+      match held, cache with
+      | Some m, _ -> Some m
+      | None, Some cache when t.resume ->
+        let m = read_back cache ~key:k fc in
+        Option.iter (add index k) m;
+        m
+      | None, (Some _ | None) -> None
+    in
+    if Option.is_some found then Atomic.incr t.restored_n;
+    found
+  in
+  let record ~index (fc : Fault.Collapse.fault_class) m =
+    let k = key ~index fc in
+    Option.iter
+      (fun cache ->
+        Util.Cache.put cache ~key:k
+          (Codec.class_entry.enc (fc.representative.Fault.Types.fault, m)))
+      cache;
+    add index k m;
+    let total = 1 + Atomic.fetch_and_add t.recorded_n 1 in
+    match t.interrupt_after with
+    | Some n when total = n ->
+      Util.Watchdog.request_shutdown
+        ~reason:"checkpoint interrupt_after (test hook)" ()
+    | Some _ | None -> ()
+  in
+  let result = f { Macro.Evaluate.find; record } in
+  (* In class order, after the merge: what memory holds, and evicts,
+     never depends on the job count. *)
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.fold (fun index entry acc -> (index, entry) :: acc) added []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.iter (fun (_, (k, m)) -> keep t s k m));
+  result

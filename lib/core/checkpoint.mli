@@ -1,93 +1,89 @@
-(** Incremental checkpoint/resume of fault-class outcomes.
+(** The per-class result store.
 
-    The result cache ({!Util.Cache}) makes a {e completed} macro analysis
-    free to re-run, but a killed campaign used to lose everything since
-    the last completed macro — hours of fault simulation on a large
-    netlist. This module persists completed fault-class outcomes
-    {e during} evaluation, so a resumed run restarts from the last
-    checkpoint flush rather than the last completed macro.
+    In the paper's macro-cell path a fault class is measured by
+    injecting its representative into the macro's nominal netlist and
+    re-measuring the macro. Its faulty vector therefore depends on the
+    macro, the fault and the solver settings, not on the run that met
+    it. This store keeps every measured class under a key holding
+    exactly those inputs (built by [Pipeline]), so a later run that
+    meets the same class under the same settings does not simulate it
+    again: a later request of the daemon, or a run resumed after an
+    interrupt.
 
-    {2 Storage}
+    {2 What it keeps}
 
-    Partials ride the result cache: a macro whose full analysis is keyed
-    [key] stores its in-progress outcomes under [key ^ "-partial"]
-    (schema {!Codec.partial_outcomes_to_json}). They therefore inherit
-    the cache's envelope versioning, atomic tmp-and-rename writes and
-    degraded-write containment for free — and because the key
-    fingerprints every pipeline input, a checkpoint written under
-    different inputs is simply never found. Once the full analysis entry
-    is published, {!finish} retires the partial.
+    Measured classes ({!Macro.Evaluate.measured}: the faulty vector and
+    its status), never signatures. Each run classifies a stored vector
+    against its own golden vector and good space, with the code a fresh
+    simulation goes through, so tables are unchanged by the store. It
+    also keeps each macro's golden vector per solver.
 
-    {2 Determinism}
+    In memory each macro holds at most [capacity] classes; past that
+    the oldest is evicted, which can only cost a re-simulation. Classes
+    enter memory once their evaluation has merged, in class order, so
+    what the store holds never depends on the job count.
 
-    A restored outcome is handed to [Macro.Evaluate.run]'s [resume]
-    hook, which verifies it against the recomputed fault class before
-    trusting it; fault simulation is deterministic, so a resumed run
-    produces byte-identical coverage tables, health counters and bounds
-    to an uninterrupted one at any job count. Only the survival
-    statistics (restored/recorded counts) and wall-clock telemetry
-    differ — exactly like warm-vs-cold cache runs.
+    {2 How it reaches disk}
+
+    With a cache, each freshly simulated class becomes its own
+    {!Util.Cache} entry ({!Codec.class_entry}), written as the class
+    completes, so an interrupt loses at most the classes in flight.
+    With [resume] on, a class missing from memory is read back from
+    disk. Class entries are read with {!Util.Cache.peek} and written
+    with {!Util.Cache.put}: a class read counts as neither a
+    result-cache hit nor a miss, and class entries never push a result
+    entry out of the cache's memory.
 
     {2 Concurrency}
 
-    One registry serves a whole run; one {!handle} serves one macro's
-    evaluation and is called from {!Util.Pool} worker domains — its
-    outcome table is mutex-protected, the registry counters atomic. *)
+    Safe to share between domains: its tables are mutex-protected and
+    its counters atomic. *)
 
-(** Shared registry: configuration plus run-wide counters. *)
 type t
 
-(** [create ()] — a registry with checkpointing on and resume off.
-    [resume] makes handles load any existing partial and serve
-    {!restore} hits from it. Every 8th freshly recorded outcome triggers
-    a flush, which bounds how many a hard kill may lose. [interrupt_after]
-    is a deterministic test hook (compare [Pipeline.Config.inject_failures]):
-    after the [n]-th recorded outcome, run-wide, it calls
-    {!Util.Watchdog.request_shutdown} — letting tests exercise the
+(** [create ()] — an empty store that reads nothing back from disk.
+    [resume] reads back, from the run's cache, each class the store
+    does not hold in memory. [capacity] bounds the classes kept in
+    memory per macro (default 4,096). [interrupt_after] is a
+    deterministic test hook (compare
+    [Pipeline.Config.inject_failures]): after the [n]-th freshly
+    simulated class, store-wide, it calls
+    {!Util.Watchdog.request_shutdown}, letting tests exercise the
     kill-and-resume path without racing a real signal against the
     scheduler. *)
-val create : ?resume:bool -> ?interrupt_after:int -> unit -> t
+val create : ?resume:bool -> ?interrupt_after:int -> ?capacity:int -> unit -> t
 
 val resume_enabled : t -> bool
 
-(** Run-wide counters: [restored] outcomes served from a loaded partial,
-    [recorded] outcomes freshly simulated and checkpointed, [flushes]
-    partial writes. For a run that completes, all three are functions of
-    the inputs and the pre-existing checkpoint only — independent of the
-    job count. *)
-type stats = { restored : int; recorded : int; flushes : int }
+(** Store-wide counters: [restored] classes served from the store (from
+    memory or read back from disk), [recorded] classes freshly
+    simulated and stored. For a run that completes, both are functions
+    of the inputs and of what the store held before, whatever the job
+    count. *)
+type stats = { restored : int; recorded : int }
 
 val stats : t -> stats
 
-(** Per-macro checkpoint state. *)
-type handle
+(** Classes held in memory, over every macro. *)
+val size : t -> int
 
-(** [handle t ~cache ~key] — open the checkpoint for the macro whose
-    full analysis is cached under [key]. With [resume] enabled, loads
-    the partial stored under [key ^ "-partial"] (an absent or
-    undecodable partial is an empty one — never an error). The read
-    goes through {!Util.Cache.peek}: the macro's own lookup has already
-    counted its miss, so the partial adds no second one. *)
-val handle : t -> cache:Util.Cache.t -> key:string -> handle
+(** [golden t ~macro measure] — the golden vector of the macro whose
+    store key is [macro], under the solver in effect
+    ({!Circuit.Engine.current_solver}). [measure ()] runs on the first
+    call per macro and solver only. *)
+val golden :
+  t -> macro:string -> (unit -> Macro.Macro_cell.vector) -> Macro.Macro_cell.vector
 
-(** [restore h ~section ~index] — the checkpointed outcome of the class
-    at [index] of evaluation [section] (["cat"] / ["ncat"]), or [None].
-    Always [None] when the registry has resume off. *)
-val restore :
-  handle -> section:string -> index:int -> Macro.Evaluate.outcome option
-
-(** [record h ~section ~index outcome] adds a freshly simulated outcome;
-    every 8th recorded outcome triggers a flush. Called from worker
-    domains. *)
-val record :
-  handle -> section:string -> index:int -> Macro.Evaluate.outcome -> unit
-
-(** [flush h] persists all outcomes recorded since the last flush (a
-    no-op if there are none). Callers run this in a [Fun.protect]
-    finalizer around evaluation, so an interrupt's in-flight drain is
-    checkpointed on the way out. *)
-val flush : handle -> unit
-
-(** [finish h] retires the partial entry — call once the full analysis
-    has been published under the macro's own key. *)
-val finish : handle -> unit
+(** [evaluate t ~cache ~macro ~key f] runs one evaluation of the
+    classes of the macro whose store key is [macro]: [f] hands the
+    store's hook to {!Macro.Evaluate.run}. [key ~index fc] is a class's
+    content address. Each class the hook records is written to [cache]
+    at once; once [f] returns, the classes it recorded or read back
+    from disk enter memory in class order. *)
+val evaluate :
+  t ->
+  cache:Util.Cache.t option ->
+  macro:string ->
+  key:(index:int -> Fault.Collapse.fault_class -> string) ->
+  (Macro.Evaluate.store -> 'a) ->
+  'a

@@ -403,23 +403,22 @@ let analysis =
 let analysis_to_json = analysis.enc
 let analysis_of_json = analysis.dec
 
-(* --- checkpoint partial payloads ---------------------------------------- *)
+(* --- per-class store entries --------------------------------------------- *)
 
-type partial_outcome = {
-  section : string;
-  index : int;
-  outcome : Macro.Evaluate.outcome;
-}
-
-let partial_outcomes =
-  record (fun section index outcome -> { section; index; outcome })
-  |> field (req "section" string) (fun p -> p.section)
-  |> field (req "index" int) (fun p -> p.index)
-  |> field (req "outcome" outcome) (fun p -> p.outcome)
-  |> obj |> list
-
-let partial_outcomes_to_json = partial_outcomes.enc
-let partial_outcomes_of_json = partial_outcomes.dec
+let class_entry =
+  let vector =
+    record (fun name value -> name, value)
+    |> field (req "name" string) fst
+    |> field (req "value" float) snd
+    |> obj |> list
+  in
+  record (fun fault vector status -> fault, { Macro.Evaluate.vector; status })
+  |> field (req "fault" fault) fst
+  |> field (req "vector" vector) (fun (_, (m : Macro.Evaluate.measured)) ->
+         m.vector)
+  |> field (req "status" status) (fun (_, (m : Macro.Evaluate.measured)) ->
+         m.status)
+  |> obj
 
 (* --- fingerprints ------------------------------------------------------- *)
 

@@ -3,7 +3,7 @@
     Everything the library persists or emits as JSON goes through this
     module, so the schema of each value is defined in exactly one place:
     the result cache stores per-macro analyses with {!analysis},
-    checkpoints store {!partial_outcomes}, [dotest serve] speaks
+    the per-class store keeps {!class_entry} values, [dotest serve] speaks
     {!request} and {!response}, and {!Report.render}'s [`Json] format
     renders through {!table_to_json}.
 
@@ -72,24 +72,15 @@ val analysis : analysis t
 val analysis_to_json : analysis -> Util.Json.t
 val analysis_of_json : analysis decoder
 
-(** {1 Checkpoint partial payloads}
+(** {1 Class entries}
 
-    The incremental-checkpoint schema (see [Checkpoint]): a flat list of
-    completed fault-class outcomes, each tagged with the evaluation
-    [section] it belongs to (["cat"] / ["ncat"]) and its class [index]
-    within that section. Persisted through [Util.Cache] under the
-    macro's cache key suffixed ["-partial"], so it inherits the cache's
-    envelope versioning, atomic rename and degraded-write containment. *)
+    The payload of one entry of the per-class store (see [Checkpoint]):
+    a fault, the faulty vector measured for it and the resolution
+    status. Each entry is stored through [Util.Cache] under the class's
+    own key, so it inherits the cache's envelope versioning, atomic
+    rename and degraded-write containment. *)
 
-type partial_outcome = {
-  section : string;
-  index : int;
-  outcome : Macro.Evaluate.outcome;
-}
-
-val partial_outcomes : partial_outcome list t
-val partial_outcomes_to_json : partial_outcome list -> Util.Json.t
-val partial_outcomes_of_json : partial_outcome list decoder
+val class_entry : (Fault.Types.fault * Macro.Evaluate.measured) t
 
 (** {1 Fingerprints}
 

@@ -13,7 +13,6 @@ module Config = struct
     deadline : Util.Watchdog.limits option;
     checkpoint : Checkpoint.t option;
     solver : Circuit.Engine.solver;
-    memo : Macro.Evaluate.Memo.t option;
   }
 
   let default =
@@ -32,7 +31,6 @@ module Config = struct
       deadline = r.Request.deadline;
       checkpoint = None;
       solver = r.Request.solver;
-      memo = None;
     }
 
   let with_tech tech config = { config with tech }
@@ -50,7 +48,6 @@ module Config = struct
   let with_deadline deadline config = { config with deadline }
   let with_checkpoint checkpoint config = { config with checkpoint }
   let with_solver solver config = { config with solver }
-  let with_memo memo config = { config with memo }
 end
 
 open Config
@@ -180,6 +177,44 @@ let cache_key config (macro : Macro.Macro_cell.t) ~nominal_netlist ~cell =
          on top of that — see the .mli caveat.) *)
       Request.deadline_part config.deadline;
     ]
+
+(* A class's store key, in two parts. Its faulty vector is a function of
+   the macro's nominal netlist, built at [config.tech], and of its fault
+   alone ([Fault.Inject.inject_instance] reads nothing else), under the
+   solver, the retry bound, the deadline and, when failures are
+   injected, the seed and the class's index in its batch. The defect
+   sample, good space and sigma only decide which classes a run meets
+   and how it reads them. [store_macro_key] is the part a macro's classes
+   share; the store bounds its memory per macro by it. *)
+let store_macro_key config (macro : Macro.Macro_cell.t) ~nominal_netlist =
+  Util.Cache.fingerprint
+    [
+      "codec=" ^ Codec.version;
+      "macro=" ^ macro.Macro.Macro_cell.name;
+      "netlist=" ^ Codec.netlist_fingerprint nominal_netlist;
+      "tech=" ^ Codec.tech_fingerprint config.tech;
+    ]
+
+let class_key config ~macro ~index (fc : Fault.Collapse.fault_class) =
+  let injected =
+    match config.inject_failures with
+    | None -> []
+    | Some _ ->
+      [ Printf.sprintf "seed=%d" config.seed; Printf.sprintf "index=%d" index ]
+  in
+  let fault = fc.representative.Fault.Types.fault in
+  (* The suffix tells a class entry from a result entry on disk. *)
+  Util.Cache.fingerprint
+    ([
+       macro;
+       "fault=" ^ Util.Json.to_string (Codec.fault.enc fault);
+       "solver=" ^ Circuit.Engine.solver_name config.solver;
+       Printf.sprintf "max_retries=%d" config.max_retries;
+       Request.inject_part config.inject_failures;
+       Request.deadline_part config.deadline;
+     ]
+    @ injected)
+  ^ "-class"
 
 let cached_analysis config (macro : Macro.Macro_cell.t) ~key =
   match config.cache with
@@ -313,62 +348,40 @@ let analyze config (macro : Macro.Macro_cell.t) =
           ~tech:config.tech macro good_prng)
   in
   let inject = injection_of config in
-  (* Remembered classes are only valid where a class's result depends on
-     nothing but the macro, its fault, the solver and the retry bound:
-     injection depends on the class index, and a wall-clock deadline on
-     the machine, so such runs neither read nor write the memo. *)
-  let memo =
-    match config.inject_failures, config.deadline with
-    | None, None -> config.memo
-    | Some _, _ | _, Some _ -> None
+  (* The store is opened past the cache lookup: a hit never reaches it. *)
+  let store =
+    Option.map
+      (fun store -> store, store_macro_key config macro ~nominal_netlist)
+      config.checkpoint
   in
   (* Both evaluate stages classify against one golden vector, measured
      on the same nominal netlist as the good space and the faulty
      circuits, under the run's solver. It is measured on first use, so
      its cost falls inside the first evaluate stage. *)
-  let golden = lazy (Macro.Evaluate.golden ?memo ~macro nominal_netlist) in
-  (* Checkpointing stores partials through the result cache, so it is
-     inert without one (the CLI warns; a library caller reads the
-     survival stats). *)
-  let ckpt =
-    match config.checkpoint, config.cache, key with
-    | Some registry, Some cache, Some key ->
-      Some (registry, Checkpoint.handle registry ~cache ~key)
-    | _ -> None
+  let golden =
+    lazy
+      (let measure () = Macro.Evaluate.golden ~macro nominal_netlist in
+       match store with
+       | None -> measure ()
+       | Some (store, macro) -> Checkpoint.golden store ~macro measure)
   in
-  let evaluate ~section classes =
-    let resume =
-      match ckpt with
-      | Some (registry, h) when Checkpoint.resume_enabled registry ->
-        Some (fun index -> Checkpoint.restore h ~section ~index)
-      | Some _ | None -> None
+  let evaluate classes =
+    let run store =
+      Macro.Evaluate.run ~retries:config.max_retries ?inject
+        ?deadline:config.deadline ?store ~strict:config.strict ~macro
+        ~nominal:nominal_netlist ~golden:(Lazy.force golden) ~good classes
     in
-    let on_outcome =
-      Option.map
-        (fun (_, h) index o -> Checkpoint.record h ~section ~index o)
-        ckpt
-    in
-    Macro.Evaluate.run ~retries:config.max_retries ?inject
-      ?deadline:config.deadline ?resume ?on_outcome ~strict:config.strict
-      ?memo ~macro ~nominal:nominal_netlist ~golden:(Lazy.force golden) ~good
-      classes
+    match store with
+    | None -> run None
+    | Some (store, macro) ->
+      Checkpoint.evaluate store ~cache:config.cache ~macro
+        ~key:(class_key config ~macro) (fun hook -> run (Some hook))
   in
-  (* The flush finalizer is what makes an interrupt lose at most the
-     in-flight classes: the pool drains them, the exception unwinds
-     through here, and everything recorded so far hits disk. *)
-  let outcomes_catastrophic, outcomes_non_catastrophic =
-    (match ckpt with
-    | None -> fun f -> f ()
-    | Some (_, h) -> fun f -> Fun.protect ~finally:(fun () -> Checkpoint.flush h) f)
-    @@ fun () ->
-    let cat =
-      timed "evaluate-cat" (fun () -> evaluate ~section:"cat" classes_catastrophic)
-    in
-    let ncat =
-      timed "evaluate-ncat" (fun () ->
-          evaluate ~section:"ncat" classes_non_catastrophic)
-    in
-    cat, ncat
+  let outcomes_catastrophic =
+    timed "evaluate-cat" (fun () -> evaluate classes_catastrophic)
+  in
+  let outcomes_non_catastrophic =
+    timed "evaluate-ncat" (fun () -> evaluate classes_non_catastrophic)
   in
   let health =
     health_of ~macro_name:macro.Macro.Macro_cell.name
@@ -388,8 +401,6 @@ let analyze config (macro : Macro.Macro_cell.t) =
     }
   in
   Option.iter (fun key -> store_analysis config analysis ~key) key;
-  (* The full analysis entry supersedes the partial; retire it. *)
-  Option.iter (fun (_, h) -> Checkpoint.finish h) ckpt;
   finish ~from_cache:false analysis
 
 let analyze_all config macros =

@@ -54,10 +54,12 @@ module Config : sig
             caps keep the determinism contract; wall-clock caps are
             best-effort (default [None] = unbounded) *)
     checkpoint : Checkpoint.t option;
-        (** incremental checkpoint/resume of fault-class outcomes
-            (default [None] = off). Requires [cache] — partials are
-            stored through it under the macro's key — and is inert
-            without one. See {!Checkpoint}. *)
+        (** the per-class result store (default [None]; [Core.Service]
+            keeps one per macro set). Classes it holds are re-classified
+            against this analysis's golden vector and good space instead
+            of simulated, so tables are unchanged; each class simulated
+            here is added to it and, with [cache], written to disk as it
+            completes. Not part of the cache key. See {!Checkpoint}. *)
     solver : Circuit.Engine.solver;
         (** Newton factorization policy for every simulation stage
             (default {!Circuit.Engine.default_solver} = [Auto]), installed
@@ -65,16 +67,9 @@ module Config : sig
             all. Both policies must produce identical tables; [Dense]
             (full Newton) is the reference for bisecting solver
             regressions. Part of the cache key. *)
-    memo : Macro.Evaluate.Memo.t option;
-        (** fault-class results kept across analyses by a long-lived
-            caller (default [None]; [Core.Service] keeps one per macro
-            set). Remembered classes are re-classified against this
-            analysis's golden vector and good space, so tables are
-            unchanged; a run with [inject_failures] or a [deadline]
-            neither reads nor writes it. Not part of the cache key. *)
   }
 
-  (** [cmos1um]; no failure budget, cache, checkpoint or memo. Every
+  (** [cmos1um]; no failure budget, cache or store. Every
       other field is read off {!Request.default}, the one place the
       per-analysis defaults are stated. *)
   val default : t
@@ -96,13 +91,11 @@ module Config : sig
 
   val with_deadline : Util.Watchdog.limits option -> t -> t
 
-  (** [with_checkpoint (Some registry) config] enables incremental
-      checkpointing; keep the registry to read {!Checkpoint.stats}
-      after the run. *)
+  (** [with_checkpoint (Some store) config] installs a per-class result
+      store; keep it to read {!Checkpoint.stats} after the run. *)
   val with_checkpoint : Checkpoint.t option -> t -> t
 
   val with_solver : Circuit.Engine.solver -> t -> t
-  val with_memo : Macro.Evaluate.Memo.t option -> t -> t
 end
 
 (** Containment counters for one macro, functions of the merged outcome
@@ -161,11 +154,15 @@ exception Budget_exhausted of { failures : int; limit : int }
     failure budget is re-checked on hits, so a cached degraded run still
     raises under a tighter budget.
 
-    With [config.checkpoint] set (and a cache), completed fault-class
-    outcomes are persisted incrementally during evaluation and — with
-    resume enabled on the registry — restored instead of re-simulated,
-    so an interrupted run resumed later produces the same bytes as an
-    uninterrupted one (see {!Checkpoint}).
+    With [config.checkpoint] set, the store is consulted for each fault
+    class before it is simulated, and every class simulated is added to
+    it; with a cache, each is also written to disk as it completes. A
+    class's store key holds everything its measurement depends on: the
+    macro's name, nominal netlist and tech, the fault, the solver, the
+    retry bound, the deadline and, when failures are injected, the seed
+    and the class index. A run resumed after an interrupt
+    ([Checkpoint.create ~resume:true]) therefore produces the same bytes
+    as an uninterrupted one. A cache hit never reaches the store.
 
     Each stage (sprinkle, collapse, good-space, evaluate-cat,
     evaluate-ncat) runs in a [pipeline.stage] span and logs its
@@ -179,8 +176,8 @@ exception Budget_exhausted of { failures : int; limit : int }
     @raise Util.Watchdog.Interrupted when cooperative shutdown was
     requested (SIGINT/SIGTERM via
     [Util.Watchdog.install_signal_handlers]): in-flight classes drain,
-    checkpoints and partial flushes land, and the exception unwinds for
-    the caller to exit with a resumable status. *)
+    their class entries land, and the exception unwinds for the caller
+    to exit with a resumable status. *)
 val analyze : Config.t -> Macro.Macro_cell.t -> macro_analysis
 
 (** [analyze_all config macros] analyses independent macros concurrently

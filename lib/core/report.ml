@@ -357,9 +357,7 @@ let run_survival (config : Pipeline.Config.t) =
     Util.Table.add_row t
       [ "classes restored"; string_of_int s.Checkpoint.restored ];
     Util.Table.add_row t
-      [ "classes checkpointed"; string_of_int s.Checkpoint.recorded ];
-    Util.Table.add_row t
-      [ "checkpoint flushes"; string_of_int s.Checkpoint.flushes ]);
+      [ "classes checkpointed"; string_of_int s.Checkpoint.recorded ]);
   t
 
 (* The deterministic tables of a run, titled and in print order: the CLI

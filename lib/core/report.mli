@@ -55,8 +55,8 @@ val metrics : ?elapsed:float -> Util.Telemetry.Metrics.t -> Util.Table.t
 val cache_stats : Util.Cache.stats -> Util.Table.t
 
 (** Run-survival settings and counters: the configured deadlines, the
-    checkpointing mode, and (when checkpointing is on) how many classes
-    were restored versus freshly checkpointed. Like {!cache_stats}, this
+    store's mode, and (when the run has a store) how many classes it
+    served versus how many were simulated and stored. Like {!cache_stats}, this
     table deliberately differs between a resumed run and a clean one —
     it is excluded from byte-identity comparisons. *)
 val run_survival : Pipeline.Config.t -> Util.Table.t

@@ -37,9 +37,9 @@ type t = {
   changed : Condition.t;  (* flight completion, drain entry *)
   flights : (string, flight) Hashtbl.t;  (* keyed by Request.fingerprint *)
   exec : Mutex.t;  (* the single execution lane *)
-  (* By [dft], each with its class memo; lane only. *)
-  comparator : bool -> Macro.Macro_cell.t * Macro.Evaluate.Memo.t;
-  global_set : bool -> Macro.Macro_cell.t list * Macro.Evaluate.Memo.t;
+  (* By [dft], each with its class store; lane only. *)
+  comparator : bool -> Macro.Macro_cell.t * Checkpoint.t;
+  global_set : bool -> Macro.Macro_cell.t list * Checkpoint.t;
   mutable draining_ : bool;
   mutable s : stats;
 }
@@ -47,11 +47,11 @@ type t = {
 (* Each DfT variant is built on first use and kept for the service's
    lifetime, with the layouts its macros synthesize and the cell
    fingerprints memoized on them: a warm hit then rebuilds neither. Its
-   class memo lives as long, so a miss re-simulates only the fault
-   classes no earlier request met. Only the execution lane forces
-   these. *)
+   class store lives as long, so a miss re-simulates only the fault
+   classes no earlier request met, nor any stored in the cache by an
+   earlier process. Only the execution lane forces these. *)
 let by_dft build =
-  let kept d = lazy (build d, Macro.Evaluate.Memo.create ()) in
+  let kept d = lazy (build d, Checkpoint.create ~resume:true ()) in
   let plain = kept false and dft = kept true in
   fun d -> Lazy.force (if d then dft else plain)
 
@@ -120,8 +120,6 @@ let config_of t (r : Request.t) =
     |> with_inject_failures r.inject_failures
     |> with_cache_handle t.cache_handle
     |> with_deadline r.deadline
-    |> with_checkpoint
-         (Option.map (fun _ -> Checkpoint.create ~resume:true ()) t.cache_handle)
     |> with_solver r.solver)
 
 (* The deterministic artefacts of a request: the tables the CLI prints
@@ -130,15 +128,15 @@ let config_of t (r : Request.t) =
    run survival, metrics — is deliberately not a table; its serve-side
    analogues are the reply counters and telemetry. *)
 let tables_of t config (r : Request.t) =
-  let with_memo memo = Pipeline.Config.with_memo (Some memo) config in
+  let with_store store = Pipeline.Config.with_checkpoint (Some store) config in
   let tables =
     match r.target with
     | Request.Comparator { dft } ->
-      let macro, memo = t.comparator dft in
-      Report.macro_tables (Pipeline.analyze (with_memo memo) macro)
+      let macro, store = t.comparator dft in
+      Report.macro_tables (Pipeline.analyze (with_store store) macro)
     | Request.Global { dft } ->
-      let macros, memo = t.global_set dft in
-      Report.global_tables ~dft (Pipeline.analyze_all (with_memo memo) macros)
+      let macros, store = t.global_set dft in
+      Report.global_tables ~dft (Pipeline.analyze_all (with_store store) macros)
   in
   List.map
     (fun (title, table) ->

@@ -42,13 +42,15 @@
     rebuilds each macro's nominal netlist for the key and decodes the
     cached payload.
 
-    Beside each macro set the service keeps a {!Macro.Evaluate.Memo}
-    of the fault classes its requests have simulated, so a miss
-    re-simulates only the classes no earlier request met and
-    re-classifies the rest against its own good space. Replies are
-    unchanged by it; requests with [inject_failures] or a deadline
-    bypass it. The [classes_reused] telemetry counter counts what it
-    served.
+    Beside each macro set the service keeps a {!Checkpoint} store of
+    the fault classes its requests have measured, so a miss simulates
+    only the classes no earlier request met and re-classifies the rest
+    against its own good space. With a cache, the store also writes
+    each class to disk and reads back the classes an earlier process
+    stored there. Replies are unchanged by it. Requests with
+    [inject_failures] or a deadline are kept apart from the others by
+    their class keys. The [classes_reused] telemetry counter counts
+    what the store served.
 
     {2 Shutdown}
 
@@ -57,7 +59,7 @@
     refused with [Shutting_down], the accept loop closes, and {!serve}
     returns so the daemon can exit 0. A second signal escalates to
     {!Util.Watchdog.request_shutdown}, which aborts in-flight pipeline
-    work cooperatively (checkpoints still flush). *)
+    work cooperatively (classes already measured stay stored). *)
 
 type t
 

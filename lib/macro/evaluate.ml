@@ -124,97 +124,20 @@ let classify ~(macro : Macro_cell.t) ~good ~golden fc { vector; status } =
   in
   { fault_class = fc; signature; status }
 
-module Memo = struct
-  type key = {
-    fault : Fault.Types.fault;
-    solver : Circuit.Engine.solver;
-    retries : int;
-  }
+let golden ~(macro : Macro_cell.t) nominal = macro.Macro_cell.measure nominal
 
-  (* One macro's remembered results. [order] lists the class keys
-     oldest first, so the oldest is the one evicted. *)
-  type slot = {
-    macro : Macro_cell.t;
-    mutable goldens : (Circuit.Engine.solver * Macro_cell.vector) list;
-    classes : (key, measured) Hashtbl.t;
-    order : key Queue.t;
-  }
+type store = {
+  find : index:int -> Fault.Collapse.fault_class -> measured option;
+  record : index:int -> Fault.Collapse.fault_class -> measured -> unit;
+}
 
-  type t = { lock : Mutex.t; capacity : int; mutable slots : slot list }
-
-  let default_capacity = 4096
-
-  let create ?(capacity = default_capacity) () =
-    { lock = Mutex.create (); capacity = max 1 capacity; slots = [] }
-
-  let size t =
-    Mutex.protect t.lock (fun () ->
-        List.fold_left (fun acc s -> acc + Hashtbl.length s.classes) 0 t.slots)
-
-  (* Macros are told apart by identity: a macro value carries closures,
-     and two builds of one macro are two entries. Call under the lock. *)
-  let slot t macro =
-    match List.find_opt (fun s -> s.macro == macro) t.slots with
-    | Some s -> s
-    | None ->
-      let s =
-        { macro; goldens = []; classes = Hashtbl.create 64; order = Queue.create () }
-      in
-      t.slots <- s :: t.slots;
-      s
-
-  let find t ~macro key =
-    Mutex.protect t.lock (fun () -> Hashtbl.find_opt (slot t macro).classes key)
-
-  let add t ~macro key m =
-    Mutex.protect t.lock @@ fun () ->
-    let s = slot t macro in
-    if not (Hashtbl.mem s.classes key) then begin
-      if Hashtbl.length s.classes >= t.capacity then
-        Hashtbl.remove s.classes (Queue.pop s.order);
-      Hashtbl.add s.classes key m;
-      Queue.push key s.order
-    end
-
-  (* The golden is measured outside the lock: other macros' analyses
-     may be reading their own slots meanwhile. *)
-  let golden t ~macro ~solver measure =
-    match
-      Mutex.protect t.lock (fun () -> List.assoc_opt solver (slot t macro).goldens)
-    with
-    | Some g -> g
-    | None ->
-      let g = measure () in
-      Mutex.protect t.lock (fun () ->
-          let s = slot t macro in
-          if not (List.mem_assoc solver s.goldens) then
-            s.goldens <- (solver, g) :: s.goldens);
-      g
-end
-
-let golden ?memo ~(macro : Macro_cell.t) nominal =
-  let measure () = macro.Macro_cell.measure nominal in
-  match memo with
-  | None -> measure ()
-  | Some memo ->
-    Memo.golden memo ~macro ~solver:(Circuit.Engine.current_solver ()) measure
-
-let run ?jobs ~retries ?inject ?deadline ?resume
-    ?on_outcome ?(strict = false) ?memo ~(macro : Macro_cell.t) ~nominal
-    ~golden ~good classes =
-  if Option.is_some memo && (Option.is_some inject || Option.is_some deadline)
-  then
-    invalid_arg
-      "Evaluate.run: a memo cannot serve a run with injection or a deadline";
+let run ?jobs ~retries ?inject ?deadline ?store ?(strict = false)
+    ~(macro : Macro_cell.t) ~nominal ~golden ~good classes =
   (* Solver choice must survive the hop into pool worker domains:
      domain-local overrides installed by the caller do not propagate, so
      the solver in effect is read here and re-installed explicitly inside
      every worker task. *)
   let solver = Circuit.Engine.current_solver () in
-  let key fc =
-    { Memo.fault = fc.Fault.Collapse.representative.Fault.Types.fault; solver;
-      retries }
-  in
   (* Cross-class nominal warm start: the context taught to recognize
      injected devices is created once here; each worker domain derives
      (and caches) the actual nominal operating points on first use — the
@@ -224,17 +147,6 @@ let run ?jobs ~retries ?inject ?deadline ?resume
      their own escalated options. *)
   let shared =
     Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device ()
-  in
-  (* New results enter the memo after the merge, in class order, so what
-     it holds (and evicts) never depends on the job count. *)
-  let remember evaluated =
-    Option.iter
-      (fun memo ->
-        List.iter2
-          (fun fc (_, fresh) -> Option.iter (Memo.add memo ~macro (key fc)) fresh)
-          classes evaluated)
-      memo;
-    List.map fst evaluated
   in
   Util.Pool.parallel_mapi ?jobs
     (fun index fc ->
@@ -248,49 +160,23 @@ let run ?jobs ~retries ?inject ?deadline ?resume
           ]
         "evaluate.class"
       @@ fun () ->
-      (* A restored outcome is only trusted when it is provably for this
-         class: the checkpointed fault class must equal the recomputed
-         one (class derivation is deterministic, so a mismatch means the
-         checkpoint belongs to different inputs — re-simulate). *)
-      let restored =
-        match resume with
-        | None -> None
-        | Some find ->
-          (match find index with
-          | Some (o : outcome) when o.fault_class = fc -> Some o
-          | Some _ | None -> None)
-      in
-      let outcome, fresh =
-        match restored with
-        | Some o ->
-          Util.Telemetry.count "classes_restored";
-          Util.Telemetry.add_span_attrs
-            [ "restored", Util.Telemetry.Bool true ];
-          o, None
+      (* A stored class is classified by the same code as a freshly
+         simulated one, against this run's golden and good space. *)
+      let m =
+        match Option.bind store (fun s -> s.find ~index fc) with
+        | Some m ->
+          Util.Telemetry.count "classes_reused";
+          Util.Telemetry.add_span_attrs [ "reused", Util.Telemetry.Bool true ];
+          m
         | None ->
-          (* A remembered class is classified by the same code as a
-             freshly simulated one, against this run's golden and
-             good space. *)
-          let m, fresh =
-            match Option.bind memo (fun t -> Memo.find t ~macro (key fc)) with
-            | Some m ->
-              Util.Telemetry.count "classes_reused";
-              Util.Telemetry.add_span_attrs
-                [ "reused", Util.Telemetry.Bool true ];
-              m, None
-            | None ->
-              let m =
-                simulate ~retries ?inject ?deadline ~index ~macro ~nominal fc
-              in
-              Util.Telemetry.count "classes_simulated";
-              (* Kept for the memo only: without one, a vector is
-                 dropped as soon as it is classified. *)
-              m, if Option.is_some memo then Some m else None
+          let m =
+            simulate ~retries ?inject ?deadline ~index ~macro ~nominal fc
           in
-          let o = classify ~macro ~good ~golden fc m in
-          Option.iter (fun record -> record index o) on_outcome;
-          o, fresh
+          Util.Telemetry.count "classes_simulated";
+          Option.iter (fun s -> s.record ~index fc m) store;
+          m
       in
+      let outcome = classify ~macro ~good ~golden fc m in
       (* Resolution status and escalation depth are attached to the span,
          so a trace answers "which classes needed the ladder" directly. *)
       (let status, attempts =
@@ -318,9 +204,8 @@ let run ?jobs ~retries ?inject ?deadline ?resume
       | Unresolved { attempts; error } when strict ->
         raise (Simulation_failed { index; attempts; error })
       | Unresolved _ | Converged | Recovered _ -> ());
-      outcome, fresh)
+      outcome)
     classes
-  |> remember
 
 let total_weight outcomes =
   float_of_int

@@ -26,6 +26,14 @@ type status =
   | Unresolved of { attempts : int; error : string }
       (** every attempt failed; [error] is the classified final error *)
 
+(** What simulating a class yields before it is classified: the faulty
+    vector (empty when {!Unresolved}) and the resolution status. A
+    signature is this vector read against one run's golden vector and
+    good space, so a measured class can serve any run that meets the
+    same fault under the same settings. Declared before {!outcome},
+    whose [status] label stays the default. *)
+type measured = { vector : Macro_cell.vector; status : status }
+
 type outcome = {
   fault_class : Fault.Collapse.fault_class;
   signature : Signature.t;
@@ -50,42 +58,19 @@ exception Simulation_failed of { index : int; attempts : int; error : string }
     attempt (ending {!Recovered}). *)
 type injection = { seed : int; fraction : float }
 
-(** A bounded memo of measured fault classes, kept across analyses by a
-    long-lived caller (the daemon keeps one per macro set).
-
-    A class's faulty vector and resolution status are a function of the
-    macro's nominal netlist, its fault, the solver and the retry bound
-    alone: the defect sample, good space and sigma of a run only decide
-    which classes it meets and how their vectors are read. The memo
-    therefore stores vectors and statuses, never signatures — each run
-    classifies a remembered vector against its own golden and good space
-    with the code a fresh simulation goes through — keyed by the macro
-    (by identity), the fault, the solver and the retry bound. It also
-    keeps each macro's golden vector per solver. A memo assumes one
-    process technology: every netlist it sees for a macro must be built
-    at the same point.
-
-    Each macro holds at most [capacity] classes (default 4,096); past
-    that the oldest is evicted, which can only cost a re-simulation.
-    Safe to share between domains. *)
-module Memo : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-
-  (** Classes held, over every macro. *)
-  val size : t -> int
-end
-
-(** [golden ?memo ~macro nominal] — the macro's fault-free measurement
+(** [golden ~macro nominal] — the macro's fault-free measurement
     vector on [nominal], under the solver in effect
-    ({!Circuit.Engine.current_solver}). With a memo, it is measured once
-    per macro and solver. *)
-val golden :
-  ?memo:Memo.t ->
-  macro:Macro_cell.t ->
-  Circuit.Netlist.t ->
-  Macro_cell.vector
+    ({!Circuit.Engine.current_solver}). *)
+val golden : macro:Macro_cell.t -> Circuit.Netlist.t -> Macro_cell.vector
+
+(** Where {!run} looks a class up before simulating it, and records each
+    class it simulated as the class completes. Both are called from
+    worker domains, so an implementation synchronizes internally.
+    [Core.Checkpoint] is the one implementation. *)
+type store = {
+  find : index:int -> Fault.Collapse.fault_class -> measured option;
+  record : index:int -> Fault.Collapse.fault_class -> measured -> unit;
+}
 
 (** [run ~retries ~macro ~nominal ~golden ~good classes] evaluates every
     class against the caller's nominal netlist and golden vector (see
@@ -114,33 +99,18 @@ val golden :
     worker — domain-local [with_solver] scopes do not propagate into
     worker domains on their own.
 
-    [?resume] and [?on_outcome] are the checkpoint hooks (see
-    [Core.Checkpoint]): [resume index] may return a previously persisted
-    outcome for the class at [index] — it is used {e only} if its fault
-    class equals the recomputed one, so a checkpoint from different
-    inputs can never corrupt a run — and [on_outcome index o] is called
-    for every outcome not restored (from worker domains; the callback
-    must synchronize internally). Restored classes count on the
-    [classes_restored] telemetry counter instead of
-    [classes_simulated].
-
-    [?memo] serves classes it remembers (counted on [classes_reused],
-    their span marked [reused]) and takes in the rest once the run's
-    outcomes are merged, in class order, so its contents never depend on
-    the job count. A memo cannot serve a run with [inject] or a
-    [deadline]: injection depends on the class index, and a wall-clock
-    budget on the machine.
-    @raise Invalid_argument when [memo] is given with [inject] or
-    [deadline]. *)
+    [?store] serves the classes it holds: such a class is classified
+    by the same code as a fresh one, against this run's golden vector
+    and good space, and counts on [classes_reused] (its span marked
+    [reused]) instead of [classes_simulated]. Every other class is
+    simulated and handed to [store.record]. *)
 val run :
   ?jobs:int ->
   retries:int ->
   ?inject:injection ->
   ?deadline:Util.Watchdog.limits ->
-  ?resume:(int -> outcome option) ->
-  ?on_outcome:(int -> outcome -> unit) ->
+  ?store:store ->
   ?strict:bool ->
-  ?memo:Memo.t ->
   macro:Macro_cell.t ->
   nominal:Circuit.Netlist.t ->
   golden:Macro_cell.vector ->

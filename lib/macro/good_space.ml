@@ -1,6 +1,6 @@
 type t = (string * Util.Stats.window) list
 
-let compile ?(n = 48) ?(k = 3.0) ~tech (macro : Macro_cell.t) prng =
+let compile ~n ~k ~tech (macro : Macro_cell.t) prng =
   let samples =
     Process.Variation.monte_carlo ~n Process.Variation.default_spread tech prng
   in

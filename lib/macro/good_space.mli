@@ -4,18 +4,18 @@
     and temperature, so "different from good" means "outside the compiled
     window" (paper §2). The space is compiled by Monte-Carlo: the macro is
     rebuilt and measured across sampled dies, and each named measurement
-    gets a k·σ window (k = 3 by default, the paper's setting). *)
+    gets a k·σ window (the paper's k is 3; [Core.Request.default] states
+    the reproduction's die count and k). *)
 
 type t
 
-(** [compile ?n ?k ~tech macro prng] measures [n] Monte-Carlo dies
-    (default 48, nominal included) drawn at
-    {!Process.Variation.default_spread}, and windows every measurement at
-    [k]·σ (default 3). Measurements missing from some vectors are
-    windowed over the vectors that do carry them. *)
+(** [compile ~n ~k ~tech macro prng] measures [n] Monte-Carlo dies
+    (nominal included) drawn at {!Process.Variation.default_spread}, and
+    windows every measurement at [k]·σ. Measurements missing from some
+    vectors are windowed over the vectors that do carry them. *)
 val compile :
-  ?n:int ->
-  ?k:float ->
+  n:int ->
+  k:float ->
   tech:Process.Tech.t ->
   Macro_cell.t ->
   Util.Prng.t ->

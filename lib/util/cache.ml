@@ -158,7 +158,8 @@ let payload_of_entry t ~key contents =
     then Json.member "payload" json
     else None
 
-(* [find] and [peek] share one lookup; only [find] tallies it. *)
+(* [find] and [peek] share one lookup; only [find] tallies it and
+   promotes a disk read into the LRU. *)
 let lookup t ~key ~counted =
   let tally name = if counted then count t name in
   locked t @@ fun () ->
@@ -176,7 +177,7 @@ let lookup t ~key ~counted =
     | Some contents ->
       (match payload_of_entry t ~key contents with
       | Some payload ->
-        insert t key payload;
+        if counted then insert t key payload;
         tally "hits";
         Some payload
       | None ->
@@ -187,7 +188,7 @@ let lookup t ~key ~counted =
 let find t ~key = lookup t ~key ~counted:true
 let peek t ~key = lookup t ~key ~counted:false
 
-let store t ~key payload =
+let write t ~key ~promote payload =
   let envelope =
     Json.Obj
       [
@@ -198,7 +199,7 @@ let store t ~key payload =
       ]
   in
   locked t @@ fun () ->
-  insert t key payload;
+  if promote then insert t key payload;
   (* Atomic publication: write a sibling temp file, then rename. A failed
      write degrades to a cache that never hits — it must not fail the
      run. *)
@@ -231,10 +232,8 @@ let store t ~key payload =
         (try Sys.remove tmp with Sys_error _ -> ()))
     else try Sys.remove tmp with Sys_error _ -> ()
 
-let remove t ~key =
-  locked t @@ fun () ->
-  Hashtbl.remove t.lru key;
-  try Sys.remove (entry_path t key) with Sys_error _ -> ()
+let store t ~key payload = write t ~key ~promote:true payload
+let put t ~key payload = write t ~key ~promote:false payload
 
 let stats t =
   locked t @@ fun () ->

@@ -78,10 +78,11 @@ val fingerprint : string list -> string
     when a file was present but unusable). *)
 val find : t -> key:string -> Json.t option
 
-(** [peek t ~key] is {!find} without counting: it touches no hit, miss
-    or stale counter. For side entries such as checkpoint partials,
-    which sit beside a result entry that was already counted, so one
-    cache miss reads as one. *)
+(** [peek t ~key] is {!find} for side entries: it touches no hit, miss
+    or stale counter and does not promote the entry into the LRU. The
+    per-class store ([Core.Checkpoint]) reads its class entries this
+    way, so a class read never counts as a result-cache hit or miss and
+    never pushes a result entry out of memory. *)
 val peek : t -> key:string -> Json.t option
 
 (** [store t ~key payload] writes the enveloped payload atomically and
@@ -89,10 +90,9 @@ val peek : t -> key:string -> Json.t option
     writes (see {!stats}): never raised mid-run. *)
 val store : t -> key:string -> Json.t -> unit
 
-(** [remove t ~key] deletes the entry from the LRU and the directory
-    (missing entries and I/O errors are ignored). Used to retire
-    checkpoint partials once the full entry is published. *)
-val remove : t -> key:string -> unit
+(** [put t ~key payload] is {!store} for side entries: the same atomic,
+    contained write, without promoting the payload into the LRU. *)
+val put : t -> key:string -> Json.t -> unit
 
 (** [stats t] — the handle's counters so far. *)
 val stats : t -> stats

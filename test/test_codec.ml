@@ -173,12 +173,11 @@ let gen_analysis =
             (list_size (0 -- 3) gen_outcome)
             (list_size (0 -- 3) gen_outcome))))
 
-let gen_partial_outcomes =
+let gen_class_entry =
   QCheck.Gen.(
-    list_size (0 -- 4)
-      (map
-         (fun (section, index, outcome) -> { Core.Codec.section; index; outcome })
-         (triple (oneofl [ "cat"; "ncat" ]) (0 -- 10_000) gen_outcome)))
+    map
+      (fun (fault, vector, status) -> fault, { Macro.Evaluate.vector; status })
+      (triple gen_fault (list_size (0 -- 4) (pair gen_name gen_float)) gen_status))
 
 let gen_limits =
   QCheck.Gen.(
@@ -209,8 +208,7 @@ let qcheck_props =
     prop "outcome round-trips" gen_outcome Core.Codec.outcome;
     prop "good space round-trips" gen_good_space Core.Codec.good_space;
     prop "analysis round-trips" ~count:200 gen_analysis Core.Codec.analysis;
-    prop "partial outcomes round-trip" ~count:200 gen_partial_outcomes
-      Core.Codec.partial_outcomes;
+    prop "class entry round-trips" gen_class_entry Core.Codec.class_entry;
     prop "limits round-trip" gen_limits Core.Codec.limits;
     prop "request round-trips" ~count:300 Test_serve.gen_request
       Core.Codec.request;
@@ -258,7 +256,7 @@ let decoders : (string * (Util.Json.t -> (unit, string) result)) list =
     "outcome", hide Core.Codec.outcome;
     "good_space", hide Core.Codec.good_space;
     "analysis", hide Core.Codec.analysis;
-    "partial_outcomes", hide Core.Codec.partial_outcomes;
+    "class_entry", hide Core.Codec.class_entry;
     "limits", hide Core.Codec.limits;
     "request", hide Core.Codec.request;
     "response", hide Core.Codec.response;
@@ -381,8 +379,8 @@ let test_cache_keys_pinned () =
 (* --- encoded bytes pinned ---------------------------------------------------- *)
 
 (* The round-trip properties above would still pass if an encoding
-   changed in both directions at once. Cache entries and checkpoint
-   partials written by an older build, and every client of the wire
+   changed in both directions at once. Cache entries and class entries
+   written by an older build, and every client of the wire
    protocol, read these exact bytes, so they are pinned here: a change
    that moves one of them must bump [Codec.version] (payloads) or
    [Codec.api_version] (wire lines) and re-record the string. The
@@ -457,15 +455,20 @@ let golden_analysis =
     outcomes_non_catastrophic = [ ncat ];
   }
 
-(* Every outcome, so every fault kind, mechanism and status is pinned. *)
-let golden_partials =
+(* One class entry per outcome, so every fault kind and status is
+   pinned; an unresolved class has no vector. *)
+let golden_class_entries =
   List.mapi
-    (fun i outcome ->
-      {
-        Core.Codec.section = (if i = 1 then "ncat" else "cat");
-        index = 7 * i;
-        outcome;
-      })
+    (fun i (o : Macro.Evaluate.outcome) ->
+      let vector =
+        match o.status with
+        | Macro.Evaluate.Unresolved _ -> []
+        | Macro.Evaluate.Converged | Macro.Evaluate.Recovered _ ->
+          [ "vout", 0.1 *. float_of_int i; "ivdd:supply", 1.25e-3;
+            "iddq:vdd", -7.25e-9 ]
+      in
+      ( o.fault_class.Fault.Collapse.representative.Fault.Types.fault,
+        { Macro.Evaluate.vector; status = o.status } ))
     golden_outcomes
 
 let full_request =
@@ -519,6 +522,15 @@ let golden_lines =
                  String.sub line (i + 1) (String.length line - i - 1) )
            | None -> None))
 
+(* A list pinned on one line, decoded element by element. *)
+let decode_list (c : _ Core.Codec.t) = function
+  | Util.Json.List items ->
+    List.fold_right
+      (fun item acc ->
+        Result.bind acc (fun vs -> Result.map (fun v -> v :: vs) (c.dec item)))
+      items (Ok [])
+  | json -> Error ("expected a list, got " ^ Util.Json.to_string json)
+
 let test_encoded_bytes_pinned () =
   let pin name json decode value =
     let line = Util.Json.to_string json in
@@ -532,9 +544,12 @@ let test_encoded_bytes_pinned () =
   pin "analysis"
     (Core.Codec.analysis_to_json golden_analysis)
     Core.Codec.analysis_of_json golden_analysis;
-  pin "partials"
-    (Core.Codec.partial_outcomes_to_json golden_partials)
-    Core.Codec.partial_outcomes_of_json golden_partials;
+  pin "outcomes"
+    (Util.Json.List (List.map Core.Codec.outcome.enc golden_outcomes))
+    (decode_list Core.Codec.outcome) golden_outcomes;
+  pin "class-entries"
+    (Util.Json.List (List.map Core.Codec.class_entry.enc golden_class_entries))
+    (decode_list Core.Codec.class_entry) golden_class_entries;
   pin "default-request"
     (Core.Codec.request_to_json Core.Request.default)
     Core.Codec.request_of_json Core.Request.default;

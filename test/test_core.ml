@@ -605,9 +605,9 @@ let test_cache_analyze_all_warm () =
   Alcotest.(check string) "byte-identical global output" cold warm
 
 let test_cache_resume_counts_each_miss_once () =
-  (* With resume on, each macro's lookup is followed by a read of its
-     checkpoint partial; that read must not count a second miss. A cold
-     resumed run reports one miss per macro, a warm one one hit each. *)
+  (* With resume on, a macro's lookup is followed by reads of its class
+     entries; those reads must not count as misses. A cold resumed run
+     reports one miss per macro, a warm one one hit each. *)
   with_cache_dir @@ fun dir ->
   let run () =
     let cache = Util.Cache.create ~dir ~version:Core.Codec.version () in
@@ -647,18 +647,17 @@ let analyze_survival ~dir ~jobs ~checkpoint config =
       Core.Pipeline.analyze config
         (Adc.Comparator.macro Adc.Comparator.default_options))
 
-let test_checkpoint_kill_and_resume () =
-  (* The headline guarantee: a run killed mid-evaluation and resumed
-     produces the same bytes as a run that was never interrupted — at
-     any job count. The [interrupt_after] hook stands in for a real
-     SIGTERM, making the kill point deterministic. *)
-  let clean = analysis_fingerprint (Lazy.force comparator_analysis) in
-  let config = Core.Pipeline.Config.with_cache_handle None small_config in
+(* A run killed mid-evaluation and resumed produces the same bytes as
+   [clean], the run that was never interrupted, at jobs 1 and 4. The
+   [interrupt_after] hook stands in for a real SIGTERM, making the kill
+   point deterministic. *)
+let check_kill_and_resume ~what ~clean config =
+  let config = Core.Pipeline.Config.with_cache_handle None config in
   List.iter
     (fun jobs ->
       with_cache_dir @@ fun dir ->
       Fun.protect ~finally:Util.Watchdog.reset_shutdown @@ fun () ->
-      (* Phase 1: kill the run after 10 checkpointed classes. *)
+      (* Phase 1: kill the run after 10 stored classes. *)
       let interrupted = Core.Checkpoint.create ~interrupt_after:10 () in
       (match analyze_survival ~dir ~jobs ~checkpoint:interrupted config with
       | _ -> Alcotest.fail "interrupted run must not complete"
@@ -668,33 +667,68 @@ let test_checkpoint_kill_and_resume () =
         | other -> raise other));
       let s = Core.Checkpoint.stats interrupted in
       Alcotest.(check bool)
-        (Printf.sprintf "progress checkpointed before kill (jobs=%d)" jobs)
+        (Printf.sprintf "%s: progress stored before kill (jobs=%d)" what jobs)
         true
-        (s.Core.Checkpoint.recorded >= 10 && s.Core.Checkpoint.flushes > 0);
+        (s.Core.Checkpoint.recorded >= 10);
       Util.Watchdog.reset_shutdown ();
-      (* Phase 2: resume with a fresh registry and cache handle. *)
+      (* Phase 2: resume with a fresh store and cache handle. *)
       let resumed = Core.Checkpoint.create ~resume:true () in
       let a = analyze_survival ~dir ~jobs ~checkpoint:resumed config in
       let s = Core.Checkpoint.stats resumed in
       Alcotest.(check bool)
-        (Printf.sprintf "classes restored on resume (jobs=%d)" jobs)
+        (Printf.sprintf "%s: classes restored on resume (jobs=%d)" what jobs)
         true
         (s.Core.Checkpoint.restored >= 10);
       Alcotest.(check string)
-        (Printf.sprintf "resume equals uninterrupted (jobs=%d)" jobs)
+        (Printf.sprintf "%s: resume equals uninterrupted (jobs=%d)" what jobs)
         clean (analysis_fingerprint a))
     [ 1; 4 ]
 
-let test_checkpoint_finish_removes_partial () =
-  (* A completed run leaves only its full analysis entry on disk: the
-     partial payload is retired by [Checkpoint.finish]. *)
+let test_checkpoint_kill_and_resume () =
+  check_kill_and_resume ~what:"plain"
+    ~clean:(analysis_fingerprint (Lazy.force comparator_analysis))
+    small_config
+
+let test_checkpoint_kill_and_resume_contained () =
+  (* Injection and deadlines are kept apart by their class keys, not
+     turned away: a resumed run under either still reads its classes
+     back, and still equals the uninterrupted run. *)
+  let deadline_config =
+    Core.Pipeline.Config.with_deadline
+      (Some (Util.Watchdog.limits ~max_iterations:3_000 ()))
+      small_config
+  in
+  check_kill_and_resume ~what:"injected"
+    ~clean:(analysis_fingerprint (Lazy.force injected_analysis))
+    injected_config;
+  check_kill_and_resume ~what:"deadline"
+    ~clean:
+      (analysis_fingerprint
+         (Core.Pipeline.analyze deadline_config
+            (Adc.Comparator.macro Adc.Comparator.default_options)))
+    deadline_config
+
+let test_checkpoint_leaves_class_entries () =
+  (* A completed cached run leaves its result entry plus one class entry
+     per class it simulated, and no partial. *)
   with_cache_dir @@ fun dir ->
-  let ckpt = Core.Checkpoint.create () in
-  let _ = analyze_survival ~dir ~jobs:1 ~checkpoint:ckpt telemetry_config in
-  Alcotest.(check bool) "classes were checkpointed" true
-    ((Core.Checkpoint.stats ckpt).Core.Checkpoint.recorded > 0);
-  Alcotest.(check int) "single (full) entry on disk" 1
-    (Array.length (Sys.readdir dir))
+  let store = Core.Checkpoint.create () in
+  let a = analyze_survival ~dir ~jobs:1 ~checkpoint:store telemetry_config in
+  let entries = Array.to_list (Sys.readdir dir) in
+  let classes =
+    List.filter (fun name -> Filename.check_suffix name "-class.json") entries
+  in
+  Alcotest.(check int) "one result entry" 1
+    (List.length entries - List.length classes);
+  Alcotest.(check int) "every class simulated and stored"
+    a.Core.Pipeline.health.Core.Pipeline.classes
+    (Core.Checkpoint.stats store).Core.Checkpoint.recorded;
+  Alcotest.(check int) "one entry per stored class"
+    (Core.Checkpoint.stats store).Core.Checkpoint.recorded (List.length classes);
+  Alcotest.(check bool) "no partial" false
+    (List.exists
+       (fun name -> Filename.check_suffix name "-partial.json")
+       entries)
 
 let test_deadline_unresolved_jobs_invariant () =
   (* An iteration budget no escalated retry can meet: every class walks
@@ -1073,8 +1107,10 @@ let suites =
       [
         Alcotest.test_case "kill and resume (jobs 1 and 4)" `Slow
           test_checkpoint_kill_and_resume;
-        Alcotest.test_case "finish removes partial" `Slow
-          test_checkpoint_finish_removes_partial;
+        Alcotest.test_case "kill and resume, injected and deadline" `Slow
+          test_checkpoint_kill_and_resume_contained;
+        Alcotest.test_case "completed run leaves class entries" `Slow
+          test_checkpoint_leaves_class_entries;
         Alcotest.test_case "deadline unresolved jobs-invariant" `Slow
           test_deadline_unresolved_jobs_invariant;
         Alcotest.test_case "deadline respects failure budget" `Slow

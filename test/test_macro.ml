@@ -64,8 +64,8 @@ let test_signature_names_unique () =
 (* Good_space                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let compile_good ?(n = 24) ?k () =
-  Macro.Good_space.compile ~n ?k ~tech (toy_macro ()) (Util.Prng.create 5)
+let compile_good ?(n = 24) ?(k = 3.0) () =
+  Macro.Good_space.compile ~n ~k ~tech (toy_macro ()) (Util.Prng.create 5)
 
 let test_good_space_contains_nominal () =
   let good = compile_good () in

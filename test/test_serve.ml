@@ -440,8 +440,8 @@ let test_service_keeps_targets_apart () =
   let cache_dir = Filename.concat dir "cache" in
   let cache = Util.Cache.create ~dir:cache_dir ~version:Codec.version () in
   let service = Service.create ~cache () in
-  (* A cold macro misses once: reading its checkpoint partial beside
-     the result lookup counts nothing. *)
+  (* A cold macro misses once: reading its class entries beside the
+     result lookup counts nothing. *)
   let steps =
     Request.
       [
@@ -467,10 +467,12 @@ let test_service_keeps_targets_apart () =
     steps;
   Alcotest.(check (list string))
     "cache keys unchanged" small_request_keys
-    (List.sort compare (Array.to_list (Sys.readdir cache_dir)))
+    (Sys.readdir cache_dir |> Array.to_list
+    |> List.filter (fun name -> not (Filename.check_suffix name "-class.json"))
+    |> List.sort compare)
 
 (* ------------------------------------------------------------------ *)
-(* The class memo                                                      *)
+(* The class store                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let memo_request =
@@ -478,10 +480,10 @@ let memo_request =
 
 (* A service whose telemetry is kept in memory, and a submit that
    returns a reply with the counters its request added. *)
-let observed_service () =
+let observed_service ?cache () =
   let memory = Util.Telemetry.in_memory () in
   let service =
-    Service.create ~telemetry:(Util.Telemetry.memory_sink memory) ()
+    Service.create ?cache ~telemetry:(Util.Telemetry.memory_sink memory) ()
   in
   let counters () =
     (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters
@@ -504,7 +506,7 @@ let fresh_reply r = fst (observed_service () r)
 
 let test_memo_reuses_across_seeds () =
   (* A later seed meets many of an earlier seed's fault classes; the
-     service serves those from its memo and replies with the bytes a
+     service serves those from its store and replies with the bytes a
      fresh service would, having done less Newton work. *)
   let submit = observed_service () in
   let b = Request.with_seed 12 memo_request in
@@ -545,10 +547,11 @@ let test_memo_keyed_apart () =
     (again "classes_reused")
     (again "classes_reused" + again "classes_simulated")
 
-let test_memo_bypassed () =
-  (* Injection and deadlines neither read the memo (the replies equal a
-     fresh service's, health included) nor write it (a later plain
-     request still equals a fresh service's). *)
+let test_store_keys_contained_runs_apart () =
+  (* Injection and deadlines are kept apart by their class keys: such a
+     request reuses no plain request's class (the replies equal a fresh
+     service's, health included), and a later plain request reuses none
+     of theirs (it still equals a fresh service's). *)
   let submit = observed_service () in
   let _ = submit memo_request in
   List.iter
@@ -565,15 +568,23 @@ let test_memo_bypassed () =
             (Some (Util.Watchdog.limits ~max_iterations:3_000 ()))
             memo_request );
       ];
+  (* Injection hits a class by its index, so its key holds the index: a
+     fault the injected request met is simulated again where a larger
+     defect sample meets it at another index. *)
+  let shifted =
+    Request.(memo_request |> with_defects 600 |> with_inject_failures (Some 0.3))
+  in
+  check_tables "inject at 600 defects" (fresh_reply shifted).Request.tables
+    (fst (submit shifted));
   let later = Request.with_seed 13 memo_request in
   check_tables "plain after both" (fresh_reply later).Request.tables
     (fst (submit later))
 
 let test_memo_refill_past_bound () =
-  (* A memo far smaller than one analysis evicts on every run; the tables
-     stay those of a run without it, and what it keeps does not depend
-     on the job count: the same sequence reuses the same classes at
-     jobs 1 and 4. *)
+  (* A store far smaller than one analysis evicts on every run; the
+     tables stay those of a run without it, and what it keeps does not
+     depend on the job count: the same sequence reuses the same classes
+     at jobs 1 and 4. *)
   let macros = Dft.Measures.macro_set ~measures:[] in
   let config seed =
     Pipeline.Config.(
@@ -592,7 +603,7 @@ let test_memo_refill_past_bound () =
     let saved = Util.Pool.jobs () in
     Util.Pool.set_jobs jobs;
     Fun.protect ~finally:(fun () -> Util.Pool.set_jobs saved) @@ fun () ->
-    let memo = Macro.Evaluate.Memo.create ~capacity:4 () in
+    let store = Checkpoint.create ~capacity:4 () in
     List.map2
       (fun seed want ->
         let memory = Util.Telemetry.in_memory () in
@@ -600,23 +611,37 @@ let test_memo_refill_past_bound () =
           Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory)
             (fun () ->
               Pipeline.analyze_all
-                Pipeline.Config.(config seed |> with_memo (Some memo))
+                Pipeline.Config.(config seed |> with_checkpoint (Some store))
                 macros)
         in
         Alcotest.(check (list (pair string string)))
           (Printf.sprintf "seed %d at jobs %d" seed jobs)
           want (tables analyses);
         Alcotest.(check bool) "bounded" true
-          (Macro.Evaluate.Memo.size memo <= 4 * List.length macros);
+          (Checkpoint.size store <= 4 * List.length macros);
         List.assoc_opt "classes_reused"
           (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters)
       [ 21; 22; 21 ] expected
   in
   let reused = sequence 1 in
-  Alcotest.(check bool) "the memo was used" true
+  Alcotest.(check bool) "the store was used" true
     (List.exists (fun n -> n <> None) reused);
   Alcotest.(check (list (option int))) "same reuse at jobs 4" reused
     (sequence 4)
+
+let test_store_read_back_from_disk () =
+  (* A second service over the first one's cache directory serves a
+     fresh seed from the class entries on disk: it reuses classes,
+     replies with a fresh service's tables, and counts no result-cache
+     hit. *)
+  let cache_dir = Filename.concat (temp_dir "dotest-serve-store") "cache" in
+  let cache () = Util.Cache.create ~dir:cache_dir ~version:Codec.version () in
+  let _ = observed_service ~cache:(cache ()) () memo_request in
+  let b = Request.with_seed 12 memo_request in
+  let reply, delta = observed_service ~cache:(cache ()) () b in
+  check_tables "seed B from disk" (fresh_reply b).Request.tables reply;
+  Alcotest.(check bool) "classes reused" true (delta "classes_reused" > 0);
+  Alcotest.(check int) "no result-cache hit" 0 reply.Request.cache_hits
 
 let test_handle_line_matches_submit () =
   (* The wire entry point returns the same reply as a direct submit,
@@ -697,9 +722,11 @@ let suites =
           test_memo_reuses_across_seeds;
         Alcotest.test_case "memo keyed by solver, retries, dft" `Slow
           test_memo_keyed_apart;
-        Alcotest.test_case "memo bypassed by injection, deadlines" `Slow
-          test_memo_bypassed;
+        Alcotest.test_case "injection, deadlines keyed apart" `Slow
+          test_store_keys_contained_runs_apart;
         Alcotest.test_case "memo refilled past its bound" `Slow
           test_memo_refill_past_bound;
+        Alcotest.test_case "store read back from disk" `Slow
+          test_store_read_back_from_disk;
       ] );
   ]

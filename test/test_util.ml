@@ -676,16 +676,23 @@ let test_cache_write_failure_degrades () =
   Alcotest.(check bool) "nothing persisted" true (Cache.find c2 ~key:(key 1) = None);
   Alcotest.(check int) "fresh handle clean" 0 (Cache.stats c2).Cache.write_errors
 
-let test_cache_remove_retires_entry () =
+let test_cache_side_entries_uncounted () =
+  (* [put] and [peek] serve side entries: neither counts a hit or a miss,
+     and neither pushes a result entry out of the LRU. *)
   with_cache_dir @@ fun dir ->
-  let c = Cache.create ~dir ~version:"v1" () in
-  let key = Cache.fingerprint [ "to-remove" ] in
+  let c = Cache.create ~capacity:1 ~dir ~version:"v1" () in
+  let key = Cache.fingerprint [ "result" ] in
   Cache.store c ~key payload;
-  Alcotest.(check bool) "stored" true (Cache.find c ~key = Some payload);
-  Cache.remove c ~key;
-  Alcotest.(check bool) "gone from memory and disk" true (Cache.find c ~key = None);
-  (* Removing an absent entry is a no-op, not an error. *)
-  Cache.remove c ~key
+  let side i = Cache.fingerprint [ "side"; string_of_int i ] in
+  List.iter (fun i -> Cache.put c ~key:(side i) payload) [ 1; 2; 3 ];
+  Alcotest.(check bool) "side entry read back" true
+    (Cache.peek c ~key:(side 2) = Some payload);
+  Alcotest.(check bool) "absent side entry" true
+    (Cache.peek c ~key:(side 4) = None);
+  Alcotest.(check bool) "result still found" true (Cache.find c ~key = Some payload);
+  let s = Cache.stats c in
+  Alcotest.(check (list int)) "hits, misses, evictions" [ 1; 0; 0 ]
+    [ s.Cache.hits; s.Cache.misses; s.Cache.evictions ]
 
 (* Envelope fuzzing: the bytes of one entry file are replaced, then read
    through a fresh handle so no in-memory entry can mask the file. *)
@@ -1092,8 +1099,8 @@ let suites =
           test_cache_telemetry_counters;
         Alcotest.test_case "write failure degrades" `Quick
           test_cache_write_failure_degrades;
-        Alcotest.test_case "remove retires entry" `Quick
-          test_cache_remove_retires_entry;
+        Alcotest.test_case "side entries uncounted" `Quick
+          test_cache_side_entries_uncounted;
         Alcotest.test_case "fuzzed entry bytes never raise" `Quick
           test_cache_fuzzed_entries;
         Alcotest.test_case "truncated entries are stale" `Quick
