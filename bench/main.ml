@@ -351,8 +351,9 @@ let ablation_defect_count () =
 
 (* Raw-solve sweep: for each size, solve a batch of near-miss-bridge
    variants of the generated ADC cold under both policies, then once
-   more under auto with a shared-nominal context installed (one skeleton
-   derivation amortized over the whole batch + warm starts). This is the
+   more under auto with a shared-nominal context installed (one template
+   and one skeleton derivation amortized over the whole batch, plans
+   derived from the template, warm starts). This is the
    per-class solve pattern of the evaluate stage, isolated from
    sprinkling and classification, so the full-Newton-vs-reuse-vs-shared
    crossover is directly visible per N. A cell times [scaling_passes]
@@ -391,7 +392,7 @@ let scaling_netlists bits =
 
 (* A pass's Newton iterations are the engine's own counter, read from
    an in-memory sink. Each [~shared] pass installs a fresh shared-nominal
-   context, so it pays its own skeleton derivation. *)
+   context, so it pays its own template and skeleton derivation. *)
 let timed_batch ?(shared = false) solver variants =
   let solve_all () =
     List.iter (fun nl -> ignore (Circuit.Engine.dc_operating_point nl)) variants

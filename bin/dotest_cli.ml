@@ -267,25 +267,33 @@ let rec root_cause = function
   | Util.Pool.Worker_failure (_, e) -> root_cause e
   | e -> e
 
-(* Exit 4 is the "interrupted, resumable" status: distinct from failure
-   (3) so wrappers can tell "re-run with --resume" from "give up". *)
-let interrupted reason =
-  Format.eprintf
-    "dotest: interrupted (%s); completed work is checkpointed — re-run with \
-     --resume to continue@."
-    reason;
+(* Exit 4 is the "interrupted" status: distinct from failure (3) so
+   wrappers can tell "re-run" from "give up". Only a run with a cache
+   stored its completed classes, so only it is told to --resume. *)
+let interrupted ~cache reason =
+  (match cache with
+  | Some _ ->
+    Format.eprintf
+      "dotest: interrupted (%s); completed work is checkpointed — re-run \
+       with --resume to continue@."
+      reason
+  | None ->
+    Format.eprintf
+      "dotest: interrupted (%s); nothing was stored (no --cache), so a \
+       re-run starts from scratch@."
+      reason);
   exit 4
 
 (* Runs the analysis [f] with the run's [sink] installed. The sink is
    flushed as [f] returns or unwinds, so a failing or interrupted run
    still writes its trace before [exit 3] / [exit 4]. *)
-let handle_failures ~sink f =
+let handle_failures ~sink ~cache f =
   try Util.Telemetry.with_sink sink f with
-  | Util.Watchdog.Interrupted reason -> interrupted reason
+  | Util.Watchdog.Interrupted reason -> interrupted ~cache reason
   | ( Util.Pool.Worker_failure _ | Core.Pipeline.Budget_exhausted _
     | Macro.Evaluate.Simulation_failed _ ) as e ->
     (match root_cause e with
-    | Util.Watchdog.Interrupted reason -> interrupted reason
+    | Util.Watchdog.Interrupted reason -> interrupted ~cache reason
     | cause ->
       Format.eprintf "dotest: %s@." (Printexc.to_string cause);
       exit 3)
@@ -357,7 +365,8 @@ let dft_analysis = analysis_with (Term.const (false, Fun.id))
 let run_single_macro macro { config; cache; sink; memory; format } =
   let analysis, elapsed =
     timed (fun () ->
-        handle_failures ~sink (fun () -> Core.Pipeline.analyze config macro))
+        handle_failures ~sink ~cache (fun () ->
+            Core.Pipeline.analyze config macro))
   in
   print_tables ~format (Core.Report.macro_tables analysis);
   print_cache_stats ~format cache;
@@ -407,7 +416,7 @@ let global_cmd =
     let macros = Dft.Measures.macro_set ~measures in
     let analyses, elapsed =
       timed (fun () ->
-          handle_failures ~sink (fun () ->
+          handle_failures ~sink ~cache (fun () ->
               Core.Pipeline.analyze_all config macros))
     in
     print_tables ~format (Core.Report.global_tables ~dft analyses);
@@ -424,7 +433,8 @@ let dft_cmd =
   let run analysis =
     analysis @@ fun { config; cache; sink; memory; format } ->
     let original, improved =
-      handle_failures ~sink (fun () -> Core.Global.compare_coverage ~config ())
+      handle_failures ~sink ~cache (fun () ->
+          Core.Global.compare_coverage ~config ())
     in
     print_table ~format "Fig. 4: before DfT" (Core.Report.figure4 original);
     print_table ~format "Fig. 5: after DfT" (Core.Report.figure4 improved);

@@ -98,32 +98,31 @@ type cdevice =
       spec : Netlist.mosfet_spec;
     }
 
-type compiled = {
-  n_nodes : int;           (* non-ground nodes: indices 1..n_nodes *)
-  n_unknowns : int;        (* nodes + vsource branches *)
-  cdevices : cdevice list;
-  branch_of_source : (string, int) Hashtbl.t;
-}
-
-let compile netlist =
-  let n_nodes = Netlist.node_count netlist in
+(* [devices], oldest first, over [n_nodes] nodes: each voltage source
+   takes the next branch row after the nodes. Also the source names'
+   branches and the unknown count. *)
+let compile ~n_nodes devices =
   let branch_of_source = Hashtbl.create 8 in
   let next_branch = ref n_nodes in
-  let compile_device (dv : Netlist.device_view) =
-    let pin role = Netlist.index_of_node (List.assoc role dv.pin_nodes) in
-    match dv.kind with
-    | Netlist.Resistor r -> CResistor (pin "+", pin "-", r)
-    | Netlist.Capacitor c -> CCapacitor (pin "+", pin "-", c)
+  let compile_device d =
+    let pin i = Netlist.index_of_node (Netlist.terminal d i) in
+    match Netlist.device_kind d with
+    | Netlist.Resistor r -> CResistor (pin 0, pin 1, r)
+    | Netlist.Capacitor c -> CCapacitor (pin 0, pin 1, c)
     | Netlist.Vsource wave ->
       let branch = !next_branch in
       incr next_branch;
-      Hashtbl.replace branch_of_source dv.dev_name branch;
-      CVsource { pos = pin "+"; neg = pin "-"; wave; branch }
-    | Netlist.Isource wave -> CIsource { pos = pin "+"; neg = pin "-"; wave }
-    | Netlist.Mosfet spec -> CMosfet { d = pin "d"; g = pin "g"; s = pin "s"; spec }
+      Hashtbl.replace branch_of_source (Netlist.device_name d) branch;
+      CVsource { pos = pin 0; neg = pin 1; wave; branch }
+    | Netlist.Isource wave -> CIsource { pos = pin 0; neg = pin 1; wave }
+    | Netlist.Mosfet spec -> CMosfet { d = pin 0; g = pin 1; s = pin 2; spec }
   in
-  let cdevices = List.map compile_device (Netlist.devices netlist) in
-  { n_nodes; n_unknowns = !next_branch; cdevices; branch_of_source }
+  let cdevices = Array.map compile_device devices in
+  cdevices, branch_of_source, !next_branch
+
+(* Every device of [netlist], oldest first. *)
+let oldest_first netlist =
+  Array.of_list (List.rev (Netlist.newest_first netlist))
 
 (* --- solutions -------------------------------------------------------- *)
 
@@ -215,10 +214,11 @@ let counting f =
 
 (* --- the compiled plan and its factorization ---------------------------- *)
 
-(* Every analysis keeps one mutable solver state (the plan) for its whole
-   lifetime: Newton iterations, transient steps and stepping-fallback
-   stages. The plan assembles the Jacobian on a pattern compiled once per
-   netlist and factors it with the sparse LU. Under [Dense] (full Newton)
+(* Every analysis keeps one mutable solver state for its whole lifetime:
+   Newton iterations, transient steps and stepping-fallback stages. The
+   state assembles the Jacobian on its plan's pattern, which holds every
+   position a stamp of the netlist can touch, and factors it with the
+   sparse LU. Under [Dense] (full Newton)
    every iteration re-factors. Under [Auto] (the reuse policy) the
    factorization is kept across iterations: only MOSFET stamps can change
    the matrix between solves at a fixed (gmin, h) — sources and capacitor
@@ -240,38 +240,26 @@ let counting f =
    Every decision is a pure function of device values, never of timing,
    so runs are deterministic at any job count. *)
 
-type rstate = {
-  rn : int;
-  rfull_newton : bool;         (* [Dense]: re-factor at every iteration *)
-  rcounts : counts;            (* the analysis's counters, see [counting] *)
-  (* Jacobian pattern: every position a stamp can touch, compiled once.
-     Matrices live as one value per slot; a slot index of -1 marks a
-     stamp that touches ground. *)
-  rpattern : Linear.Pattern.t;
-  rgmin_slots : int array;     (* diagonal slot of each node *)
-  rl_value : float array;      (* per linear device: 1/r, c or 1.0 *)
-  rl_cap : bool array;         (* capacitor: value/h, stamped only when h > 0 *)
-  rl_slots : int array;        (* four per linear device, stamping order *)
-  rconst_vals : float array;   (* linear-device part of A at (gmin, h) *)
-  mutable rconst_gmin : float; (* nan until first built *)
-  mutable rconst_h : float;    (* 0.0 in DC *)
-  rjac_vals : float array;     (* scratch: assembled A for re-factorization *)
-  mutable rfactor : Linear.Factor.t option;
-  rref_gm : float array;       (* per-MOSFET values baked into rfactor *)
-  rref_gds : float array;
-  rcur_id : float array;       (* per-MOSFET values at the current guess *)
-  rcur_gm : float array;
-  rcur_gds : float array;
-  rupd_u : float array;        (* zero between uses: rank-1 u and v scratch *)
-  rupd_v : float array;
-  rrhs_fixed : float array;    (* time-fixed right-hand side of one solve *)
-  rrhs : float array;
-  rx_new : float array;        (* scratch: each iteration's linear solve *)
+(* The plan: everything an analysis reads but never writes, so one plan
+   serves any number of analyses, on any domain. Node entries are
+   1-based (0 = ground), matching [idx]. *)
+type plan = {
+  n_nodes : int;               (* non-ground nodes: indices 1..n_nodes *)
+  n_unknowns : int;            (* nodes + vsource branches *)
+  branch_of_source : (string, int) Hashtbl.t;
+  (* Jacobian pattern: every position a stamp can touch. Matrices live
+     as one value per slot; a slot index of -1 marks a stamp that
+     touches ground. *)
+  pattern : Linear.Pattern.t;
+  gmin_slots : int array;      (* diagonal slot of each node *)
+  l_value : float array;       (* per linear device: 1/r, c or 1.0 *)
+  l_cap : bool array;          (* capacitor: value/h, stamped only when h > 0 *)
+  l_slots : int array;         (* four per linear device, stamping order *)
   (* Compiled stamp plan: the per-iteration work — MOSFET model
      evaluation and right-hand-side assembly — compiled once into flat
      arrays so the Newton loop is tight passes over unboxed floats
      instead of a [cdevice] list traversal with per-device dispatch and
-     allocation. Node entries are 1-based (0 = ground), matching [idx]. *)
+     allocation. *)
   pm_d : int array;            (* per-MOSFET drain/gate/source nodes *)
   pm_g : int array;
   pm_s : int array;
@@ -280,8 +268,6 @@ type rstate = {
   pm_vth : float array;
   pm_beta : float array;       (* kp·w/l, packed at compile time *)
   pm_lambda : float array;
-  pm_vgs : float array;        (* scratch: bias at the current guess *)
-  pm_vds : float array;
   pv_branch : int array;       (* vsource branch rows *)
   pv_wave : Waveform.t array;
   pi_pos : int array;          (* isource terminals *)
@@ -292,53 +278,61 @@ type rstate = {
   pc_c : float array;
 }
 
-let make_rstate ~full_newton ~counts compiled =
-  let n = compiled.n_unknowns in
-  (* Every matrix position a stamp can touch, passed to [f] as row and
-     column over the unknowns, -1 standing for ground. A linear device
-     touches four: slots 0 and 1 receive +value, 2 and 3 -value, a shape
-     a voltage source's ±1 incidences share. A MOSFET touches six: dd dg
-     ds sd sg ss. *)
-  let linear_positions f = function
-    | CResistor (n1, n2, _) | CCapacitor (n1, n2, _) ->
-      let a = idx n1 and b = idx n2 in
-      f a a;
-      f b b;
-      f a b;
-      f b a
-    | CVsource { pos; neg; branch; _ } ->
-      let p = idx pos and m = idx neg in
-      f p branch;
-      f branch p;
-      f m branch;
-      f branch m
-    | CIsource _ | CMosfet _ -> ()
-  in
-  let mos_positions f (d, g, s, _) =
-    let d = idx d and g = idx g and s = idx s in
-    f d d;
-    f d g;
-    f d s;
-    f s d;
-    f s g;
-    f s s
-  in
-  let linear =
-    List.filter
-      (function
-        | CResistor _ | CCapacitor _ | CVsource _ -> true
-        | CIsource _ | CMosfet _ -> false)
-      compiled.cdevices
-  in
+(* The four positions of a two-terminal stamp between rows [a] and [b]
+   (-1 for ground): slots 0 and 1 receive +value, 2 and 3 -value. *)
+let two_terminal_positions f a b =
+  f a a;
+  f b b;
+  f a b;
+  f b a
+
+(* Every matrix position a linear device touches, passed to [f] as row
+   and column over the unknowns, -1 standing for ground. A voltage
+   source's ±1 incidences share the two-terminal shape. *)
+let linear_positions f = function
+  | CResistor (n1, n2, _) | CCapacitor (n1, n2, _) ->
+    two_terminal_positions f (idx n1) (idx n2)
+  | CVsource { pos; neg; branch; _ } ->
+    let p = idx pos and m = idx neg in
+    f p branch;
+    f branch p;
+    f m branch;
+    f branch m
+  | CIsource _ | CMosfet _ -> ()
+
+(* A MOSFET touches six: dd dg ds sd sg ss. *)
+let mos_positions f (d, g, s, _) =
+  let d = idx d and g = idx g and s = idx s in
+  f d d;
+  f d g;
+  f d s;
+  f s d;
+  f s g;
+  f s s
+
+let is_linear = function
+  | CResistor _ | CCapacitor _ | CVsource _ -> true
+  | CIsource _ | CMosfet _ -> false
+
+let linear_value = function
+  | CResistor (_, _, r) -> 1.0 /. r
+  | CCapacitor (_, _, c) -> c
+  | CVsource _ | CIsource _ | CMosfet _ -> 1.0
+
+(* The plan of [devices], oldest first, over [n_nodes] nodes. *)
+let plan_of ~n_nodes devices =
+  let cdevices, branch_of_source, n = compile ~n_nodes devices in
+  let cdevices = Array.to_list cdevices in
+  let linear = List.filter is_linear cdevices in
   let mos =
     List.filter_map
       (function CMosfet { d; g; s; spec } -> Some (d, g, s, spec) | _ -> None)
-      compiled.cdevices
+      cdevices
   in
   let pattern =
     Linear.Pattern.of_positions ~n (fun add ->
         let add r c = if r >= 0 && c >= 0 then add r c in
-        for i = 0 to compiled.n_nodes - 1 do
+        for i = 0 to n_nodes - 1 do
           add i i
         done;
         List.iter (linear_positions add) linear;
@@ -358,60 +352,37 @@ let make_rstate ~full_newton ~counts compiled =
     a
   in
   (* Pack the stamp plan. Within each device class the packing preserves
-     netlist order, so the plan is a pure function of the compiled
-     netlist and every policy decision stays deterministic. *)
+     netlist order, so the plan is a pure function of the netlist and
+     every policy decision stays deterministic. *)
   let pm_slots = slots ~per:6 mos_positions mos in
   let mos = Array.of_list mos in
-  let nm = Array.length mos in
   let spec_of (_, _, _, spec) = spec in
   let vsources =
     List.filter_map
       (function CVsource { branch; wave; _ } -> Some (branch, wave) | _ -> None)
-      compiled.cdevices
+      cdevices
   in
   let isources =
     List.filter_map
       (function CIsource { pos; neg; wave } -> Some (pos, neg, wave) | _ -> None)
-      compiled.cdevices
+      cdevices
   in
   let caps =
     List.filter_map
       (function CCapacitor (n1, n2, c) -> Some (n1, n2, c) | _ -> None)
-      compiled.cdevices
+      cdevices
   in
   {
-    rn = n;
-    rfull_newton = full_newton;
-    rcounts = counts;
-    rpattern = pattern;
-    rgmin_slots = Array.init compiled.n_nodes (fun i -> slot i i);
-    rl_value =
-      Array.of_list
-        (List.map
-           (function
-             | CResistor (_, _, r) -> 1.0 /. r
-             | CCapacitor (_, _, c) -> c
-             | CVsource _ | CIsource _ | CMosfet _ -> 1.0)
-           linear);
-    rl_cap =
+    n_nodes;
+    n_unknowns = n;
+    branch_of_source;
+    pattern;
+    gmin_slots = Array.init n_nodes (fun i -> slot i i);
+    l_value = Array.of_list (List.map linear_value linear);
+    l_cap =
       Array.of_list
         (List.map (function CCapacitor _ -> true | _ -> false) linear);
-    rl_slots = slots ~per:4 linear_positions linear;
-    rconst_vals = Array.make (Linear.Pattern.nnz pattern) 0.0;
-    rconst_gmin = Float.nan;
-    rconst_h = Float.nan;
-    rjac_vals = Array.make (Linear.Pattern.nnz pattern) 0.0;
-    rfactor = None;
-    rref_gm = Array.make nm 0.0;
-    rref_gds = Array.make nm 0.0;
-    rcur_id = Array.make nm 0.0;
-    rcur_gm = Array.make nm 0.0;
-    rcur_gds = Array.make nm 0.0;
-    rupd_u = Array.make n 0.0;
-    rupd_v = Array.make n 0.0;
-    rrhs_fixed = Array.make n 0.0;
-    rrhs = Array.make n 0.0;
-    rx_new = Array.make n 0.0;
+    l_slots = slots ~per:4 linear_positions linear;
     pm_d = Array.map (fun (d, _, _, _) -> d) mos;
     pm_g = Array.map (fun (_, g, _, _) -> g) mos;
     pm_s = Array.map (fun (_, _, s, _) -> s) mos;
@@ -432,8 +403,6 @@ let make_rstate ~full_newton ~counts compiled =
         mos;
     pm_lambda =
       Array.map (fun m -> (spec_of m).Netlist.params.Mos_model.lambda) mos;
-    pm_vgs = Array.make nm 0.0;
-    pm_vds = Array.make nm 0.0;
     pv_branch = Array.of_list (List.map (fun (b, _) -> b) vsources);
     pv_wave = Array.of_list (List.map snd vsources);
     pi_pos = Array.of_list (List.map (fun (p, _, _) -> p) isources);
@@ -444,9 +413,63 @@ let make_rstate ~full_newton ~counts compiled =
     pc_c = Array.of_list (List.map (fun (_, _, c) -> c) caps);
   }
 
-(* The plan for an analysis under the solver in effect. *)
-let make_state ~counts compiled =
-  make_rstate ~full_newton:(current_solver () = Dense) ~counts compiled
+let fresh_plan netlist =
+  plan_of ~n_nodes:(Netlist.node_count netlist) (oldest_first netlist)
+
+(* One analysis's solver state on a plan: the factorization, the
+   values baked into it and the scratch every iteration writes. *)
+type rstate = {
+  plan : plan;
+  rfull_newton : bool;         (* [Dense]: re-factor at every iteration *)
+  rcounts : counts;            (* the analysis's counters, see [counting] *)
+  rconst_vals : float array;   (* linear-device part of A at (gmin, h) *)
+  mutable rconst_gmin : float; (* nan until first built *)
+  mutable rconst_h : float;    (* 0.0 in DC *)
+  rjac_vals : float array;     (* scratch: assembled A for re-factorization *)
+  mutable rfactor : Linear.Factor.t option;
+  rref_gm : float array;       (* per-MOSFET values baked into rfactor *)
+  rref_gds : float array;
+  rcur_id : float array;       (* per-MOSFET values at the current guess *)
+  rcur_gm : float array;
+  rcur_gds : float array;
+  rvgs : float array;          (* per-MOSFET bias at the current guess *)
+  rvds : float array;
+  rupd_u : float array;        (* zero between uses: rank-1 u and v scratch *)
+  rupd_v : float array;
+  rrhs_fixed : float array;    (* time-fixed right-hand side of one solve *)
+  rrhs : float array;
+  rx_new : float array;        (* scratch: each iteration's linear solve *)
+}
+
+let make_rstate ~full_newton ~counts plan =
+  let n = plan.n_unknowns and nm = Array.length plan.pm_d in
+  let nnz = Linear.Pattern.nnz plan.pattern in
+  {
+    plan;
+    rfull_newton = full_newton;
+    rcounts = counts;
+    rconst_vals = Array.make nnz 0.0;
+    rconst_gmin = Float.nan;
+    rconst_h = Float.nan;
+    rjac_vals = Array.make nnz 0.0;
+    rfactor = None;
+    rref_gm = Array.make nm 0.0;
+    rref_gds = Array.make nm 0.0;
+    rcur_id = Array.make nm 0.0;
+    rcur_gm = Array.make nm 0.0;
+    rcur_gds = Array.make nm 0.0;
+    rvgs = Array.make nm 0.0;
+    rvds = Array.make nm 0.0;
+    rupd_u = Array.make n 0.0;
+    rupd_v = Array.make n 0.0;
+    rrhs_fixed = Array.make n 0.0;
+    rrhs = Array.make n 0.0;
+    rx_new = Array.make n 0.0;
+  }
+
+(* The state for an analysis under the solver in effect. *)
+let make_state ~counts plan =
+  make_rstate ~full_newton:(current_solver () = Dense) ~counts plan
 
 let[@inline] add_slot a s v =
   if s >= 0 then Array.unsafe_set a s (Array.unsafe_get a s +. v)
@@ -458,13 +481,14 @@ let[@inline] add_slot a s v =
    policies. *)
 let rebuild_const state ~gmin ~h =
   let a = state.rconst_vals in
+  let p = state.plan in
   Array.fill a 0 (Array.length a) 0.0;
-  Array.iter (fun s -> add_slot a s gmin) state.rgmin_slots;
-  let slots = state.rl_slots in
-  for k = 0 to Array.length state.rl_value - 1 do
-    let cap = state.rl_cap.(k) in
+  Array.iter (fun s -> add_slot a s gmin) p.gmin_slots;
+  let slots = p.l_slots in
+  for k = 0 to Array.length p.l_value - 1 do
+    let cap = p.l_cap.(k) in
     if (not cap) || h > 0.0 then begin
-      let v = if cap then state.rl_value.(k) /. h else state.rl_value.(k) in
+      let v = if cap then p.l_value.(k) /. h else p.l_value.(k) in
       add_slot a slots.(4 * k) v;
       add_slot a slots.((4 * k) + 1) v;
       add_slot a slots.((4 * k) + 2) (-.v);
@@ -484,9 +508,10 @@ let ensure_const state ~gmin ~h =
    linearizations. Bit-identical to per-device [Mos_model.evaluate]
    (see that function's contract), with no per-iteration allocation. *)
 let eval_mosfets state x =
-  let nm = Array.length state.pm_d in
-  let pm_d = state.pm_d and pm_g = state.pm_g and pm_s = state.pm_s in
-  let vgs = state.pm_vgs and vds = state.pm_vds in
+  let p = state.plan in
+  let nm = Array.length p.pm_d in
+  let pm_d = p.pm_d and pm_g = p.pm_g and pm_s = p.pm_s in
+  let vgs = state.rvgs and vds = state.rvds in
   for k = 0 to nm - 1 do
     let d = Array.unsafe_get pm_d k in
     let g = Array.unsafe_get pm_g k in
@@ -497,8 +522,8 @@ let eval_mosfets state x =
     Array.unsafe_set vgs k (vg -. vs);
     Array.unsafe_set vds k (vd -. vs)
   done;
-  Mos_model.evaluate_packed ~n:nm ~sign:state.pm_sign ~vth:state.pm_vth
-    ~beta:state.pm_beta ~lambda:state.pm_lambda ~vgs ~vds ~id:state.rcur_id
+  Mos_model.evaluate_packed ~n:nm ~sign:p.pm_sign ~vth:p.pm_vth
+    ~beta:p.pm_beta ~lambda:p.pm_lambda ~vgs ~vds ~id:state.rcur_id
     ~gm:state.rcur_gm ~gds:state.rcur_gds
 
 (* The Jacobian at the current linearization into [rjac_vals]: the
@@ -508,9 +533,9 @@ let eval_mosfets state x =
 let assemble state =
   let a = state.rjac_vals in
   Array.blit state.rconst_vals 0 a 0 (Array.length a);
-  let slots = state.pm_slots in
+  let slots = state.plan.pm_slots in
   let cur_gm = state.rcur_gm and cur_gds = state.rcur_gds in
-  for k = 0 to Array.length state.pm_d - 1 do
+  for k = 0 to Array.length slots / 6 - 1 do
     let gm = Array.unsafe_get cur_gm k and gds = Array.unsafe_get cur_gds k in
     let base = 6 * k in
     add_slot a (Array.unsafe_get slots base) gds;
@@ -523,7 +548,7 @@ let assemble state =
 
 let refactor state =
   assemble state;
-  match Linear.Factor.factor_pattern state.rpattern state.rjac_vals with
+  match Linear.Factor.factor_pattern state.plan.pattern state.rjac_vals with
   | exception Linear.Singular ->
     state.rfactor <- None;
     false
@@ -583,14 +608,15 @@ let[@inline] clear_node a node = if node <> 0 then a.(idx node) <- 0.0
    blocks share the left factor (e_d − e_s), so
      ΔA = dgds·uds·udsᵀ + dgm·uds·ugsᵀ = uds · (dgds·uds + dgm·ugs)ᵀ
    and one Sherman–Morrison update absorbs the whole device. [uds] and
-   the right factor are built in the plan's zeroed scratch and cleared
+   the right factor are built in the state's zeroed scratch and cleared
    after each update, which keeps neither. *)
 let apply_mos_updates state f changed =
   let u = state.rupd_u and v = state.rupd_v in
+  let p = state.plan in
   let rec go f = function
     | [] -> Some f
     | k :: rest ->
-      let d = state.pm_d.(k) and g = state.pm_g.(k) and s = state.pm_s.(k) in
+      let d = p.pm_d.(k) and g = p.pm_g.(k) and s = p.pm_s.(k) in
       let dgds = state.rcur_gds.(k) -. state.rref_gds.(k) in
       let dgm = state.rcur_gm.(k) -. state.rref_gm.(k) in
       add_node u d 1.0;
@@ -617,7 +643,7 @@ let ensure_factor state =
   | Some f ->
     let changed = ref [] in
     let n_changed = ref 0 in
-    for k = Array.length state.pm_d - 1 downto 0 do
+    for k = Array.length state.rcur_gm - 1 downto 0 do
       if moved state k then begin
         changed := k :: !changed;
         incr n_changed
@@ -665,15 +691,16 @@ let ensure_factor state =
    same additions in the same order as a build from zero would. *)
 let build_rhs_fixed state ~mode ~alpha ~t =
   let rhs = state.rrhs_fixed in
-  Array.fill rhs 0 state.rn 0.0;
+  let p = state.plan in
+  Array.fill rhs 0 p.n_unknowns 0.0;
   (match mode with
   | Dc_mode -> ()
   | Transient_mode { h; x_prev } ->
-    let nc = Array.length state.pc_c in
+    let nc = Array.length p.pc_c in
     for k = 0 to nc - 1 do
-      let n1 = Array.unsafe_get state.pc_n1 k in
-      let n2 = Array.unsafe_get state.pc_n2 k in
-      let geq = Array.unsafe_get state.pc_c k /. h in
+      let n1 = Array.unsafe_get p.pc_n1 k in
+      let n2 = Array.unsafe_get p.pc_n2 k in
+      let geq = Array.unsafe_get p.pc_c k /. h in
       let v1 = if n1 = 0 then 0.0 else Array.unsafe_get x_prev (n1 - 1) in
       let v2 = if n2 = 0 then 0.0 else Array.unsafe_get x_prev (n2 - 1) in
       let i = geq *. (v1 -. v2) in
@@ -682,17 +709,17 @@ let build_rhs_fixed state ~mode ~alpha ~t =
       if n2 <> 0 then
         Array.unsafe_set rhs (n2 - 1) (Array.unsafe_get rhs (n2 - 1) -. i)
     done);
-  let nv = Array.length state.pv_branch in
+  let nv = Array.length p.pv_branch in
   for k = 0 to nv - 1 do
     Array.unsafe_set rhs
-      (Array.unsafe_get state.pv_branch k)
-      (alpha *. Waveform.value (Array.unsafe_get state.pv_wave k) t)
+      (Array.unsafe_get p.pv_branch k)
+      (alpha *. Waveform.value (Array.unsafe_get p.pv_wave k) t)
   done;
-  let ni = Array.length state.pi_pos in
+  let ni = Array.length p.pi_pos in
   for k = 0 to ni - 1 do
-    let pos = Array.unsafe_get state.pi_pos k in
-    let neg = Array.unsafe_get state.pi_neg k in
-    let i = alpha *. Waveform.value (Array.unsafe_get state.pi_wave k) t in
+    let pos = Array.unsafe_get p.pi_pos k in
+    let neg = Array.unsafe_get p.pi_neg k in
+    let i = alpha *. Waveform.value (Array.unsafe_get p.pi_wave k) t in
     if pos <> 0 then
       Array.unsafe_set rhs (pos - 1) (Array.unsafe_get rhs (pos - 1) +. i);
     if neg <> 0 then
@@ -704,15 +731,16 @@ let build_rhs_fixed state ~mode ~alpha ~t =
    vgs/vds from [eval_mosfets]. *)
 let build_rhs state =
   let rhs = state.rrhs in
-  Array.blit state.rrhs_fixed 0 rhs 0 state.rn;
-  let nm = Array.length state.pm_d in
+  let p = state.plan in
+  Array.blit state.rrhs_fixed 0 rhs 0 p.n_unknowns;
+  let nm = Array.length p.pm_d in
   for k = 0 to nm - 1 do
-    let d = Array.unsafe_get state.pm_d k in
-    let s = Array.unsafe_get state.pm_s k in
+    let d = Array.unsafe_get p.pm_d k in
+    let s = Array.unsafe_get p.pm_s k in
     let ieq =
       Array.unsafe_get state.rcur_id k
-      -. (Array.unsafe_get state.rref_gm k *. Array.unsafe_get state.pm_vgs k)
-      -. (Array.unsafe_get state.rref_gds k *. Array.unsafe_get state.pm_vds k)
+      -. (Array.unsafe_get state.rref_gm k *. Array.unsafe_get state.rvgs k)
+      -. (Array.unsafe_get state.rref_gds k *. Array.unsafe_get state.rvds k)
     in
     if s <> 0 then
       Array.unsafe_set rhs (s - 1) (Array.unsafe_get rhs (s - 1) +. ieq);
@@ -725,9 +753,9 @@ let build_rhs state =
 (* Damped Newton over the plan. The linear solve goes through
    [ensure_factor], which re-factors every iteration under full Newton
    and otherwise picks bypass, rank-1 chain or re-factor. *)
-let newton ~state ~options ~mode ~alpha ~t compiled x0 =
-  let n = compiled.n_unknowns in
-  let n_nodes = compiled.n_nodes in
+let newton ~state ~options ~mode ~alpha ~t x0 =
+  let n = state.plan.n_unknowns in
+  let n_nodes = state.plan.n_nodes in
   if Array.length x0 <> n then invalid_arg "Engine.newton: guess of wrong length";
   let x = Array.copy x0 in
   let x_new = state.rx_new in
@@ -788,10 +816,10 @@ let newton ~state ~options ~mode ~alpha ~t compiled x0 =
    that expires inside the point leaves them out. [what] names the point
    for the failure message; it is formatted only on failure, since a
    transient solves hundreds of thousands of points per run. *)
-let solve_point ~state ~options ~mode ~t compiled x0 ~what =
+let solve_point ~state ~options ~mode ~t x0 ~what =
   let spent = ref 0 in
   let try_newton ~options ~alpha x =
-    match newton ~state ~options ~mode ~alpha ~t compiled x with
+    match newton ~state ~options ~mode ~alpha ~t x with
     | Some (x', used) ->
       spent := !spent + used;
       Some x'
@@ -835,7 +863,7 @@ let solve_point ~state ~options ~mode ~t compiled x0 ~what =
           | None -> None)
       in
       let alphas = [ 0.1; 0.3; 0.5; 0.7; 0.9; 1.0 ] in
-      (match source_steps (Array.make compiled.n_unknowns 0.0) alphas with
+      (match source_steps (Array.make state.plan.n_unknowns 0.0) alphas with
       | Some x ->
         count_solve ();
         c.fallbacks_source <- c.fallbacks_source + 1;
@@ -845,41 +873,41 @@ let solve_point ~state ~options ~mode ~t compiled x0 ~what =
         c.no_convergence <- c.no_convergence + 1;
         raise (No_convergence (what ()))))
 
-(* --- cross-class shared nominal warm start ------------------------------ *)
+(* --- plans shared across fault classes ---------------------------------- *)
 
-(* Most injected defects only *add* two-terminal R/C stamps between
-   pre-existing nodes (bridges, pinholes, junction leaks, DS shorts and
-   their derived near-misses), so the faulty circuit's operating point is
-   usually a small excursion from the nominal one. [Macro.Evaluate]
-   installs a [shared_nominal] context around each fault class; the
-   analyses then warm-start their first DC solve by
+(* The interface documents what a context shares and when. Why the
+   derived plan equals a build from scratch: the pattern is a set with
+   ascending columns per row, so the skeleton's positions and the
+   stamps' give the slots a fresh build gives, and each stamp goes in at
+   its place in the netlist's own device order, so every slot and every
+   right-hand-side entry takes its contributions in the same order.
 
-   - stripping the injected stamps (recognized by the context's [strip]
-     predicate) from the faulty netlist to recover its nominal skeleton,
-   - deriving — once per worker domain, cached by (skeleton fingerprint,
-     options) — the skeleton's DC operating point, and
-   - starting Newton from that point instead of from zero.
+   The pool workers of an analysis share its context. A template and its
+   warm-start points are pure functions of the skeleton and the options,
+   so which worker builds one never shows in a result. The derivation
+   runs [Util.Telemetry.silenced] (it happens once per context, not once
+   per input) and [Util.Watchdog.unmetered] (its cost must not charge
+   whichever class happens to need it first). *)
 
-   The warm start moves only Newton's first guess: the solve is the
-   ordinary one and builds its first factorization fresh. A cache hit
-   and a fresh derivation produce the same vector (the derivation is a
-   pure function of skeleton and options), so results are byte-identical
-   at any [--jobs]; the derivation itself runs [Util.Telemetry.silenced]
-   (its occurrence count is per-worker, not per-input) and
-   [Util.Watchdog.unmetered] (its cost must not charge whichever class
-   happens to run first on the worker).
+type template = {
+  t_nodes : int;
+  t_devices : Netlist.device array;  (* the skeleton, oldest first *)
+  (* [t_linear_before.(j)]: the linear devices among the first [j]
+     skeleton devices; [t_caps_before] counts capacitors alike. *)
+  t_linear_before : int array;
+  t_caps_before : int array;
+  t_plan : plan;
+  t_warm : (options * float array option) list Atomic.t;
+}
 
-   Misses are counted and harmless: a defect that is not a pure R/C
-   addition ([Node_split] changes the incidence structure,
-   [Parasitic_mos] adds a nonlinear device) or a skeleton whose nominal
-   solve fails starts cold, from zero. *)
-
-type shared_nominal = { sn_id : int; sn_strip : string -> bool }
-
-let sn_next_id = Atomic.make 0
+type shared_nominal = {
+  sn_strip : string -> bool;
+  sn_templates : template list Atomic.t;  (* newest first *)
+  sn_lock : Mutex.t;  (* held to add a template or a warm-start point *)
+}
 
 let shared_nominal ~strip () =
-  { sn_id = Atomic.fetch_and_add sn_next_id 1; sn_strip = strip }
+  { sn_strip = strip; sn_templates = Atomic.make []; sn_lock = Mutex.create () }
 
 let sn_override : shared_nominal option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -889,234 +917,281 @@ let with_shared_nominal sn f =
   Domain.DLS.set sn_override (Some sn);
   Fun.protect ~finally:(fun () -> Domain.DLS.set sn_override saved) f
 
-(* Per-domain cache of derived nominal operating points. A hit hands out
-   a copy, so Newton never mutates a cached vector. [None] caches a
-   failed derivation (skeleton did not converge) so it is not retried
-   for every class. *)
-let sn_cache : (int * (string, float array option) Hashtbl.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* A context keeps at most this many templates: a measure procedure with
+   an unbounded family of source values must not pin one template per
+   value. Dropping them never affects results, only how often a
+   template is rebuilt. *)
+let template_limit = 32
 
-let sn_cache_for sn =
-  match Domain.DLS.get sn_cache with
-  | Some (id, tbl) when id = sn.sn_id -> tbl
-  | Some _ | None ->
-    let tbl = Hashtbl.create 8 in
-    Domain.DLS.set sn_cache (Some (sn.sn_id, tbl));
-    tbl
+let template_of ~n_nodes skeleton =
+  let count_before pred =
+    let a = Array.make (Array.length skeleton + 1) 0 in
+    Array.iteri
+      (fun j d ->
+        a.(j + 1) <- (a.(j) + if pred (Netlist.device_kind d) then 1 else 0))
+      skeleton;
+    a
+  in
+  {
+    t_nodes = n_nodes;
+    t_devices = skeleton;
+    t_linear_before =
+      count_before (function
+        | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Vsource _ -> true
+        | Netlist.Isource _ | Netlist.Mosfet _ -> false);
+    t_caps_before =
+      count_before (function Netlist.Capacitor _ -> true | _ -> false);
+    t_plan = plan_of ~n_nodes skeleton;
+    t_warm = Atomic.make [];
+  }
 
-(* Bound the per-worker cache: a measure procedure with an unbounded
-   family of source mutations must not pin one operating point per value.
-   Reset is deterministic per worker and never affects results — only
-   how often the derivation re-runs. *)
-let sn_cache_limit = 32
+(* An R/C stamp: its terminals, its linear value (1/r or c), and the
+   number of skeleton devices before it. *)
+type stamp = { gap : int; n1 : int; n2 : int; value : float; cap : bool }
 
-(* The cache key is an exact, self-delimiting encoding: every float as
-   its 64 bits, every int as an unsigned LEB128 varint (one byte below
-   128), every string and list behind its length. Distinct (netlist,
-   options) pairs thus never share a key, whatever characters a device
-   name holds. *)
-let rec key_int b i =
-  if i land lnot 0x7f = 0 then Buffer.add_char b (Char.chr i)
+(* How a netlist's devices, newest first, meet a template. *)
+type meeting =
+  | Stamped of template * stamp list  (* the skeleton plus these, oldest first *)
+  | Unstampable  (* a stamp that is not R/C *)
+  | Unmatched
+
+let meet sn t ~nodes devices =
+  if nodes <> t.t_nodes then Unmatched
   else begin
-    Buffer.add_char b (Char.chr (0x80 lor (i land 0x7f)));
-    key_int b (i lsr 7)
+    let skeleton = t.t_devices in
+    let stamp j d value cap =
+      let pin i = Netlist.index_of_node (Netlist.terminal d i) in
+      { gap = j; n1 = pin 0; n2 = pin 1; value; cap }
+    in
+    let rec walk j stamps = function
+      | [] -> if j = 0 then Stamped (t, stamps) else Unmatched
+      | d :: rest when sn.sn_strip (Netlist.device_name d) ->
+        (match Netlist.device_kind d with
+        | Netlist.Resistor r -> walk j (stamp j d (1.0 /. r) false :: stamps) rest
+        | Netlist.Capacitor c -> walk j (stamp j d c true :: stamps) rest
+        | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Mosfet _ -> Unstampable)
+      | d :: rest ->
+        if j > 0 && Netlist.same_device d skeleton.(j - 1) then
+          walk (j - 1) stamps rest
+        else Unmatched
+    in
+    walk (Array.length skeleton) [] devices
   end
 
-let key_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+let rec meet_any sn ~nodes devices = function
+  | [] -> Unmatched
+  | t :: rest ->
+    (match meet sn t ~nodes devices with
+    | Unmatched -> meet_any sn ~nodes devices rest
+    | (Stamped _ | Unstampable) as m -> m)
 
-let key_string b s =
-  key_int b (String.length s);
-  Buffer.add_string b s
+(* The skeleton of [devices] (newest first), oldest first, when they
+   hold a stamp and every stamp is R/C. *)
+let skeleton_of sn devices =
+  let rec go skeleton stamped = function
+    | [] -> if stamped then Some (Array.of_list skeleton) else None
+    | d :: rest when sn.sn_strip (Netlist.device_name d) ->
+      (match Netlist.device_kind d with
+      | Netlist.Resistor _ | Netlist.Capacitor _ -> go skeleton true rest
+      | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Mosfet _ -> None)
+    | d :: rest -> go (d :: skeleton) stamped rest
+  in
+  go [] false devices
 
-let fingerprint_wave b w =
-  match Waveform.view w with
-  | Waveform.View_dc v ->
-    Buffer.add_char b 'D';
-    key_float b v
-  | Waveform.View_pwl pts ->
-    Buffer.add_char b 'W';
-    key_int b (List.length pts);
+let meet_context sn netlist =
+  let nodes = Netlist.node_count netlist in
+  let devices = Netlist.newest_first netlist in
+  match meet_any sn ~nodes devices (Atomic.get sn.sn_templates) with
+  | (Stamped _ | Unstampable) as m -> m
+  | Unmatched ->
+    (match skeleton_of sn devices with
+    | None -> Unmatched
+    | Some skeleton ->
+      Mutex.protect sn.sn_lock @@ fun () ->
+      let templates = Atomic.get sn.sn_templates in
+      (* Another worker may have added it meanwhile. *)
+      (match meet_any sn ~nodes devices templates with
+      | Stamped _ as m -> m
+      | Unstampable | Unmatched ->
+        let t = template_of ~n_nodes:nodes skeleton in
+        Atomic.set sn.sn_templates
+          (t :: (if List.length templates >= template_limit then [] else templates));
+        meet sn t ~nodes devices))
+
+(* The plan of [t]'s skeleton with [stamps] at their places. *)
+let derive t stamps =
+  let p = t.t_plan in
+  let positions f =
     List.iter
-      (fun (t, v) ->
-        key_float b t;
-        key_float b v)
-      pts
-  | Waveform.View_pulse { v0; v1; delay; rise; fall; width; period } ->
-    Buffer.add_char b 'P';
-    List.iter (key_float b) [ v0; v1; delay; rise; fall; width; period ]
-
-(* Value-level fingerprint of a netlist's [devices] under [options]: the
-   options, then device names, kinds, parameters and pin indices. Used
-   only as a cache key for derived nominal entries. *)
-let fingerprint ~(options : options) devices =
-  let b = Buffer.create (64 * (List.length devices + 1)) in
-  List.iter (key_float b)
-    [ options.gmin; options.abstol; options.vntol; options.reltol;
-      options.max_step_voltage ];
-  key_int b options.max_iterations;
+      (fun s ->
+        two_terminal_positions
+          (fun r c -> if r >= 0 && c >= 0 then f r c)
+          (idx s.n1) (idx s.n2))
+      stamps
+  in
+  let pattern, remap =
+    match Linear.Pattern.extend p.pattern positions with
+    | None -> p.pattern, None
+    | Some (pattern, remap) -> pattern, Some remap
+  in
+  let moved s = match remap with Some m when s >= 0 -> m.(s) | _ -> s in
+  let all_moved a = if remap = None then a else Array.map moved a in
+  let slot r c = if r < 0 || c < 0 then -1 else Linear.Pattern.slot pattern r c in
+  (* The skeleton's linear devices up to each stamp's place, then the
+     stamp. *)
+  let nl = Array.length p.l_value and k = List.length stamps in
+  let l_value = Array.make (nl + k) 0.0 in
+  let l_cap = Array.make (nl + k) false in
+  let l_slots = Array.make (4 * (nl + k)) (-1) in
+  let from = ref 0 and dst = ref 0 in
+  let skeleton_upto j =
+    for i = !from to j - 1 do
+      l_value.(!dst) <- p.l_value.(i);
+      l_cap.(!dst) <- p.l_cap.(i);
+      for q = 0 to 3 do
+        l_slots.((4 * !dst) + q) <- moved p.l_slots.((4 * i) + q)
+      done;
+      incr dst
+    done;
+    from := j
+  in
   List.iter
-    (fun (dv : Netlist.device_view) ->
-      key_string b dv.dev_name;
-      (match dv.kind with
-      | Netlist.Resistor r ->
-        Buffer.add_char b 'R';
-        key_float b r
-      | Netlist.Capacitor c ->
-        Buffer.add_char b 'C';
-        key_float b c
-      | Netlist.Vsource w ->
-        Buffer.add_char b 'V';
-        fingerprint_wave b w
-      | Netlist.Isource w ->
-        Buffer.add_char b 'I';
-        fingerprint_wave b w
-      | Netlist.Mosfet spec ->
-        Buffer.add_char b
-          (match spec.Netlist.polarity with
-          | Mos_model.Nmos -> 'n'
-          | Mos_model.Pmos -> 'p');
-        List.iter (key_float b)
-          [ spec.Netlist.params.Mos_model.vth;
-            spec.Netlist.params.Mos_model.kp;
-            spec.Netlist.params.Mos_model.lambda; spec.Netlist.w;
-            spec.Netlist.l ]);
-      key_int b (List.length dv.pin_nodes);
+    (fun s ->
+      skeleton_upto t.t_linear_before.(s.gap);
+      l_value.(!dst) <- s.value;
+      l_cap.(!dst) <- s.cap;
+      let q = ref (4 * !dst) in
+      two_terminal_positions
+        (fun r c ->
+          l_slots.(!q) <- slot r c;
+          incr q)
+        (idx s.n1) (idx s.n2);
+      incr dst)
+    stamps;
+  skeleton_upto nl;
+  (* Capacitors alike, for their history in the right-hand side. *)
+  let pc_n1, pc_n2, pc_c =
+    match List.filter (fun s -> s.cap) stamps with
+    | [] -> p.pc_n1, p.pc_n2, p.pc_c
+    | caps ->
+      let n = Array.length p.pc_c + List.length caps in
+      let pc_n1 = Array.make n 0 and pc_n2 = Array.make n 0 in
+      let pc_c = Array.make n 0.0 in
+      let from = ref 0 and dst = ref 0 in
+      let skeleton_upto j =
+        let len = j - !from in
+        Array.blit p.pc_n1 !from pc_n1 !dst len;
+        Array.blit p.pc_n2 !from pc_n2 !dst len;
+        Array.blit p.pc_c !from pc_c !dst len;
+        dst := !dst + len;
+        from := j
+      in
       List.iter
-        (fun (role, node) ->
-          key_string b role;
-          key_int b (Netlist.index_of_node node))
-        dv.pin_nodes)
-    devices;
-  Buffer.contents b
+        (fun s ->
+          skeleton_upto t.t_caps_before.(s.gap);
+          pc_n1.(!dst) <- s.n1;
+          pc_n2.(!dst) <- s.n2;
+          pc_c.(!dst) <- s.value;
+          incr dst)
+        caps;
+      skeleton_upto (Array.length p.pc_c);
+      pc_n1, pc_n2, pc_c
+  in
+  {
+    p with
+    pattern;
+    gmin_slots = all_moved p.gmin_slots;
+    l_value;
+    l_cap;
+    l_slots;
+    pm_slots = all_moved p.pm_slots;
+    pc_n1;
+    pc_n2;
+    pc_c;
+  }
 
-(* Derive the skeleton's DC operating point. It always runs the reuse
-   policy, so the vector is bitwise identical under [Dense] and [Auto].
-   Quiet and unmetered — see the section comment. *)
-let sn_derive ~options stripped =
+(* The plan for an analysis of [netlist] under [sn], beside the template
+   whose warm start the analysis takes: the one [netlist] is the
+   skeleton of plus at least one stamp. *)
+let context_plan sn netlist =
+  match meet_context sn netlist with
+  | Stamped (t, []) -> t.t_plan, None
+  | Stamped (t, stamps) -> derive t stamps, Some t
+  | Unstampable | Unmatched -> fresh_plan netlist, None
+
+(* The skeleton's DC operating point. It always runs the reuse policy,
+   so the vector is bitwise identical under [Dense] and [Auto]. Quiet
+   and unmetered — see the section comment. *)
+let derive_warm ~options t =
   Util.Telemetry.silenced @@ fun () ->
   Util.Watchdog.unmetered @@ fun () ->
   counting @@ fun counts ->
-  let compiled = compile stripped in
-  let state = make_rstate ~full_newton:false ~counts compiled in
+  let state = make_rstate ~full_newton:false ~counts t.t_plan in
   match
-    solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled
-      (Array.make compiled.n_unknowns 0.0)
+    solve_point ~state ~options ~mode:Dc_mode ~t:0.0
+      (Array.make t.t_plan.n_unknowns 0.0)
       ~what:(fun () -> "shared nominal derivation")
   with
   | exception No_convergence _ -> None
   | exception Linear.Singular -> None
   | x -> Some x
 
-(* The skeleton is keyed by the faulty netlist's own devices less the
-   stamps: [Netlist.remove_device] keeps node indices, so these are the
-   bytes the stripped copy would give. The copy is made only on a miss. *)
-let sn_entry sn ~options ~stamps ~skeleton netlist =
-  let key = fingerprint ~options skeleton in
-  let cache = sn_cache_for sn in
-  match Hashtbl.find_opt cache key with
-  | Some entry -> entry
+(* [None] keeps a failed derivation (the skeleton did not converge), so
+   it is not retried for every class. Newton copies its first guess, so
+   the kept vector is never written. *)
+let warm_point sn ~options t =
+  let held () = List.assoc_opt options (Atomic.get t.t_warm) in
+  match held () with
+  | Some x -> x
   | None ->
-    if Hashtbl.length cache >= sn_cache_limit then Hashtbl.reset cache;
-    let stripped = Netlist.copy netlist in
-    List.iter
-      (fun (dv : Netlist.device_view) -> Netlist.remove_device stripped dv.dev_name)
-      stamps;
-    let entry = sn_derive ~options stripped in
-    Hashtbl.add cache key entry;
-    entry
+    Mutex.protect sn.sn_lock @@ fun () ->
+    (match held () with
+    | Some x -> x
+    | None ->
+      let x = derive_warm ~options t in
+      Atomic.set t.t_warm ((options, x) :: Atomic.get t.t_warm);
+      x)
 
-(* The warm start for the analysis's first DC solve, if the shared
-   nominal context offers one. It is part of the *analysis semantics*:
-   both policies start Newton from the same derived nominal operating
-   point (see [sn_derive]), so the cross-policy table-identity contract
-   holds; a reuse-only warm start would let the warm path resolve
-   classes the full-Newton reference cannot, and the tables would
-   diverge. Every decision here is a pure function of (netlist,
-   options), so the hit/miss counters are deterministic per fault
-   class. *)
-let try_shared_seed ~netlist ~options compiled =
+(* The plan of an analysis and the point its first DC solve starts
+   from, under both policies alike (the interface says why). Every
+   decision here is a pure function of (netlist, options), so the
+   hit/miss counters are deterministic per fault class. *)
+let prepare ~options netlist =
+  let cold plan = plan, Array.make plan.n_unknowns 0.0 in
   match Domain.DLS.get sn_override with
-  | None -> None
+  | None -> cold (fresh_plan netlist)
   | Some sn ->
-    let stamps, skeleton =
-      List.partition
-        (fun (dv : Netlist.device_view) -> sn.sn_strip dv.dev_name)
-        (Netlist.devices netlist)
-    in
-    let expressible =
-      stamps <> []
-      && List.for_all
-           (fun (dv : Netlist.device_view) ->
-             match dv.kind with
-             | Netlist.Resistor _ | Netlist.Capacitor _ -> true
-             | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Mosfet _ ->
-               false)
-           stamps
-    in
-    let warm =
-      if expressible then sn_entry sn ~options ~stamps ~skeleton netlist else None
-    in
-    match warm with
-    (* A vector of another length would be a stale or colliding context
-       entry: same strip predicate, different structure. *)
-    | Some x when Array.length x = compiled.n_unknowns ->
+    let plan, template = context_plan sn netlist in
+    (match Option.bind template (warm_point sn ~options) with
+    | Some x ->
       Util.Telemetry.count "engine.shared_nominal_hits";
-      Some (Array.copy x)
-    | Some _ | None ->
+      plan, x
+    | None ->
       Util.Telemetry.count "engine.shared_nominal_misses";
-      None
+      cold plan)
 
 (* --- public analyses --------------------------------------------------- *)
 
-let make_solution compiled ~t x =
-  { sol_time = t; x; branches = compiled.branch_of_source }
+let make_solution plan ~t x =
+  { sol_time = t; x; branches = plan.branch_of_source }
+
+let run_dc ~counts ~options plan x0 =
+  solve_point ~state:(make_state ~counts plan) ~options ~mode:Dc_mode ~t:0.0
+    x0 ~what:(fun () -> "dc operating point")
 
 let dc_operating_point netlist =
   let options = current_options () in
-  let compiled = compile netlist in
   counting @@ fun counts ->
-  let state = make_state ~counts compiled in
-  let x0 =
-    match try_shared_seed ~netlist ~options compiled with
-    | Some warm -> warm
-    | None -> Array.make compiled.n_unknowns 0.0
-  in
-  make_solution compiled ~t:0.0
-    (solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
-       ~what:(fun () -> "dc operating point"))
+  let plan, x0 = prepare ~options netlist in
+  make_solution plan ~t:0.0 (run_dc ~counts ~options plan x0)
 
-(* Diagnostic: the DC Jacobian linearized at [x], assembled on the plan
-   and scattered into an n×n matrix. Exposed so tests can check the
-   assembly against stamps they build by hand; not a hot path. *)
-let dense_jacobian netlist ~x =
-  let options = current_options () in
-  let compiled = compile netlist in
-  if Array.length x <> compiled.n_unknowns then
-    invalid_arg "Engine.dense_jacobian: x has the wrong length";
-  let state = make_rstate ~full_newton:true ~counts:(zero_counts ()) compiled in
-  ensure_const state ~gmin:options.gmin ~h:0.0;
-  eval_mosfets state x;
-  assemble state;
-  Linear.Pattern.to_dense state.rpattern state.rjac_vals
-
-let transient netlist ~stop ~step =
-  if step <= 0. || stop < step then invalid_arg "Engine.transient: bad time grid";
-  let options = current_options () in
-  let compiled = compile netlist in
-  counting @@ fun counts ->
-  (* One plan for the whole transient: under the reuse policy the
-     factorization built at the first step is reused (or cheaply updated)
-     across every subsequent step and sub-step — the dominant win on long
-     ramps where the circuit sits quiescent between clock edges. *)
-  let state = make_state ~counts compiled in
-  let solve ~mode ~t x ~what =
-    solve_point ~state ~options ~mode ~t compiled x ~what
-  in
-  let x0 =
-    match try_shared_seed ~netlist ~options compiled with
-    | Some warm -> warm
-    | None -> Array.make compiled.n_unknowns 0.0
-  in
+(* One state for the whole transient: under the reuse policy the
+   factorization built at the first step is reused (or cheaply updated)
+   across every subsequent step and sub-step — the dominant win on long
+   ramps where the circuit sits quiescent between clock edges. *)
+let run_transient ~counts ~options plan x0 ~stop ~step =
+  let state = make_state ~counts plan in
+  let solve ~mode ~t x ~what = solve_point ~state ~options ~mode ~t x ~what in
   let x_dc =
     solve ~mode:Dc_mode ~t:0.0 x0 ~what:(fun () -> "transient initial point")
   in
@@ -1143,10 +1218,51 @@ let transient netlist ~stop ~step =
       let t_prev = float_of_int (i - 1) *. step in
       let x = integrate x_prev ~t_prev ~h:step ~depth:7 in
       let t = float_of_int i *. step in
-      advance (i + 1) x (make_solution compiled ~t x :: acc)
+      advance (i + 1) x (make_solution plan ~t x :: acc)
     end
   in
-  advance 1 x_dc [ make_solution compiled ~t:0.0 x_dc ]
+  advance 1 x_dc [ make_solution plan ~t:0.0 x_dc ]
+
+let check_grid ~stop ~step =
+  if step <= 0. || stop < step then invalid_arg "Engine.transient: bad time grid"
+
+let transient netlist ~stop ~step =
+  check_grid ~stop ~step;
+  let options = current_options () in
+  counting @@ fun counts ->
+  let plan, x0 = prepare ~options netlist in
+  run_transient ~counts ~options plan x0 ~stop ~step
+
+(* --- plans, for tests ---------------------------------------------------- *)
+
+let plan netlist =
+  match Domain.DLS.get sn_override with
+  | None -> fresh_plan netlist
+  | Some sn -> fst (context_plan sn netlist)
+
+(* The DC Jacobian linearized at [x], assembled on the plan as a Newton
+   iteration would; not a hot path. *)
+let plan_jacobian plan ~x =
+  if Array.length x <> plan.n_unknowns then
+    invalid_arg "Engine.plan_jacobian: x has the wrong length";
+  let state = make_rstate ~full_newton:true ~counts:(zero_counts ()) plan in
+  ensure_const state ~gmin:(current_options ()).gmin ~h:0.0;
+  eval_mosfets state x;
+  assemble state;
+  Array.map2
+    (fun position v -> position, v)
+    (Linear.Pattern.positions plan.pattern)
+    state.rjac_vals
+
+let plan_dc plan ~x0 =
+  run_dc ~counts:(zero_counts ()) ~options:(current_options ()) plan x0
+
+let plan_transient plan ~x0 ~stop ~step =
+  check_grid ~stop ~step;
+  List.map
+    (fun sol -> sol.x)
+    (run_transient ~counts:(zero_counts ()) ~options:(current_options ()) plan
+       x0 ~stop ~step)
 
 (* --- AC small-signal analysis ------------------------------------------ *)
 
@@ -1178,19 +1294,20 @@ let ac_sweep netlist ~source ~frequencies =
     (fun f ->
       if f <= 0. then invalid_arg "Engine.ac_sweep: frequencies must be positive")
     frequencies;
-  let compiled = compile netlist in
-  if not (Hashtbl.mem compiled.branch_of_source source) then
+  let n_nodes = Netlist.node_count netlist in
+  let devices = oldest_first netlist in
+  let cdevices, branch_of_source, n = compile ~n_nodes devices in
+  if not (Hashtbl.mem branch_of_source source) then
     invalid_arg
       (Printf.sprintf "Engine.ac_sweep: %S is not a voltage source" source);
   (* Operating point for the linearization. *)
-  let x0 = Array.make compiled.n_unknowns 0.0 in
   let op =
     counting @@ fun counts ->
-    solve_point ~state:(make_state ~counts compiled) ~options ~mode:Dc_mode
-      ~t:0.0 compiled x0
+    solve_point
+      ~state:(make_state ~counts (plan_of ~n_nodes devices))
+      ~options ~mode:Dc_mode ~t:0.0 (Array.make n 0.0)
       ~what:(fun () -> "ac operating point")
   in
-  let n = compiled.n_unknowns in
   let re v = { Complex.re = v; im = 0.0 } in
   let stamp_y a y n1 n2 =
     if n1 <> 0 then a.(idx n1).(idx n1) <- Complex.add a.(idx n1).(idx n1) y;
@@ -1203,7 +1320,7 @@ let ac_sweep netlist ~source ~frequencies =
   let solve_at freq =
     let a = Linear_complex.matrix n in
     let rhs = Array.make n Complex.zero in
-    for node = 1 to compiled.n_nodes do
+    for node = 1 to n_nodes do
       a.(idx node).(idx node) <-
         Complex.add a.(idx node).(idx node) (re options.gmin)
     done;
@@ -1223,7 +1340,7 @@ let ac_sweep netlist ~source ~frequencies =
           a.(branch).(idx neg) <- Complex.sub a.(branch).(idx neg) Complex.one
         end;
         rhs.(branch) <-
-          (if branch = Hashtbl.find compiled.branch_of_source source then
+          (if branch = Hashtbl.find branch_of_source source then
              Complex.one
            else Complex.zero)
       | CIsource _ -> () (* AC-quiet *)
@@ -1244,7 +1361,7 @@ let ac_sweep netlist ~source ~frequencies =
         add s g (-.small.gm);
         add s s (small.gm +. small.gds)
     in
-    List.iter stamp_device compiled.cdevices;
+    Array.iter stamp_device cdevices;
     freq, Linear_complex.solve a rhs
   in
   List.map solve_at frequencies

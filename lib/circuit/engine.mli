@@ -67,9 +67,10 @@ val with_options_override : options -> (unit -> 'a) -> 'a
 
 (** {1 Solver selection}
 
-    Every analysis compiles one plan per netlist — the Jacobian pattern
-    of every position a stamp can touch, the stamp slots and the packed
-    MOSFET arrays — and runs one damped Newton loop over it for the
+    Every analysis runs on one plan of its netlist — the Jacobian
+    pattern of every position a stamp can touch, the stamp slots and the
+    packed MOSFET arrays, built from scratch or derived from a template
+    (see {!shared_nominal}) — and one damped Newton loop over it for the
     analysis's whole lifetime (all Newton iterations, transient steps
     and stepping-fallback stages). The Jacobian is assembled on the
     pattern in an order fixed by the netlist and factored with the sparse
@@ -111,43 +112,56 @@ val with_solver : solver -> (unit -> 'a) -> 'a
 val current_solver : unit -> solver
 (** The solver in effect: innermost {!with_solver}, else {!default_solver}. *)
 
-(** {1 Cross-class shared nominal warm start}
+(** {1 Plans shared across fault classes}
 
-    Most injected defects only {e add} two-terminal R/C stamps between
-    pre-existing nodes, so the faulty operating point is usually a small
-    excursion from the nominal one. When a [shared_nominal] context is
-    installed, {!dc_operating_point} and {!transient} warm-start their
-    first DC solve: they strip the injected stamps (per the context's
-    [strip] predicate) to recover the nominal skeleton, derive that
-    skeleton's operating point — once per worker domain, cached by
-    (skeleton, options) — and start Newton from it instead of from zero.
-    The solve itself is unchanged and builds its first factorization
-    fresh.
+    Every analysis runs on a plan: the Jacobian pattern of every position
+    a stamp can touch, the stamp slots and the packed device arrays.
+    A fault class is measured on the macro's nominal netlist with one
+    defect injected, and most defects only {e add} two-terminal R/C
+    stamps between existing nodes. A [shared_nominal] context, held for
+    one macro's analysis, uses that twice.
+
+    - {b Plans.} A netlist's skeleton is its devices less those the
+      context's [strip] predicate names. The first netlist that is a
+      skeleton plus R/C stamps compiles the skeleton once into a
+      template; every later netlist that is exactly that skeleton (names,
+      kinds, values bit for bit, terminals, device by device) plus R/C
+      stamps gets its plan from the template by adding its stamps at
+      their places in its own device order. The derived plan is the one
+      a build from scratch makes: the same pattern, the same slots and
+      the same stamping order, so results are unchanged.
+    - {b Warm start.} {!dc_operating_point} and {!transient} start
+      their first DC solve from the skeleton's operating point, derived
+      once per template and solver options, instead of from zero. The
+      solve itself is unchanged and builds its first factorization
+      fresh.
 
     The warm start is part of the analysis semantics: both policies
-    start Newton from the derived nominal operating point (the
-    derivation is solver-independent, so the vector is bitwise identical
-    under [Dense] and [Auto] — a reuse-only warm start would let the
-    warm path resolve marginal classes the full-Newton reference cannot,
-    and the cross-policy table-identity contract would break). Every
-    decision is a pure function of (netlist, options), so the
-    determinism contract is unchanged. Faults that are not pure R/C
-    additions (node splits, parasitic devices) and skeletons whose
-    nominal solve fails start cold under both policies alike.
+    start Newton from the derived operating point (the derivation is
+    solver-independent, so the vector is bitwise identical under
+    [Dense] and [Auto] — a reuse-only warm start would let the warm path
+    resolve marginal classes the full-Newton reference cannot, and the
+    cross-policy table-identity contract would break). Every decision
+    is a pure function of (netlist, options), so the determinism
+    contract is unchanged. Netlists that are not a skeleton plus R/C
+    stamps (node splits, parasitic devices), netlists with no stamp, and
+    stamped netlists whose skeleton's solve fails are built from scratch
+    and start cold under both policies alike.
 
     Telemetry: [engine.shared_nominal_hits] (first solve warm-started)
-    and [engine.shared_nominal_misses] (context installed but the defect
-    was not a pure R/C addition, or no usable skeleton entry). Both are
-    per-class deterministic; the per-worker derivation itself is
+    and [engine.shared_nominal_misses] (context installed but the
+    netlist was not a skeleton plus R/C stamps, or its skeleton did not
+    solve). Both are per-class deterministic; the derivation itself is
     telemetry-silenced and watchdog-unmetered so counter totals and
     iteration-budget outcomes stay byte-identical at any [--jobs]. *)
 
 type shared_nominal
 
-(** [shared_nominal ~strip ()] — a context whose [strip] predicate
-    recognizes injected-device names (e.g. [Fault.Inject.is_fault_device]).
-    Create once per run; the derived operating-point cache is per worker
-    domain and keyed to the context identity. *)
+(** [shared_nominal ~strip ()] — an empty context whose [strip]
+    predicate recognizes injected-device names (e.g.
+    [Fault.Inject.is_fault_device]). Create one per macro analysis: the
+    context owns its templates, keeps at most 32 of them, and is safe to
+    share between domains. *)
 val shared_nominal : strip:(string -> bool) -> unit -> shared_nominal
 
 (** [with_shared_nominal sn f] installs the context for the dynamic
@@ -174,14 +188,38 @@ val source_current : solution -> string -> float
     @raise No_convergence when all fallbacks fail. *)
 val dc_operating_point : Netlist.t -> solution
 
-(** [dense_jacobian netlist ~x] — the DC MNA Jacobian
-    linearized at guess [x] (length = unknowns: node voltages then
-    branch currents), assembled on the plan exactly as a Newton
-    iteration would and returned as an n×n matrix. A diagnostic for
-    tests that check the assembly against hand-built stamps; not a hot
-    path.
+(** {2 Plans, for tests}
+
+    Exposed so tests can check a plan derived from a template against
+    one built from scratch. *)
+
+type plan
+
+(** [plan netlist] — the plan an analysis of [netlist] runs on under
+    the context installed, if any; it neither derives nor counts a warm
+    start. *)
+val plan : Netlist.t -> plan
+
+(** [fresh_plan netlist] — the plan of [netlist] built from scratch,
+    whatever context is installed. *)
+val fresh_plan : Netlist.t -> plan
+
+(** [plan_jacobian plan ~x] — each slot's position and the value the
+    DC Jacobian linearized at [x] (node voltages then branch currents)
+    takes there, assembled as a Newton iteration would, in slot order.
+    Tests check it against stamps they build by hand.
     @raise Invalid_argument when [x] has the wrong length. *)
-val dense_jacobian : Netlist.t -> x:float array -> float array array
+val plan_jacobian : plan -> x:float array -> ((int * int) * float) array
+
+(** [plan_dc plan ~x0] — the DC operating point found from [x0], node
+    voltages then branch currents; nothing is counted.
+    @raise No_convergence when all fallbacks fail. *)
+val plan_dc : plan -> x0:float array -> float array
+
+(** [plan_transient plan ~x0 ~stop ~step] — as {!transient}, its first
+    DC solve starting from [x0], one vector per time point. *)
+val plan_transient :
+  plan -> x0:float array -> stop:float -> step:float -> float array list
 
 (** [linearization_moved ~cur ~baked] is the reuse policy's test on one
     MOSFET conductance (gm or gds): whether its value at the current

@@ -232,13 +232,32 @@ module Pattern = struct
     in
     scan p.row_ptr.(r)
 
-  let to_dense p values =
-    if Array.length values <> nnz p then
-      invalid_arg "Linear.Pattern.to_dense: value count mismatch";
-    let a = Array.make_matrix p.n p.n 0.0 in
+  let extend p iter =
+    let grows = ref false in
+    iter (fun r c ->
+        if r < 0 || r >= p.n || c < 0 || c >= p.n then
+          invalid_arg "Linear.Pattern.extend: position out of range";
+        if slot p r c < 0 then grows := true);
+    if not !grows then None
+    else begin
+      let each_old f =
+        for r = 0 to p.n - 1 do
+          for e = p.row_ptr.(r) to p.row_ptr.(r + 1) - 1 do
+            f e r p.col.(e)
+          done
+        done
+      in
+      let q = of_positions ~n:p.n (fun add -> each_old (fun _ -> add); iter add) in
+      let remap = Array.make (nnz p) 0 in
+      each_old (fun e r c -> remap.(e) <- slot q r c);
+      Some (q, remap)
+    end
+
+  let positions p =
+    let a = Array.make (nnz p) (0, 0) in
     for r = 0 to p.n - 1 do
       for e = p.row_ptr.(r) to p.row_ptr.(r + 1) - 1 do
-        a.(r).(p.col.(e)) <- values.(e)
+        a.(e) <- r, p.col.(e)
       done
     done;
     a

@@ -37,13 +37,19 @@ module Pattern : sig
       array, or [-1] when [p] does not store it. *)
   val slot : t -> int -> int -> int
 
+  (** [extend p iter] is [None] when [p] holds every position [iter]
+      passes to its argument as [row col]. Otherwise it is the pattern
+      holding [p]'s positions and those, the one {!of_positions} would
+      give for them all, beside the slot in it of each of [p]'s slots.
+      @raise Invalid_argument on a position out of range. *)
+  val extend : t -> ((int -> int -> unit) -> unit) -> (t * int array) option
+
   (** Number of stored positions (slots). *)
   val nnz : t -> int
 
-  (** [to_dense p values] is the n×n matrix holding [values.(s)] at slot
-      [s]'s position and zero elsewhere; for diagnostics, not hot paths.
-      @raise Invalid_argument on a value-count mismatch. *)
-  val to_dense : t -> float array -> float array array
+  (** [positions p] — the position of each slot, in slot order: rows
+      ascending, each row's columns ascending. *)
+  val positions : t -> (int * int) array
 end
 
 (** Persistent LU factorizations with Sherman–Morrison update chains. *)

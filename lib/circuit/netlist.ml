@@ -16,19 +16,31 @@ type device_kind =
   | Isource of Waveform.t
   | Mosfet of mosfet_spec
 
+(* A device record is never mutated once it is in a netlist: [reconnect]
+   puts a new record in its place. Copies therefore share every device
+   neither of them changes. *)
 type device = {
   name : string;
   kind : device_kind;
   roles : string array;
-  pins : node array;  (* mutable cells, parallel to roles *)
+  pins : node array;  (* parallel to roles *)
 }
 
+(* Tables shared with a copy are never written: a netlist whose node
+   table is shared copies it before adding a node, and one whose device
+   table is shared keeps its device changes in [changes] (newest first)
+   on top of it until there are [max_changes] of them. *)
 type t = {
-  node_ids : (string, node) Hashtbl.t;
+  mutable node_ids : (string, node) Hashtbl.t;
+  mutable nodes_shared : bool;
   mutable node_names : string list;  (* reverse creation order, excl. ground *)
   mutable next_node : int;
-  device_table : (string, device) Hashtbl.t;
-  mutable device_order : string list;  (* reverse insertion order *)
+  mutable table : (string, device) Hashtbl.t;
+  mutable table_shared : bool;
+  mutable changes : (string * device option) list;
+  mutable n_changes : int;
+  mutable order : device list;  (* reverse insertion order *)
+  mutable n_devices : int;
   mutable fresh_counter : int;
 }
 
@@ -37,10 +49,15 @@ let create () =
   Hashtbl.replace node_ids "0" ground;
   {
     node_ids;
+    nodes_shared = false;
     node_names = [];
     next_node = 1;
-    device_table = Hashtbl.create 64;
-    device_order = [];
+    table = Hashtbl.create 64;
+    table_shared = false;
+    changes = [];
+    n_changes = 0;
+    order = [];
+    n_devices = 0;
     fresh_counter = 0;
   }
 
@@ -49,6 +66,10 @@ let node t name =
   match Hashtbl.find_opt t.node_ids name with
   | Some id -> id
   | None ->
+    if t.nodes_shared then begin
+      t.node_ids <- Hashtbl.copy t.node_ids;
+      t.nodes_shared <- false
+    end;
     let id = t.next_node in
     t.next_node <- id + 1;
     Hashtbl.replace t.node_ids name id;
@@ -79,11 +100,54 @@ let nodes t = List.rev_map (Hashtbl.find t.node_ids) t.node_names
 let node_count t = t.next_node - 1
 let node_equal (a : node) b = a = b
 
+(* --- the device table ---------------------------------------------------- *)
+
+let max_changes = 32
+
+let find_device t name =
+  let rec scan = function
+    | [] -> Hashtbl.find_opt t.table name
+    | (n, d) :: rest -> if String.equal n name then d else scan rest
+  in
+  scan t.changes
+
+let set_device t name d =
+  if t.table_shared then begin
+    t.changes <- (name, d) :: t.changes;
+    t.n_changes <- t.n_changes + 1;
+    if t.n_changes > max_changes then begin
+      let table = Hashtbl.copy t.table in
+      List.iter
+        (fun (n, d) ->
+          match d with
+          | Some d -> Hashtbl.replace table n d
+          | None -> Hashtbl.remove table n)
+        (List.rev t.changes);
+      t.table <- table;
+      t.table_shared <- false;
+      t.changes <- [];
+      t.n_changes <- 0
+    end
+  end
+  else
+    match d with
+    | Some d -> Hashtbl.replace t.table name d
+    | None -> Hashtbl.remove t.table name
+
+(* [order] with [d] replaced by [by] (or dropped): the cells after [d]
+   are shared. *)
+let rec swap d by = function
+  | [] -> []
+  | d' :: rest when d' == d -> (match by with Some b -> b :: rest | None -> rest)
+  | d' :: rest -> d' :: swap d by rest
+
 let add_device t name kind roles pins =
-  if Hashtbl.mem t.device_table name then
+  if Option.is_some (find_device t name) then
     invalid_arg (Printf.sprintf "Netlist: duplicate device %S" name);
-  Hashtbl.replace t.device_table name { name; kind; roles; pins };
-  t.device_order <- name :: t.device_order
+  let d = { name; kind; roles; pins } in
+  set_device t name (Some d);
+  t.order <- d :: t.order;
+  t.n_devices <- t.n_devices + 1
 
 let check_positive what v =
   if v <= 0. || not (Float.is_finite v) then
@@ -111,19 +175,17 @@ let add_mosfet t ~name ~drain ~gate ~source ~bulk spec =
 
 type pin = { device : string; role : string }
 
-let device_names t = List.rev t.device_order
-let has_device t name = Hashtbl.mem t.device_table name
-let device_count t = Hashtbl.length t.device_table
+let device_names t = List.rev_map (fun d -> d.name) t.order
+let has_device t name = Option.is_some (find_device t name)
+let device_count t = t.n_devices
 
 let pins_of_node t n =
-  List.rev t.device_order
-  |> List.concat_map (fun dev_name ->
-         let d = Hashtbl.find t.device_table dev_name in
+  List.rev t.order
+  |> List.concat_map (fun d ->
          Array.to_list
            (Array.mapi
               (fun i role ->
-                if d.pins.(i) = n then Some { device = dev_name; role }
-                else None)
+                if d.pins.(i) = n then Some { device = d.name; role } else None)
               d.roles)
          |> List.filter_map Fun.id)
 
@@ -136,35 +198,34 @@ let role_index d role =
   scan 0
 
 let pin_node t pin =
-  match Hashtbl.find_opt t.device_table pin.device with
+  match find_device t pin.device with
   | None -> raise Not_found
   | Some d -> d.pins.(role_index d pin.role)
 
 let reconnect t pin n =
-  match Hashtbl.find_opt t.device_table pin.device with
+  match find_device t pin.device with
   | None -> raise Not_found
-  | Some d -> d.pins.(role_index d pin.role) <- n
+  | Some d ->
+    let pins = Array.copy d.pins in
+    pins.(role_index d pin.role) <- n;
+    let d' = { d with pins } in
+    set_device t d.name (Some d');
+    t.order <- swap d (Some d') t.order
 
 let remove_device t name =
-  if not (Hashtbl.mem t.device_table name) then raise Not_found;
-  Hashtbl.remove t.device_table name;
-  t.device_order <- List.filter (fun n -> n <> name) t.device_order
+  match find_device t name with
+  | None -> raise Not_found
+  | Some d ->
+    set_device t name None;
+    t.order <- swap d None t.order;
+    t.n_devices <- t.n_devices - 1
 
+(* Both netlists now share the tables, so both mark them shared; the
+   new record's mutable fields are its own. *)
 let copy t =
-  let device_table = Hashtbl.create (Hashtbl.length t.device_table) in
-  Hashtbl.iter
-    (fun name d ->
-      Hashtbl.replace device_table name
-        { d with pins = Array.copy d.pins; roles = Array.copy d.roles })
-    t.device_table;
-  {
-    node_ids = Hashtbl.copy t.node_ids;
-    node_names = t.node_names;
-    next_node = t.next_node;
-    device_table;
-    device_order = t.device_order;
-    fresh_counter = t.fresh_counter;
-  }
+  t.nodes_shared <- true;
+  t.table_shared <- true;
+  { t with order = t.order }
 
 type device_view = {
   dev_name : string;
@@ -173,17 +234,44 @@ type device_view = {
 }
 
 let devices t =
-  List.rev t.device_order
-  |> List.map (fun name ->
-         let d = Hashtbl.find t.device_table name in
-         {
-           dev_name = name;
-           kind = d.kind;
-           pin_nodes =
-             Array.to_list (Array.mapi (fun i role -> role, d.pins.(i)) d.roles);
-         })
+  List.rev_map
+    (fun d ->
+      {
+        dev_name = d.name;
+        kind = d.kind;
+        pin_nodes =
+          Array.to_list (Array.mapi (fun i role -> role, d.pins.(i)) d.roles);
+      })
+    t.order
 
 let index_of_node n = n
+
+let newest_first t = t.order
+let device_name (d : device) = d.name
+let device_kind (d : device) = d.kind
+let terminal (d : device) i = d.pins.(i)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_kind a b =
+  match a, b with
+  | Resistor x, Resistor y | Capacitor x, Capacitor y -> same_float x y
+  | Vsource w, Vsource v | Isource w, Isource v -> Waveform.equal w v
+  | Mosfet s, Mosfet u ->
+    s.polarity = u.polarity
+    && same_float s.params.Mos_model.vth u.params.Mos_model.vth
+    && same_float s.params.Mos_model.kp u.params.Mos_model.kp
+    && same_float s.params.Mos_model.lambda u.params.Mos_model.lambda
+    && same_float s.w u.w && same_float s.l u.l
+  | (Resistor _ | Capacitor _ | Vsource _ | Isource _ | Mosfet _), _ -> false
+
+(* The kind fixes the roles, so names, kinds and pins say it all. *)
+let same_device (a : device) (b : device) =
+  a == b
+  || String.equal a.name b.name
+     && same_kind a.kind b.kind
+     && Array.length a.pins = Array.length b.pins
+     && Array.for_all2 Int.equal a.pins b.pins
 
 let pp ppf t =
   Format.fprintf ppf "netlist: %d nodes, %d devices@." (node_count t)

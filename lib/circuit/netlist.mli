@@ -6,7 +6,8 @@
     can be re-pointed at another node ([reconnect]) — this is how opens
     (node splits), shorts (bridging resistors) and device defects are
     injected without rebuilding the circuit. [copy] yields an independent
-    deep copy so the golden netlist survives any number of injections. *)
+    copy so the golden netlist survives any number of injections; it
+    costs what the copy then changes, not the size of the circuit. *)
 
 type t
 
@@ -90,7 +91,13 @@ val reconnect : t -> pin -> node -> unit
 (** [remove_device t name] deletes a device. @raise Not_found if absent. *)
 val remove_device : t -> string -> unit
 
-(** [copy t] is a deep, independent copy. *)
+(** [copy t] is an independent copy: no later change to either netlist
+    shows in the other. The two share every device neither of them
+    changes (a {!reconnect} puts a new device in its place), their
+    device table, whose changes each keeps on the side until it holds
+    32 of them, and their node table until one of them adds a node. A
+    copy therefore costs what is then changed in it, and lookups on it
+    stay about as cheap as on [t]. Copies of copies share alike. *)
 val copy : t -> t
 
 (** {1 Engine access}
@@ -112,6 +119,28 @@ type device_view = {
 }
 
 val devices : t -> device_view list
+
+(** A device as the engine reads it. A device never changes once it is
+    in a netlist, so the same device (under [==]) has the same name,
+    kind and terminals wherever it is met. *)
+type device
+
+(** [newest_first t] — every device of [t], the most recently added
+    first. *)
+val newest_first : t -> device list
+
+val device_name : device -> string
+val device_kind : device -> device_kind
+
+(** [terminal d i] — the node of [d]'s [i]-th terminal in stamping
+    order: [+] then [-] for a two-terminal device, [d g s b] for a
+    MOSFET. *)
+val terminal : device -> int -> node
+
+(** [same_device a b] — whether [a] and [b] have the same name, kind
+    and terminals, every value equal bit for bit; [true] at once when
+    [a == b]. *)
+val same_device : device -> device -> bool
 
 (** [index_of_node n] is stable across copies of a netlist: ground is [0],
     other nodes are [1..node_count] in creation order. *)

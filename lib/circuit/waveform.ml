@@ -84,6 +84,27 @@ let value w t =
   in
   w.gain *. raw
 
+(* Floats compare by their bits: a waveform equal to another evaluates
+   to the same bits at every time. *)
+let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let equal a b =
+  a == b
+  || same a.gain b.gain
+     &&
+     match a.shape, b.shape with
+     | Dc x, Dc y -> same x y
+     | Pwl p, Pwl q ->
+       Array.length p = Array.length q
+       && Array.for_all2
+            (fun (t, v) (u, w) -> same t u && same v w)
+            p q
+     | Pulse p, Pulse q ->
+       same p.v0 q.v0 && same p.v1 q.v1 && same p.delay q.delay
+       && same p.rise q.rise && same p.fall q.fall && same p.width q.width
+       && same p.period q.period
+     | (Dc _ | Pwl _ | Pulse _), _ -> false
+
 type view =
   | View_dc of float
   | View_pwl of (float * float) list

@@ -37,6 +37,11 @@ val scale : float -> t -> t
 (** [value w t] evaluates the waveform. *)
 val value : t -> float -> float
 
+(** [equal a b] — whether [a] and [b] were built alike, every float
+    equal bit for bit (so [0.0] and [-0.0] differ). Equal waveforms
+    evaluate to the same bits at every time. *)
+val equal : t -> t -> bool
+
 (** Structural view of a waveform, for serialization. The [gain] from
     {!scale} is folded into the values. *)
 type view =

@@ -365,10 +365,16 @@ let analyze config (macro : Macro.Macro_cell.t) =
        | None -> measure ()
        | Some (store, macro) -> Checkpoint.golden store ~macro measure)
   in
+  (* One context for both evaluate stages: their classes share the
+     macro's skeletons, so the templates the first stage builds serve
+     the second. It dies with the analysis. *)
+  let shared =
+    Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device ()
+  in
   let evaluate classes =
     let run store =
       Macro.Evaluate.run ~retries:config.max_retries ?inject
-        ?deadline:config.deadline ?store ~strict:config.strict ~macro
+        ?deadline:config.deadline ?store ~strict:config.strict ~shared ~macro
         ~nominal:nominal_netlist ~golden:(Lazy.force golden) ~good classes
     in
     match store with

@@ -98,6 +98,4 @@ let inject_instance netlist (instance : Types.instance) =
 
 let fault_prefix = "FLT_"
 
-let is_fault_device name =
-  String.length name >= String.length fault_prefix
-  && String.sub name 0 (String.length fault_prefix) = fault_prefix
+let is_fault_device name = String.starts_with ~prefix:fault_prefix name

@@ -27,8 +27,9 @@ val inject : Circuit.Netlist.t -> Types.fault -> Circuit.Netlist.t
 val inject_instance : Circuit.Netlist.t -> Types.instance -> Circuit.Netlist.t
 
 (** [is_fault_device name] — whether a device name carries the reserved
-    ["FLT_"] injection prefix. [Circuit.Engine]'s shared-nominal path
-    uses this predicate (passed in by [Macro.Evaluate]) to strip injected
-    stamps from a faulty netlist, recover its nominal skeleton and
-    warm-start the faulty solve from that skeleton's operating point. *)
+    ["FLT_"] injection prefix. [Circuit.Engine]'s shared-nominal context
+    uses this predicate (passed in by [Core.Pipeline]) to tell injected
+    stamps from the nominal skeleton of a faulty netlist: the plan is
+    derived from the skeleton's template and the faulty solve
+    warm-starts from the skeleton's operating point. *)
 val is_fault_device : string -> bool

@@ -131,23 +131,16 @@ type store = {
   record : index:int -> Fault.Collapse.fault_class -> measured -> unit;
 }
 
-let run ?jobs ~retries ?inject ?deadline ?store ?(strict = false)
+let run ?jobs ~retries ?inject ?deadline ?store ?(strict = false) ~shared
     ~(macro : Macro_cell.t) ~nominal ~golden ~good classes =
   (* Solver choice must survive the hop into pool worker domains:
      domain-local overrides installed by the caller do not propagate, so
      the solver in effect is read here and re-installed explicitly inside
-     every worker task. *)
+     every worker task. The shared-nominal context is re-installed alike,
+     per class, around the whole retry ladder, so escalated attempts
+     warm-start from a nominal point solved under their own escalated
+     options. *)
   let solver = Circuit.Engine.current_solver () in
-  (* Cross-class nominal warm start: the context taught to recognize
-     injected devices is created once here; each worker domain derives
-     (and caches) the actual nominal operating points on first use — the
-     derived state is domain-local because DLS does not propagate into
-     pool workers. Installed per class, around the whole retry ladder, so
-     escalated attempts warm-start from a nominal point solved under
-     their own escalated options. *)
-  let shared =
-    Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device ()
-  in
   Util.Pool.parallel_mapi ?jobs
     (fun index fc ->
       Circuit.Engine.with_solver solver @@ fun () ->

@@ -97,7 +97,11 @@ type store = {
     ({!Circuit.Engine.current_solver}; [Core.Pipeline.analyze] installs
     its config's), read once on entry and re-installed inside each pool
     worker — domain-local [with_solver] scopes do not propagate into
-    worker domains on their own.
+    worker domains on their own. The same holds for [shared], the
+    context whose plans and warm starts every class's analyses share
+    (see {!Circuit.Engine.shared_nominal}), made with
+    [~strip:Fault.Inject.is_fault_device]. [Core.Pipeline.analyze] makes
+    one per macro analysis and hands it to both evaluate stages.
 
     [?store] serves the classes it holds: such a class is classified
     by the same code as a fresh one, against this run's golden vector
@@ -111,6 +115,7 @@ val run :
   ?deadline:Util.Watchdog.limits ->
   ?store:store ->
   ?strict:bool ->
+  shared:Circuit.Engine.shared_nominal ->
   macro:Macro_cell.t ->
   nominal:Circuit.Netlist.t ->
   golden:Macro_cell.vector ->

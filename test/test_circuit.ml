@@ -712,7 +712,10 @@ let test_dense_jacobian_hand_stamp () =
     ~bulk:Netlist.ground nmos_spec;
   (* Unknowns: vdd, g, d, s, then the VDD and VG branch currents. *)
   let x = [| 5.0; 2.0; 3.1; 0.4; -1e-4; 0.0 |] in
-  let jac = Engine.dense_jacobian nl ~x in
+  let jac = Linear.matrix 6 in
+  Array.iter
+    (fun ((r, c), v) -> jac.(r).(c) <- v)
+    (Engine.plan_jacobian (Engine.fresh_plan nl) ~x);
   let i node = Netlist.index_of_node node - 1 in
   let expect = Linear.matrix 6 in
   let add r c v = expect.(r).(c) <- expect.(r).(c) +. v in
@@ -1257,6 +1260,161 @@ let qcheck_props =
         v >= lo -. 1e-9 && v <= hi +. 1e-9);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Plans derived from a template                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The nominal netlists the derivation property draws from: the scaled
+   core at bits 3 to 6 and the five paper macros'. *)
+let nominal_netlists =
+  lazy
+    (let sample = Process.Variation.nominal Process.Tech.cmos1um in
+     List.map (fun bits -> Adc.Scaled.bench_netlist ~bits sample) [ 3; 4; 5; 6 ]
+     @ List.map
+         (fun (m : Macro.Macro_cell.t) -> m.Macro.Macro_cell.build sample)
+         (Dft.Measures.macro_set ~measures:[]))
+
+(* Adds [dv] back to [nl] as it was, but for a voltage source's
+   waveform, which becomes [wave] when given. *)
+let re_add ?wave nl (dv : Netlist.device_view) =
+  let pin role = List.assoc role dv.Netlist.pin_nodes in
+  let name = dv.Netlist.dev_name in
+  match dv.Netlist.kind with
+  | Netlist.Resistor r -> Netlist.add_resistor nl ~name (pin "+") (pin "-") r
+  | Netlist.Capacitor c -> Netlist.add_capacitor nl ~name (pin "+") (pin "-") c
+  | Netlist.Vsource w ->
+    Netlist.add_vsource nl ~name ~pos:(pin "+") ~neg:(pin "-")
+      (Option.value wave ~default:w)
+  | Netlist.Isource w -> Netlist.add_isource nl ~name ~pos:(pin "+") ~neg:(pin "-") w
+  | Netlist.Mosfet spec ->
+    Netlist.add_mosfet nl ~name ~drain:(pin "d") ~gate:(pin "g")
+      ~source:(pin "s") ~bulk:(pin "b") spec
+
+(* The faulty netlists of one draw, in the order one context meets them.
+   Each stamped variant moves a voltage source (as the comparator's VIN
+   and the decoder's VT* sources are moved) and sometimes another device
+   to after one to three FLT_ stamps; the source takes one of three DC
+   levels, so skeletons that differ in one source value meet the same
+   context. Stamps are resistors and capacitors, between a device's own
+   terminals (no new pattern position) or between any two nodes (often
+   new ones). An open and a parasitic transistor, injected as the
+   pipeline injects them, follow. *)
+let derivation_variants ~seed =
+  let rand = lcg seed in
+  let nominals = Lazy.force nominal_netlists in
+  let pick l =
+    let n = List.length l in
+    List.nth l (min (n - 1) (int_of_float (rand () *. float_of_int n)))
+  in
+  let nominal = pick nominals in
+  let devices = Netlist.devices nominal in
+  let source =
+    pick
+      (List.filter
+         (fun (dv : Netlist.device_view) ->
+           match dv.Netlist.kind with Netlist.Vsource _ -> true | _ -> false)
+         devices)
+  in
+  let other =
+    pick
+      (List.filter
+         (fun (dv : Netlist.device_view) -> dv.Netlist.dev_name <> source.Netlist.dev_name)
+         devices)
+  in
+  let nodes = Netlist.ground :: Netlist.nodes nominal in
+  let stamped level =
+    let nl = Netlist.copy nominal in
+    let move_other = rand () < 0.5 in
+    Netlist.remove_device nl source.Netlist.dev_name;
+    if move_other then Netlist.remove_device nl other.Netlist.dev_name;
+    for k = 0 to int_of_float (rand () *. 2.99) do
+      let a, b =
+        if rand () < 0.5 then
+          match (pick devices).Netlist.pin_nodes with
+          | (_, a) :: (_, b) :: _ -> a, b
+          | _ -> Netlist.ground, Netlist.ground
+        else pick nodes, pick nodes
+      in
+      if not (Netlist.node_equal a b) then
+        if rand () < 0.3 then
+          Netlist.add_capacitor nl ~name:(Printf.sprintf "FLT_C%d" k) a b
+            (1e-15 *. (10.0 ** (3.0 *. rand ())))
+        else
+          Netlist.add_resistor nl ~name:(Printf.sprintf "FLT_R%d" k) a b
+            (10.0 ** (6.0 *. rand ()))
+    done;
+    if move_other then re_add nl other;
+    re_add nl source ~wave:(Waveform.dc (List.nth [ 1.0; 2.5; 4.0 ] level));
+    nl
+  in
+  let name node = Netlist.node_name nominal node in
+  let injected fault = Fault.Inject.inject nominal fault in
+  let open_pin =
+    let dv = pick devices in
+    let role, node = pick dv.Netlist.pin_nodes in
+    Fault.Types.Node_split
+      { net = name node; far_pins = [ dv.Netlist.dev_name, role ] }
+  in
+  let parasitic =
+    Fault.Types.Parasitic_mos
+      { gate_net = name (pick nodes); net_a = name (pick nodes);
+        net_b = name (pick nodes) }
+  in
+  List.init 6 (fun i -> stamped (i mod 3))
+  @ [ injected open_pin; injected parasitic; stamped 0 ]
+
+(* Bit for bit, or both refused. *)
+let same_vectors a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let same_outcome f p q =
+  match f p, f q with
+  | x, y -> List.for_all2 same_vectors x y
+  | exception Engine.No_convergence _ ->
+    (match f q with
+    | _ -> false
+    | exception Engine.No_convergence _ -> true)
+
+(* A plan the context derives equals the plan built from scratch: the
+   same positions in the same slots, the same Jacobian slot for slot,
+   and the same DC and transient vectors. *)
+let derived_equals_fresh ~rand nl =
+  let derived = Engine.plan nl and fresh = Engine.fresh_plan nl in
+  let n =
+    Netlist.node_count nl
+    + List.length
+        (List.filter
+           (fun (dv : Netlist.device_view) ->
+             match dv.Netlist.kind with Netlist.Vsource _ -> true | _ -> false)
+           (Netlist.devices nl))
+  in
+  let x = Array.init n (fun _ -> (6.0 *. rand ()) -. 1.0) in
+  let jd = Engine.plan_jacobian derived ~x and jf = Engine.plan_jacobian fresh ~x in
+  let x0 = Array.make n 0.0 in
+  Array.length jd = Array.length jf
+  && Array.for_all2 (fun (pd, vd) (pf, vf) -> pd = pf && Float.equal vd vf) jd jf
+  && same_outcome (fun p -> [ Engine.plan_dc p ~x0 ]) derived fresh
+  && same_outcome
+       (fun p -> Engine.plan_transient p ~x0 ~stop:3e-9 ~step:1e-9)
+       derived fresh
+
+let plan_props =
+  [
+    QCheck.Test.make ~name:"engine: derived plans equal plans built from scratch"
+      ~count:40
+      QCheck.(int_range 0 1_000_000)
+      (fun seed ->
+        let sn =
+          Engine.shared_nominal ~strip:Fault.Inject.is_fault_device ()
+        in
+        let rand = lcg (seed + 1) in
+        Engine.with_shared_nominal sn @@ fun () ->
+        List.for_all (derived_equals_fresh ~rand) (derivation_variants ~seed));
+  ]
+
 let suites =
   [
     ( "circuit.linear",
@@ -1337,4 +1495,5 @@ let suites =
         Alcotest.test_case "open via reconnect" `Quick test_netlist_split_via_reconnect;
       ] );
     "circuit.properties", List.map QCheck_alcotest.to_alcotest qcheck_props;
+    "circuit.engine.plans", List.map QCheck_alcotest.to_alcotest plan_props;
   ]

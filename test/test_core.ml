@@ -879,6 +879,47 @@ let test_solver_reaches_every_stage () =
         [ "engine.jacobian_bypass"; "engine.rank1_solves" ])
     Circuit.Engine.all_solvers
 
+(* Classes enter the store's memory in class order once an evaluation
+   has merged, whatever order its workers recorded them in, so what the
+   store holds never depends on the job count. At capacity 3, six
+   classes recorded from index 5 down must leave indices 3 to 5 for the
+   next evaluation; a store that kept each class as it was recorded
+   would hold 0 to 2. *)
+let test_store_class_order () =
+  let store = Core.Checkpoint.create ~capacity:3 () in
+  let classes =
+    Array.init 6 (fun i ->
+        {
+          Fault.Collapse.representative =
+            {
+              Fault.Types.fault =
+                Fault.Types.Device_ds_short
+                  { device = Printf.sprintf "M%d" i; resistance = 1.0 };
+              severity = Fault.Types.Catastrophic;
+              mechanism =
+                Process.Defect_stats.Extra_material Process.Layer.Metal1;
+            };
+          count = 1;
+        })
+  in
+  let key ~index _ = Printf.sprintf "class-%d" index in
+  let evaluate f = Core.Checkpoint.evaluate store ~cache:None ~macro:"m" ~key f in
+  evaluate (fun (hook : Macro.Evaluate.store) ->
+      List.iter
+        (fun index ->
+          hook.record ~index classes.(index)
+            { Macro.Evaluate.vector = [ "v", float_of_int index ];
+              status = Macro.Evaluate.Converged })
+        [ 5; 4; 3; 2; 1; 0 ]);
+  let served =
+    evaluate (fun (hook : Macro.Evaluate.store) ->
+        List.filter
+          (fun index -> Option.is_some (hook.find ~index classes.(index)))
+          [ 0; 1; 2; 3; 4; 5 ])
+  in
+  Alcotest.(check (list int)) "the three highest indices kept" [ 3; 4; 5 ]
+    served
+
 let test_run_survival_renders () =
   let contains hay needle =
     let n = String.length needle and h = String.length hay in
@@ -1117,6 +1158,8 @@ let suites =
           test_deadline_respects_failure_budget;
         Alcotest.test_case "deadline part of cache key" `Slow
           test_deadline_part_of_cache_key;
+        Alcotest.test_case "store keeps classes in class order" `Quick
+          test_store_class_order;
         Alcotest.test_case "run survival renders" `Quick
           test_run_survival_renders;
       ] );

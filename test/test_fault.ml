@@ -524,6 +524,40 @@ let test_shared_nominal_inexpressible_fresh () =
   Alcotest.(check int) "open and parasitic mos start cold" 2
     (counter "engine.shared_nominal_misses")
 
+(* Per-class set-up under one context costs what the class changes.
+   After a warm-up solve has built the skeleton's template and its warm
+   start, each of the twelve bits-8 bridge variants [bench --scaling]
+   solves is injected and solved in at most 20k minor words on the
+   calling domain; building every plan from scratch and fingerprinting
+   the skeleton cost about 95k. On one domain the count is
+   deterministic. *)
+let test_shared_nominal_allocation_budget () =
+  let bits = 8 in
+  let nominal =
+    Adc.Scaled.bench_netlist ~bits
+      (Process.Variation.nominal Process.Tech.cmos1um)
+  in
+  let t = Adc.Scaled.taps bits in
+  let variant k =
+    let i = 1 + (k * (t - 3) / 12) in
+    Fault.Inject.inject nominal
+      (bridge ~r:500.0 (Printf.sprintf "tap%d" i)
+         (Printf.sprintf "tap%d" (i + 1)))
+  in
+  let sn =
+    Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device ()
+  in
+  Circuit.Engine.with_shared_nominal sn @@ fun () ->
+  ignore (Circuit.Engine.dc_operating_point (variant 0));
+  let before = Gc.minor_words () in
+  for k = 0 to 11 do
+    ignore (Circuit.Engine.dc_operating_point (variant k))
+  done;
+  let per_class = (Gc.minor_words () -. before) /. 12.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per class (budget 20000)" per_class)
+    true (per_class <= 20_000.0)
+
 (* ------------------------------------------------------------------ *)
 (* QCheck                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -613,6 +647,8 @@ let suites =
       [
         Alcotest.test_case "inexpressible faults get fresh factors" `Quick
           test_shared_nominal_inexpressible_fresh;
+        Alcotest.test_case "per-class set-up allocation budget" `Quick
+          test_shared_nominal_allocation_budget;
       ] );
     "fault.properties", List.map QCheck_alcotest.to_alcotest qcheck_props;
   ]

@@ -127,14 +127,18 @@ let fault_class fault =
     count = 3;
   }
 
+(* A fresh context, as [Core.Pipeline.analyze] makes per analysis. *)
+let shared () =
+  Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device ()
+
 (* One class through [Evaluate.run], against the toy's own golden vector:
    the macro under test may swap [measure] for one that raises. One
    escalated retry unless told otherwise. *)
 let evaluate_one ?(retries = 1) ~macro fc =
   let nominal = toy_build (Process.Variation.nominal tech) in
   match
-    Macro.Evaluate.run ~retries ~macro ~nominal ~golden:(toy_measure nominal)
-      ~good:(compile_good ()) [ fc ]
+    Macro.Evaluate.run ~retries ~shared:(shared ()) ~macro ~nominal
+      ~golden:(toy_measure nominal) ~good:(compile_good ()) [ fc ]
   with
   | [ o ] -> o
   | _ -> Alcotest.fail "one class in, one outcome out"
@@ -211,8 +215,8 @@ let injected_classes =
 let run_toy ?jobs ?(retries = 1) ?inject ?strict ~(macro : Macro.Macro_cell.t)
     ~good classes =
   let nominal = toy_build (Process.Variation.nominal tech) in
-  Macro.Evaluate.run ?jobs ~retries ?inject ?strict ~macro ~nominal
-    ~golden:(Macro.Evaluate.golden ~macro nominal)
+  Macro.Evaluate.run ?jobs ~retries ?inject ?strict ~shared:(shared ()) ~macro
+    ~nominal ~golden:(Macro.Evaluate.golden ~macro nominal)
     ~good classes
 
 let test_evaluate_injection_exercises_both_paths () =
