@@ -267,15 +267,35 @@ let rec root_cause = function
   | Util.Pool.Worker_failure (_, e) -> root_cause e
   | e -> e
 
+(* An analysis command's flags, set up: logging, the pool size and the
+   signal handlers are installed; [sink] is the run's telemetry sink and
+   [memory] its in-memory aggregate under --metrics. [resumable] says
+   whether the command takes --resume. *)
+type run = {
+  config : Core.Pipeline.Config.t;
+  cache : Util.Cache.t option;
+  sink : Util.Telemetry.sink;
+  memory : Util.Telemetry.memory option;
+  format : [ `Text | `Json | `Csv ];
+  resumable : bool;
+}
+
 (* Exit 4 is the "interrupted" status: distinct from failure (3) so
    wrappers can tell "re-run" from "give up". Only a run with a cache
-   stored its completed classes, so only it is told to --resume. *)
-let interrupted ~cache reason =
+   stored anything: its completed classes, which only a command taking
+   --resume reads back, and its completed macros, which any re-run with
+   the same cache reuses. *)
+let interrupted { cache; resumable; _ } reason =
   (match cache with
-  | Some _ ->
+  | Some _ when resumable ->
     Format.eprintf
       "dotest: interrupted (%s); completed work is checkpointed — re-run \
        with --resume to continue@."
+      reason
+  | Some _ ->
+    Format.eprintf
+      "dotest: interrupted (%s); the macros that finished are cached — \
+       re-running the same command with the same --cache reuses them@."
       reason
   | None ->
     Format.eprintf
@@ -284,16 +304,16 @@ let interrupted ~cache reason =
       reason);
   exit 4
 
-(* Runs the analysis [f] with the run's [sink] installed. The sink is
+(* Runs the analysis [f] with the run's sink installed. The sink is
    flushed as [f] returns or unwinds, so a failing or interrupted run
    still writes its trace before [exit 3] / [exit 4]. *)
-let handle_failures ~sink ~cache f =
-  try Util.Telemetry.with_sink sink f with
-  | Util.Watchdog.Interrupted reason -> interrupted ~cache reason
+let handle_failures run f =
+  try Util.Telemetry.with_sink run.sink f with
+  | Util.Watchdog.Interrupted reason -> interrupted run reason
   | ( Util.Pool.Worker_failure _ | Core.Pipeline.Budget_exhausted _
     | Macro.Evaluate.Simulation_failed _ ) as e ->
     (match root_cause e with
-    | Util.Watchdog.Interrupted reason -> interrupted ~cache reason
+    | Util.Watchdog.Interrupted reason -> interrupted run reason
     | cause ->
       Format.eprintf "dotest: %s@." (Printexc.to_string cause);
       exit 3)
@@ -302,17 +322,6 @@ let print_tables ~format tables =
   List.iter (fun (title, table) -> print_table ~format title table) tables
 
 (* --- commands ----------------------------------------------------------- *)
-
-(* An analysis command's flags, set up: logging, the pool size and the
-   signal handlers are installed; [sink] is the run's telemetry sink and
-   [memory] its in-memory aggregate under --metrics. *)
-type run = {
-  config : Core.Pipeline.Config.t;
-  cache : Util.Cache.t option;
-  sink : Util.Telemetry.sink;
-  memory : Util.Telemetry.memory option;
-  format : [ `Text | `Json | `Csv ];
-}
 
 (* The containment flags: retries, strictness, the failure budget, failure
    injection, deadlines and --resume. [dft] has none of them. *)
@@ -331,10 +340,10 @@ let containment =
     const make $ strict $ max_retries $ failure_budget $ inject_failures
     $ deadline_arg $ deadline_iterations $ resume)
 
-(* [analysis_with containment] is the term of every flag an analysis
-   command shares: it evaluates to a function that sets the run up and
-   hands it to its argument. *)
-let analysis_with containment =
+(* [analysis_with ~resumable containment] is the term of every flag an
+   analysis command shares: it evaluates to a function that sets the run
+   up and hands it to its argument. *)
+let analysis_with ~resumable containment =
   let make verbose jobs defects dies sigma seed trace metrics cache_dir
       no_cache solver format (resume, contain) f =
     setup_logging verbose;
@@ -350,23 +359,22 @@ let analysis_with containment =
         |> with_checkpoint (checkpoint_of ~cache ~resume)
         |> with_solver solver)
     in
-    f { config; cache; sink; memory; format }
+    f { config; cache; sink; memory; format; resumable }
   in
   Term.(
     const make $ verbose $ jobs $ defects $ dies $ sigma $ seed $ trace
     $ metrics_flag $ cache_dir $ no_cache $ solver_arg $ format_arg
     $ containment)
 
-let analysis = analysis_with containment
-let dft_analysis = analysis_with (Term.const (false, Fun.id))
+let analysis = analysis_with ~resumable:true containment
+let dft_analysis = analysis_with ~resumable:false (Term.const (false, Fun.id))
 
 (* Shared driver for the single-macro commands (comparator, scaled): run
    one macro through the pipeline and print the per-macro tables. *)
-let run_single_macro macro { config; cache; sink; memory; format } =
+let run_single_macro macro ({ config; cache; memory; format; _ } as run) =
   let analysis, elapsed =
     timed (fun () ->
-        handle_failures ~sink ~cache (fun () ->
-            Core.Pipeline.analyze config macro))
+        handle_failures run (fun () -> Core.Pipeline.analyze config macro))
   in
   print_tables ~format (Core.Report.macro_tables analysis);
   print_cache_stats ~format cache;
@@ -411,13 +419,12 @@ let scaled_cmd =
 
 let global_cmd =
   let run analysis dft =
-    analysis @@ fun { config; cache; sink; memory; format } ->
+    analysis @@ fun ({ config; cache; memory; format; _ } as run) ->
     let measures = if dft then Dft.Measures.all_measures else [] in
     let macros = Dft.Measures.macro_set ~measures in
     let analyses, elapsed =
       timed (fun () ->
-          handle_failures ~sink ~cache (fun () ->
-              Core.Pipeline.analyze_all config macros))
+          handle_failures run (fun () -> Core.Pipeline.analyze_all config macros))
     in
     print_tables ~format (Core.Report.global_tables ~dft analyses);
     print_cache_stats ~format cache;
@@ -431,10 +438,9 @@ let global_cmd =
 
 let dft_cmd =
   let run analysis =
-    analysis @@ fun { config; cache; sink; memory; format } ->
+    analysis @@ fun ({ config; cache; memory; format; _ } as run) ->
     let original, improved =
-      handle_failures ~sink ~cache (fun () ->
-          Core.Global.compare_coverage ~config ())
+      handle_failures run (fun () -> Core.Global.compare_coverage ~config ())
     in
     print_table ~format "Fig. 4: before DfT" (Core.Report.figure4 original);
     print_table ~format "Fig. 5: after DfT" (Core.Report.figure4 improved);

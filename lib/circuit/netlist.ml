@@ -27,13 +27,15 @@ type device = {
 }
 
 (* Tables shared with a copy are never written: a netlist whose node
-   table is shared copies it before adding a node, and one whose device
-   table is shared keeps its device changes in [changes] (newest first)
-   on top of it until there are [max_changes] of them. *)
+   tables are shared copies them before adding a node, and one whose
+   device table is shared keeps its device changes in [changes] (newest
+   first) on top of it until there are [max_changes] of them. Node ids
+   are handed out in creation order, so [node_names.(id)] is node [id]'s
+   name for every [id] below [next_node]; the slots above are spare. *)
 type t = {
   mutable node_ids : (string, node) Hashtbl.t;
+  mutable node_names : string array;
   mutable nodes_shared : bool;
-  mutable node_names : string list;  (* reverse creation order, excl. ground *)
   mutable next_node : int;
   mutable table : (string, device) Hashtbl.t;
   mutable table_shared : bool;
@@ -49,8 +51,8 @@ let create () =
   Hashtbl.replace node_ids "0" ground;
   {
     node_ids;
+    node_names = Array.make 64 "0";
     nodes_shared = false;
-    node_names = [];
     next_node = 1;
     table = Hashtbl.create 64;
     table_shared = false;
@@ -66,14 +68,20 @@ let node t name =
   match Hashtbl.find_opt t.node_ids name with
   | Some id -> id
   | None ->
+    let id = t.next_node in
+    let room = Array.length t.node_names in
+    if t.nodes_shared || id = room then begin
+      let names = Array.make (if id = room then 2 * room else room) "0" in
+      Array.blit t.node_names 0 names 0 id;
+      t.node_names <- names
+    end;
     if t.nodes_shared then begin
       t.node_ids <- Hashtbl.copy t.node_ids;
       t.nodes_shared <- false
     end;
-    let id = t.next_node in
     t.next_node <- id + 1;
     Hashtbl.replace t.node_ids name id;
-    t.node_names <- name :: t.node_names;
+    t.node_names.(id) <- name;
     id
 
 let fresh_node t prefix =
@@ -87,16 +95,10 @@ let fresh_node t prefix =
 let find_node t name = Hashtbl.find_opt t.node_ids name
 
 let node_name t id =
-  if id = ground then "0"
-  else begin
-    let found = ref None in
-    Hashtbl.iter (fun name i -> if i = id then found := Some name) t.node_ids;
-    match !found with
-    | Some name -> name
-    | None -> invalid_arg "Netlist.node_name: unknown node"
-  end
+  if id < 0 || id >= t.next_node then invalid_arg "Netlist.node_name: unknown node"
+  else t.node_names.(id)
 
-let nodes t = List.rev_map (Hashtbl.find t.node_ids) t.node_names
+let nodes t = List.init (t.next_node - 1) succ
 let node_count t = t.next_node - 1
 let node_equal (a : node) b = a = b
 

@@ -37,13 +37,6 @@ let inflate t margin =
 let translate t ~dx ~dy =
   { x0 = t.x0 + dx; y0 = t.y0 + dy; x1 = t.x1 + dx; y1 = t.y1 + dy }
 
-let union_bounds a b =
-  { x0 = min a.x0 b.x0; y0 = min a.y0 b.y0; x1 = max a.x1 b.x1; y1 = max a.y1 b.y1 }
-
-let bounding_box = function
-  | [] -> invalid_arg "Rect.bounding_box: empty list"
-  | r :: rest -> List.fold_left union_bounds r rest
-
 let separation a b =
   let gap_x = max 0 (max (a.x0 - b.x1) (b.x0 - a.x1)) in
   let gap_y = max 0 (max (a.y0 - b.y1) (b.y0 - a.y1)) in

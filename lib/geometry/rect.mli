@@ -45,12 +45,6 @@ val inflate : t -> int -> t
 (** [translate t ~dx ~dy] shifts the rectangle. *)
 val translate : t -> dx:int -> dy:int -> t
 
-(** [union_bounds a b] is the smallest rectangle containing both. *)
-val union_bounds : t -> t -> t
-
-(** [bounding_box rects] covers all rectangles of a non-empty list. *)
-val bounding_box : t list -> t
-
 (** [separation a b] is the Euclidean distance between the closest points
     of the two rectangles, [0.] when they overlap or touch. Used to decide
     whether one circular spot defect can bridge both. *)

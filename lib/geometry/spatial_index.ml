@@ -40,44 +40,48 @@ let bucket_edge bounds n =
   in
   max 1 (max square ((max w h + buckets - 1) / buckets))
 
-let clamp v lo hi = max lo (min hi v)
+let clamp (v : int) lo hi = if v < lo then lo else if v > hi then hi else v
 let col_of g x = clamp ((x - g.bounds.Rect.x0) / g.cell_size) 0 (g.cols - 1)
 let row_of g y = clamp ((y - g.bounds.Rect.y0) / g.cell_size) 0 (g.rows - 1)
 
-(* [iter_buckets g r f] applies [f] to every bucket [r] overlaps; parts
-   of [r] outside the bounds fall in the boundary buckets. *)
-let iter_buckets g (r : Rect.t) f =
-  let c0 = col_of g r.Rect.x0 and c1 = col_of g r.Rect.x1 in
-  for row = row_of g r.Rect.y0 to row_of g r.Rect.y1 do
-    for b = (row * g.cols) + c0 to (row * g.cols) + c1 do
-      f b
-    done
-  done
-
-let of_array ~bounds entries =
-  let cell_size = bucket_edge bounds (Array.length entries) in
+let of_arrays ~bounds rects payloads =
+  let n = Array.length rects in
+  if Array.length payloads <> n then
+    invalid_arg "Spatial_index.of_arrays: rects and payloads differ in length";
+  let cell_size = bucket_edge bounds n in
   let cols = max 1 ((Rect.width bounds + cell_size - 1) / cell_size) in
   let rows = max 1 ((Rect.height bounds + cell_size - 1) / cell_size) in
   let grid = { bounds; cell_size; cols; rows } and buckets = cols * rows in
-  let rects = Array.map fst entries in
   (* Count each bucket's memberships, turn the counts into start offsets,
-     then fill every bucket in ascending entry id. *)
+     then fill every bucket in ascending entry id. An entry belongs to
+     every bucket its rectangle overlaps; parts outside the bounds fall
+     in the boundary buckets. *)
   let starts = Array.make (buckets + 1) 0 in
-  Array.iter
-    (fun r -> iter_buckets grid r (fun b -> starts.(b + 1) <- starts.(b + 1) + 1))
-    rects;
+  for id = 0 to n - 1 do
+    let r = rects.(id) in
+    let c0 = col_of grid r.Rect.x0 and c1 = col_of grid r.Rect.x1 in
+    for row = row_of grid r.Rect.y0 to row_of grid r.Rect.y1 do
+      for b = (row * cols) + c0 to (row * cols) + c1 do
+        starts.(b + 1) <- starts.(b + 1) + 1
+      done
+    done
+  done;
   for b = 1 to buckets do
     starts.(b) <- starts.(b) + starts.(b - 1)
   done;
   let next = Array.sub starts 0 buckets in
   let members = Array.make starts.(buckets) 0 in
-  Array.iteri
-    (fun id r ->
-      iter_buckets grid r (fun b ->
-          members.(next.(b)) <- id;
-          next.(b) <- next.(b) + 1))
-    rects;
-  { grid; starts; members; rects; payloads = Array.map snd entries }
+  for id = 0 to n - 1 do
+    let r = rects.(id) in
+    let c0 = col_of grid r.Rect.x0 and c1 = col_of grid r.Rect.x1 in
+    for row = row_of grid r.Rect.y0 to row_of grid r.Rect.y1 do
+      for b = (row * cols) + c0 to (row * cols) + c1 do
+        members.(next.(b)) <- id;
+        next.(b) <- next.(b) + 1
+      done
+    done
+  done;
+  { grid; starts; members; rects; payloads }
 
 let length t = Array.length t.rects
 
@@ -117,3 +121,39 @@ let query_rect t rect f = visit t rect (Rect.touches_or_overlaps rect) f
 
 let query_circle t circle f =
   visit t (Circle.bounds circle) (Circle.intersects_rect circle) f
+
+(* Two touching rectangles share the closed intersection, whose
+   lower-left corner lies in both; the one bucket holding that corner
+   holds both entries, so reporting the pair there alone reports it once.
+   The corner's column and row are monotone in its coordinates, clamping
+   included, so entries clamped from outside the bounds obey the same
+   argument. *)
+let iter_touching_pairs t ~kind ~bonds f =
+  if Array.length kind <> length t then
+    invalid_arg "Spatial_index.iter_touching_pairs: one kind per entry";
+  let g = t.grid and starts = t.starts and members = t.members and rects = t.rects in
+  for row = 0 to g.rows - 1 do
+    for col = 0 to g.cols - 1 do
+      let b = (row * g.cols) + col in
+      let last = starts.(b + 1) - 1 in
+      for k = starts.(b) to last - 1 do
+        let i = members.(k) in
+        let ki = kind.(i) in
+        if ki >= 0 then begin
+          let mask = bonds.(ki) in
+          for l = k + 1 to last do
+            let j = members.(l) in
+            let kj = kind.(j) in
+            if kj >= 0 && mask land (1 lsl kj) <> 0 then begin
+              let a = rects.(i) and c = rects.(j) in
+              if
+                Rect.touches_or_overlaps a c
+                && col_of g (Int.max a.Rect.x0 c.Rect.x0) = col
+                && row_of g (Int.max a.Rect.y0 c.Rect.y0) = row
+              then f i j
+            end
+          done
+        end
+      done
+    done
+  done

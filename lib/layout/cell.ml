@@ -30,13 +30,24 @@ let add_shape b ~layer ~rect ~owner =
   b.rev_shapes <- { id; layer; rect; owner } :: b.rev_shapes;
   id
 
+(* The box around every shape of a non-empty array, in one pass. *)
+let bounds_of shapes =
+  let first = shapes.(0).rect in
+  let x0 = ref first.Geometry.Rect.x0 and y0 = ref first.Geometry.Rect.y0 in
+  let x1 = ref first.Geometry.Rect.x1 and y1 = ref first.Geometry.Rect.y1 in
+  for i = 1 to Array.length shapes - 1 do
+    let r = shapes.(i).rect in
+    x0 := Int.min !x0 r.Geometry.Rect.x0;
+    y0 := Int.min !y0 r.Geometry.Rect.y0;
+    x1 := Int.max !x1 r.Geometry.Rect.x1;
+    y1 := Int.max !y1 r.Geometry.Rect.y1
+  done;
+  Geometry.Rect.create ~x0:!x0 ~y0:!y0 ~x1:!x1 ~y1:!y1
+
 let finish b =
   if b.rev_shapes = [] then invalid_arg "Cell.finish: empty cell";
   let cell_shapes = Array.of_list (List.rev b.rev_shapes) in
-  let cell_bounds =
-    Geometry.Rect.bounding_box
-      (Array.to_list (Array.map (fun s -> s.rect) cell_shapes))
-  in
+  let cell_bounds = bounds_of cell_shapes in
   {
     cell_name = b.b_name;
     cell_shapes;
@@ -64,8 +75,9 @@ let index t =
   | Some idx -> idx
   | None ->
     let idx =
-      Geometry.Spatial_index.of_array ~bounds:t.cell_bounds
-        (Array.map (fun s -> s.rect, s.id) t.cell_shapes)
+      Geometry.Spatial_index.of_arrays ~bounds:t.cell_bounds
+        (Array.map (fun s -> s.rect) t.cell_shapes)
+        (Array.map (fun s -> s.id) t.cell_shapes)
     in
     t.cached_index <- Some idx;
     idx

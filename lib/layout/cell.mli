@@ -54,8 +54,8 @@ val layer_area : t -> Process.Layer.t -> int
 (** Total cell area = bounding box area. *)
 val area : t -> int
 
-(** [index t] is a spatial index over all shapes (payload: shape id),
-    built lazily and cached. *)
+(** [index t] is a spatial index over all shapes, built lazily and
+    cached: entry [i] is shape [i], and its payload is the shape id. *)
 val index : t -> int Geometry.Spatial_index.t
 
 (** [fingerprint t] is the hex digest of the cell's name and every shape

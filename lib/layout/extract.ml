@@ -16,54 +16,69 @@ let participates (s : Cell.shape) =
   | Cell.Wire _ | Cell.Device_terminal _ | Cell.Gate _ | Cell.Cut _ ->
     Process.Layer.is_conducting s.layer || Process.Layer.is_cut s.layer
 
-(* Layers a cut shape bonds together. Contacts land on poly or active and
-   rise to metal1; vias join the metals. *)
-let cut_targets layer =
+(* Layers a cut lands on. Contacts join poly or active to metal1; vias
+   join the metals. *)
+let landings layer =
   match (layer : Process.Layer.t) with
   | Process.Layer.Contact -> [ Process.Layer.Poly; Process.Layer.Active; Process.Layer.Metal1 ]
   | Process.Layer.Via -> [ Process.Layer.Metal1; Process.Layer.Metal2 ]
   | Process.Layer.Nwell | Process.Layer.Active | Process.Layer.Poly
   | Process.Layer.Metal1 | Process.Layer.Metal2 -> []
 
-(* [iter_bonded cell s f] applies [f] to the id of every participating
-   non-cut shape that touches [s] on a layer [s] bonds to: its own layer,
-   or a cut's targets. Cuts reach their landings from their own side, so
-   over all shapes every bond is seen. *)
-let iter_bonded cell (s : Cell.shape) f =
-  let cut = Process.Layer.is_cut s.layer in
-  Geometry.Spatial_index.query_rect (Cell.index cell) s.rect (fun _ other_id ->
-      if other_id <> s.id then begin
-        let other = Cell.shape cell other_id in
-        if
-          participates other
-          && (not (Process.Layer.is_cut other.layer))
-          && (if cut then List.mem other.layer (cut_targets s.layer)
-              else Process.Layer.equal other.layer s.layer)
-        then f other_id
-      end)
+(* The bond table: two participating shapes that touch are on one net
+   when they lie on the same conducting layer, or when one is a cut and
+   the other lies on a layer it lands on. Two cuts never bond. [extract]
+   reads it through [bond_masks], [split] directly. *)
+let bonds a b =
+  if Process.Layer.is_cut a then List.mem b (landings a)
+  else if Process.Layer.is_cut b then List.mem a (landings b)
+  else Process.Layer.equal a b && Process.Layer.is_conducting a
 
+(* A shape's bond class is a code for its layer when it participates,
+   and -1 for channels and wells; bit [c'] of [bond_masks.(c)] says class
+   [c] bonds with class [c']. *)
+let class_of_layer = function
+  | Process.Layer.Nwell -> 0
+  | Process.Layer.Active -> 1
+  | Process.Layer.Poly -> 2
+  | Process.Layer.Contact -> 3
+  | Process.Layer.Metal1 -> 4
+  | Process.Layer.Via -> 5
+  | Process.Layer.Metal2 -> 6
+
+let bond_class (s : Cell.shape) = if participates s then class_of_layer s.layer else -1
+
+let bond_masks =
+  let mask a =
+    List.fold_left
+      (fun m b -> if bonds a b then m lor (1 lsl class_of_layer b) else m)
+      0 Process.Layer.all
+  in
+  let masks = Array.make (List.length Process.Layer.all) 0 in
+  List.iter (fun a -> masks.(class_of_layer a) <- mask a) Process.Layer.all;
+  masks
+
+(* One pass over the index's touching pairs finds every bond; the
+   partition union-find ends with does not depend on the order the bonds
+   arrive in. [net_of] holds each shape's bond class while the pass reads
+   it, then its net: -1 for channels and wells either way. *)
 let extract cell =
   let shapes = Cell.shapes cell in
   let n = Array.length shapes in
+  let net_of = Array.map bond_class shapes in
   let uf = Util.Union_find.create n in
-  Array.iter
-    (fun (s : Cell.shape) ->
-      if participates s then
-        iter_bonded cell s (fun other -> ignore (Util.Union_find.union uf s.id other)))
-    shapes;
-  (* A net is named by its lowest member id, whatever order the index
-     visited the shapes in: shapes ascend, so the first one met with a
-     given root names that root's net. *)
-  let net_of = Array.make n (-1) in
+  Geometry.Spatial_index.iter_touching_pairs (Cell.index cell) ~kind:net_of
+    ~bonds:bond_masks (fun a b -> ignore (Util.Union_find.union uf a b));
+  (* A net is named by its lowest member id: shapes ascend, so the first
+     one met with a given root names that root's net. *)
   let net_of_root = Array.make n (-1) in
-  Array.iter
-    (fun (s : Cell.shape) ->
-      if participates s then begin
-        let root = Util.Union_find.find uf s.id in
-        if net_of_root.(root) < 0 then net_of_root.(root) <- s.id;
-        net_of.(s.id) <- net_of_root.(root)
-      end)
-    shapes;
+  for id = 0 to n - 1 do
+    if net_of.(id) >= 0 then begin
+      let root = Util.Union_find.find uf id in
+      if net_of_root.(root) < 0 then net_of_root.(root) <- id;
+      net_of.(id) <- net_of_root.(root)
+    end
+  done;
   let members = Array.make n [] in
   for id = n - 1 downto 0 do
     let g = net_of.(id) in
@@ -106,7 +121,9 @@ let shapes_of_net t net =
 (* Removing shapes can split a net but never join two, so every surviving
    shape bonded to a member of a cut net is itself a member: re-connecting
    the survivors of those nets alone, skipping index hits on any other
-   shape, reproduces a full extraction of the damaged cell there. *)
+   shape, reproduces a full extraction of the damaged cell there. Members
+   all participate, so the bond table alone decides which touching
+   survivors join. *)
 let split t ~removed =
   List.filter_map (net_of_shape t) removed
   |> List.sort_uniq compare
@@ -120,10 +137,13 @@ let split t ~removed =
          let uf = Util.Union_find.create (Array.length survivors) in
          Array.iteri
            (fun i id ->
-             iter_bonded t.cell (Cell.shape t.cell id) (fun other ->
+             let s = Cell.shape t.cell id in
+             Geometry.Spatial_index.query_rect (Cell.index t.cell) s.rect
+               (fun _ other ->
                  match Hashtbl.find_opt local other with
-                 | Some j -> ignore (Util.Union_find.union uf i j)
-                 | None -> ()))
+                 | Some j when bonds s.layer (Cell.shape t.cell other).layer ->
+                   ignore (Util.Union_find.union uf i j)
+                 | Some _ | None -> ()))
            survivors;
          net, List.map (List.map (Array.get survivors)) (Util.Union_find.groups uf))
 

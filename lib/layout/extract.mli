@@ -1,10 +1,17 @@
 (** Connectivity extraction: from drawn geometry to electrical nets.
 
-    Conducting shapes on one layer connect when they touch or overlap;
-    contacts connect poly/active to metal1 and vias connect metal1 to
-    metal2. Channel shapes are not static conductors, so the source and
-    drain of a transistor stay separate — exactly the property the defect
-    analyzer relies on when deciding whether a spot changed the circuit.
+    One bond table says which touching shapes connect: shapes on the same
+    conducting layer, a contact with poly, active or metal1, and a via
+    with metal1 or metal2; two cuts never do. Channel shapes and wells
+    bond with nothing, so the source and drain of a transistor stay
+    separate — exactly the property the defect analyzer relies on when
+    deciding whether a spot changed the circuit.
+
+    [extract] finds every bond in one pass over the touching pairs of the
+    cell's index ({!Geometry.Spatial_index.iter_touching_pairs}), with
+    each shape's layer as its kind, so a pair on layers that cannot bond
+    (a metal2 riser over a metal1 track) is dropped before its rectangles
+    are compared. Nets are the connected components of the bonds.
 
     The extraction is also the reference for fault analysis on a damaged
     cell: [split] re-connects the nets that lose shapes, which is how opens
@@ -26,7 +33,7 @@ val extract : Cell.t -> t
     come in order of their lowest member. The result equals extracting
     the cell without the removed shapes, since removing shapes can split
     a net but never join two; only the cut nets' members are
-    re-connected. Removed ids that own no net (channels, out of range)
+    re-connected, by the same bond table. Removed ids that own no net (channels, out of range)
     are ignored. *)
 val split : t -> removed:int list -> (net * int list list) list
 

@@ -59,11 +59,6 @@ let test_rect_inflate_translate () =
   Alcotest.check_raises "over-deflate" (Invalid_argument "Rect.inflate: collapsed")
     (fun () -> ignore (Rect.inflate r (-3)))
 
-let test_rect_bounding_box () =
-  let rects = [ rect ~x0:0 ~y0:0 ~x1:1 ~y1:1; rect ~x0:5 ~y0:(-2) ~x1:7 ~y1:3 ] in
-  Alcotest.(check bool) "bbox" true
-    (Rect.equal (Rect.bounding_box rects) (rect ~x0:0 ~y0:(-2) ~x1:7 ~y1:3))
-
 let test_rect_separation () =
   let a = rect ~x0:0 ~y0:0 ~x1:10 ~y1:10 in
   check_float "overlapping" 0.0 (Rect.separation a a);
@@ -113,10 +108,14 @@ let test_circle_bounds () =
 (* Spatial_index                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* An index over [(rect, payload)] entries. *)
+let index_of ~bounds entries =
+  Spatial_index.of_arrays ~bounds (Array.map fst entries) (Array.map snd entries)
+
 let test_index_query_rect () =
   let bounds = rect ~x0:0 ~y0:0 ~x1:1000 ~y1:1000 in
   let idx =
-    Spatial_index.of_array ~bounds
+    index_of ~bounds
       [| rect ~x0:10 ~y0:10 ~x1:20 ~y1:20, "a"; rect ~x0:500 ~y0:500 ~x1:600 ~y1:600, "b" |]
   in
   Alcotest.(check int) "length" 2 (Spatial_index.length idx);
@@ -136,7 +135,7 @@ let test_index_no_duplicates () =
      fillers make a 10 x 10 grid and it spans every bucket. *)
   let bounds = rect ~x0:0 ~y0:0 ~x1:1000 ~y1:1000 in
   let idx =
-    Spatial_index.of_array ~bounds
+    index_of ~bounds
       (Array.append
          [| rect ~x0:0 ~y0:0 ~x1:900 ~y1:900, "wide" |]
          (fillers ~x0:0 ~y0:0 400 "filler"))
@@ -150,7 +149,7 @@ let test_index_no_duplicates () =
 let test_index_circle_query () =
   let bounds = rect ~x0:0 ~y0:0 ~x1:100 ~y1:100 in
   let idx =
-    Spatial_index.of_array ~bounds
+    index_of ~bounds
       [| rect ~x0:0 ~y0:0 ~x1:10 ~y1:10, 1; rect ~x0:50 ~y0:50 ~x1:60 ~y1:60, 2 |]
   in
   let hits = ref [] in
@@ -161,7 +160,7 @@ let test_index_circle_query () =
 let test_index_outside_bounds_clamped () =
   let bounds = rect ~x0:0 ~y0:0 ~x1:100 ~y1:100 in
   let idx =
-    Spatial_index.of_array ~bounds
+    index_of ~bounds
       [| rect ~x0:(-50) ~y0:(-50) ~x1:(-10) ~y1:(-10), "out" |]
   in
   let hits = ref 0 in
@@ -190,7 +189,7 @@ let test_index_concurrent_queries () =
   in
   let bounds = rect ~x0:0 ~y0:0 ~x1:11_000 ~y1:11_000 in
   let idx =
-    Spatial_index.of_array ~bounds
+    index_of ~bounds
       (Array.init 10_000 (fun i ->
            random_rect ~max_side:(if i < 2_000 then 1_000 else 10), i))
   in
@@ -215,7 +214,7 @@ let test_index_nested_query () =
      would make the outer query report them again. *)
   let bounds = rect ~x0:0 ~y0:0 ~x1:400 ~y1:400 in
   let idx =
-    Spatial_index.of_array ~bounds
+    index_of ~bounds
       (Array.append
          [| rect ~x0:0 ~y0:0 ~x1:90 ~y1:90, 0; rect ~x0:5 ~y0:5 ~x1:95 ~y1:95, 1 |]
          (fillers ~x0:200 ~y0:200 100 2))
@@ -226,6 +225,39 @@ let test_index_nested_query () =
       Alcotest.(check (list int)) "inner query" [ 0; 1 ] (answer idx corner);
       outer := i :: !outer);
   Alcotest.(check (list int)) "outer query" [ 0; 1 ] (List.sort compare !outer)
+
+(* Every pair [iter_touching_pairs] reports, duplicates kept, in a
+   canonical order. *)
+let touching_pairs idx ~kind ~bonds =
+  let found = ref [] in
+  Spatial_index.iter_touching_pairs idx ~kind ~bonds (fun i j ->
+      found := (i, j) :: !found);
+  List.sort compare !found
+
+let test_index_touching_pairs_edges () =
+  (* 400 fillers far from the pairs give a 10 x 10 grid of 100 nm
+     buckets. A and B meet only at a corner on a bucket corner, C and D
+     only along an edge on a bucket boundary, and E and F along an edge
+     outside the bounds, both clamped into the corner bucket. H lies on C
+     and touches D, but its kind bonds with nothing. *)
+  let bounds = rect ~x0:0 ~y0:0 ~x1:1000 ~y1:1000 in
+  let pairs =
+    [|
+      rect ~x0:50 ~y0:50 ~x1:100 ~y1:100, 0 (* A *);
+      rect ~x0:100 ~y0:100 ~x1:150 ~y1:150, 0 (* B *);
+      rect ~x0:200 ~y0:0 ~x1:300 ~y1:100, 0 (* C *);
+      rect ~x0:300 ~y0:0 ~x1:400 ~y1:100, 0 (* D *);
+      rect ~x0:(-50) ~y0:(-50) ~x1:(-10) ~y1:(-10), 0 (* E *);
+      rect ~x0:(-10) ~y0:(-30) ~x1:(-5) ~y1:(-20), 0 (* F *);
+      rect ~x0:200 ~y0:0 ~x1:300 ~y1:100, 1 (* H *);
+    |]
+  in
+  let entries = Array.append pairs (fillers ~x0:600 ~y0:600 400 (-1)) in
+  let idx = index_of ~bounds (Array.map (fun (r, _) -> r, ()) entries) in
+  Alcotest.(check (list (pair int int)))
+    "corner, edge and clamped pairs, each once; H dropped by its kind"
+    [ 0, 1; 2, 3; 4, 5 ]
+    (touching_pairs idx ~kind:(Array.map snd entries) ~bonds:[| 0b01; 0b00 |])
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
@@ -240,6 +272,53 @@ let rect_gen =
     return (Rect.of_size ~x:x0 ~y:y0 ~w ~h))
 
 let arb_rect = QCheck.make ~print:(Format.asprintf "%a" Rect.pp) rect_gen
+
+(* Entries for the touching-pairs property: half of the rectangles sit on
+   a 50 nm lattice, so shared edges and corners are common, and a kind
+   from -1 (bonds with nothing) to 3. Up to 120 entries give a grid of up
+   to 6 x 6 buckets, whose boundaries fall on the lattice at some sizes;
+   the bounds the property uses leave part of the range out, so some
+   entries clamp. *)
+let kinded_entries_gen =
+  QCheck.Gen.(
+    let lattice =
+      let* x = int_range (-10) 9 and* y = int_range (-10) 9 in
+      let* w = int_range 1 4 and* h = int_range 1 4 in
+      return (Rect.of_size ~x:(50 * x) ~y:(50 * y) ~w:(50 * w) ~h:(50 * h))
+    in
+    let entry =
+      let* r = frequency [ 1, rect_gen; 1, lattice ] in
+      let* k = int_range (-1) 3 in
+      return (r, k)
+    in
+    list_size (frequency [ 1, return 0; 1, return 1; 6, int_range 2 120 ]) entry)
+
+(* The pairs the index must report, by brute force: every [i < j] whose
+   rectangles touch or overlap and whose kinds bond. *)
+let brute_force_pairs rects ~kind ~bonds =
+  let n = Array.length rects in
+  List.concat_map
+    (fun i ->
+      List.filter_map
+        (fun j ->
+          if
+            kind.(i) >= 0 && kind.(j) >= 0
+            && bonds.(kind.(i)) land (1 lsl kind.(j)) <> 0
+            && Rect.touches_or_overlaps rects.(i) rects.(j)
+          then Some (i, j)
+          else None)
+        (List.init (n - i - 1) (fun d -> i + 1 + d)))
+    (List.init n Fun.id)
+
+(* A symmetric bond table over kinds 0..3 from one bit per unordered pair
+   of kinds. *)
+let bonds_of_bits bits =
+  Array.init 4 (fun a ->
+      List.fold_left
+        (fun mask b ->
+          if bits land (1 lsl ((4 * min a b) + max a b)) <> 0 then mask lor (1 lsl b)
+          else mask)
+        0 [ 0; 1; 2; 3 ])
 
 let qcheck_props =
   let open QCheck in
@@ -257,11 +336,6 @@ let qcheck_props =
     Test.make ~name:"rect: separation 0 iff touches-or-overlaps"
       (pair arb_rect arb_rect) (fun (a, b) ->
         Rect.touches_or_overlaps a b = (Rect.separation a b = 0.));
-    Test.make ~name:"rect: union bounds contains both" (pair arb_rect arb_rect)
-      (fun (a, b) ->
-        let u = Rect.union_bounds a b in
-        Option.is_some (Rect.intersection u a) && Option.is_some (Rect.intersection u b)
-        && Rect.area u >= max (Rect.area a) (Rect.area b));
     Test.make ~name:"circle: bridging implies intersecting both"
       (triple arb_rect arb_rect (pair (pair (int_range (-500) 500) (int_range (-500) 500)) (float_range 1. 100.)))
       (fun (a, b, ((cx, cy), radius)) ->
@@ -277,7 +351,7 @@ let qcheck_props =
       (fun (rects, probe) ->
         let bounds = Rect.create ~x0:(-400) ~y0:(-400) ~x1:400 ~y1:400 in
         let idx =
-          Spatial_index.of_array ~bounds (Array.of_list (List.mapi (fun i r -> r, i) rects))
+          index_of ~bounds (Array.of_list (List.mapi (fun i r -> r, i) rects))
         in
         let found = ref [] in
         Spatial_index.query_rect idx probe (fun _ i -> found := i :: !found);
@@ -288,6 +362,21 @@ let qcheck_props =
           |> List.map fst
         in
         List.sort compare !found = List.sort compare expected);
+    Test.make ~count:300
+      ~name:"index: touching pairs equal a brute-force scan, once each"
+      (pair
+         (make
+            ~print:
+              Print.(list (pair (fun r -> Format.asprintf "%a" Rect.pp r) int))
+            kinded_entries_gen)
+         (int_bound 0xffff))
+      (fun (entries, bits) ->
+        let bounds = Rect.create ~x0:(-400) ~y0:(-400) ~x1:400 ~y1:400 in
+        let rects = Array.of_list (List.map fst entries) in
+        let kind = Array.of_list (List.map snd entries) in
+        let bonds = bonds_of_bits bits in
+        let idx = Spatial_index.of_arrays ~bounds rects (Array.map ignore rects) in
+        touching_pairs idx ~kind ~bonds = brute_force_pairs rects ~kind ~bonds);
   ]
 
 let suites =
@@ -301,7 +390,6 @@ let suites =
         Alcotest.test_case "overlap semantics" `Quick test_rect_overlap_semantics;
         Alcotest.test_case "intersection" `Quick test_rect_intersection;
         Alcotest.test_case "inflate/translate" `Quick test_rect_inflate_translate;
-        Alcotest.test_case "bounding box" `Quick test_rect_bounding_box;
         Alcotest.test_case "separation" `Quick test_rect_separation;
       ] );
     ( "geometry.circle",
@@ -320,6 +408,8 @@ let suites =
         Alcotest.test_case "concurrent queries match sequential" `Quick
           test_index_concurrent_queries;
         Alcotest.test_case "nested query" `Quick test_index_nested_query;
+        Alcotest.test_case "touching pairs: corner, edge, clamped" `Quick
+          test_index_touching_pairs_edges;
       ] );
     "geometry.properties", List.map QCheck_alcotest.to_alcotest qcheck_props;
   ]

@@ -25,6 +25,20 @@ let test_cell_builder () =
   Alcotest.(check int) "metal1 area" 100 (Cell.layer_area cell Process.Layer.Metal1);
   Alcotest.(check int) "bbox area" 300 (Cell.area cell)
 
+let test_cell_bounds () =
+  let b = Cell.builder "b" in
+  List.iter
+    (fun rect ->
+      ignore (Cell.add_shape b ~layer:Process.Layer.Metal1 ~rect ~owner:(Cell.Wire "a")))
+    [
+      rect ~x:0 ~y:0 ~w:1 ~h:1;
+      Geometry.Rect.create ~x0:5 ~y0:(-2) ~x1:7 ~y1:3;
+      rect ~x:2 ~y:1 ~w:1 ~h:1;
+    ];
+  Alcotest.(check bool) "bounds" true
+    (Geometry.Rect.equal (Cell.bounds (Cell.finish b))
+       (Geometry.Rect.create ~x0:0 ~y0:(-2) ~x1:7 ~y1:3))
+
 let test_cell_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Cell.finish: empty cell")
     (fun () -> ignore (Cell.finish (Cell.builder "e")))
@@ -134,6 +148,22 @@ let test_extract_net_names () =
   | Some net ->
     Alcotest.(check (option string)) "name" (Some "vdd") (Extract.net_name ex net)
   | None -> Alcotest.fail "net not found by name"
+
+(* The bits-8 scaled core's extraction, recorded before extraction moved
+   to one pass over the index's touching pairs: its net count, and a
+   digest of every net's id, name and members. *)
+let test_extract_scaled_core_pinned () =
+  let m = Adc.Scaled.macro ~bits:8 () in
+  let ex = Extract.extract (Lazy.force m.Macro.Macro_cell.cell) in
+  let nets = Extract.nets ex in
+  let line net =
+    Printf.sprintf "%d %s %s" net
+      (Option.value ~default:"-" (Extract.net_name ex net))
+      (String.concat "," (List.map string_of_int (Extract.shapes_of_net ex net)))
+  in
+  Alcotest.(check int) "nets" 258 (List.length nets);
+  Alcotest.(check string) "members and names" "d5d70421b097f8223d17e9d20688196d"
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map line nets))))
 
 (* ------------------------------------------------------------------ *)
 (* Synthesis + LVS                                                     *)
@@ -429,12 +459,137 @@ let split_matches_reference (which, picks) =
        split
 
 (* ------------------------------------------------------------------ *)
+(* QCheck: extraction against an all-pairs oracle                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Random small cells: up to 40 shapes on every layer, on a 10 nm lattice
+   over 200 nm so that shapes often share an edge or a corner, with every
+   kind of owner and three wire labels, so that some nets carry two. *)
+let random_cell_gen =
+  QCheck.Gen.(
+    let shape =
+      let* layer = oneofl Process.Layer.all in
+      let* x = int_range 0 20 and* y = int_range 0 20 in
+      let* w = int_range 1 8 and* h = int_range 1 8 in
+      let* owner =
+        oneofl
+          [
+            Cell.Wire "a";
+            Cell.Wire "b";
+            Cell.Wire "c";
+            Cell.Device_terminal { device = "M"; terminal = "s" };
+            Cell.Gate { device = "M" };
+            Cell.Channel { device = "M" };
+            Cell.Cut { connects_up = true };
+          ]
+      in
+      return (layer, Geometry.Rect.of_size ~x:(10 * x) ~y:(10 * y) ~w:(10 * w) ~h:(10 * h), owner)
+    in
+    list_size (int_range 1 40) shape)
+
+let print_shapes =
+  QCheck.Print.list (fun (layer, r, owner) ->
+      Format.asprintf "%s %a %s" (Process.Layer.name layer) Geometry.Rect.pp r
+        (match owner with
+        | Cell.Wire n -> "wire " ^ n
+        | Cell.Device_terminal _ -> "pin"
+        | Cell.Gate _ -> "gate"
+        | Cell.Channel _ -> "channel"
+        | Cell.Cut _ -> "cut"))
+
+(* The connectivity rules, restated: channels and wells carry no net;
+   touching shapes bond on one conducting layer, a contact with poly,
+   active or metal1, a via with metal1 or metal2, and two cuts never. *)
+let oracle_conducts layer owner =
+  match owner, layer with
+  | Cell.Channel _, _ | _, Process.Layer.Nwell -> false
+  | _, _ -> true
+
+let oracle_bonds a b =
+  let open Process.Layer in
+  match a, b with
+  | (Contact | Via), (Contact | Via) -> false
+  | Contact, (Active | Poly | Metal1) | (Active | Poly | Metal1), Contact -> true
+  | Via, (Metal1 | Metal2) | (Metal1 | Metal2), Via -> true
+  | _, _ -> equal a b
+
+(* Extracts [shapes] both ways and compares every shape's net, the net
+   list, each net's members and name, and the label conflicts. The
+   oracle joins shapes over all pairs, with neither the index nor
+   [Extract.split]. *)
+let extract_matches_oracle shapes =
+  let shapes = Array.of_list shapes in
+  let n = Array.length shapes in
+  let b = Cell.builder "random" in
+  Array.iter (fun (layer, rect, owner) -> ignore (Cell.add_shape b ~layer ~rect ~owner)) shapes;
+  let ex = Extract.extract (Cell.finish b) in
+  let conducts i = let layer, _, owner = shapes.(i) in oracle_conducts layer owner in
+  (* [net.(i)] ends as the lowest id joined to [i]: relax until stable. *)
+  let net = Array.init n (fun i -> if conducts i then i else -1) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let li, ri, _ = shapes.(i) and lj, rj, _ = shapes.(j) in
+        if
+          conducts i && conducts j && net.(j) < net.(i)
+          && oracle_bonds li lj
+          && Geometry.Rect.touches_or_overlaps ri rj
+        then begin
+          net.(i) <- net.(j);
+          changed := true
+        end
+      done
+    done
+  done;
+  let nets = List.sort_uniq compare (List.filter (fun g -> g >= 0) (Array.to_list net)) in
+  let members g = List.filter (fun i -> net.(i) = g) (List.init n Fun.id) in
+  let labels g =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun i ->
+           match shapes.(i) with
+           | _, _, Cell.Wire label when net.(i) = g -> Some label
+           | _, _, _ -> None)
+         (List.init n Fun.id))
+  in
+  let conflicts =
+    List.filter_map
+      (fun g ->
+        match labels g with
+        | _ :: _ :: _ as clash ->
+          Some (Printf.sprintf "net %d shorts distinct labels: %s" g (String.concat ", " clash))
+        | [] | [ _ ] -> None)
+      nets
+  in
+  let reported_conflicts =
+    List.filter
+      (fun v -> String.length v > 4 && String.sub v 0 4 = "net ")
+      (Extract.check_against ex (Circuit.Netlist.create ()))
+  in
+  List.for_all
+    (fun i -> Extract.net_of_shape ex i = if net.(i) < 0 then None else Some net.(i))
+    (List.init n Fun.id)
+  && Extract.nets ex = nets
+  && List.for_all
+       (fun g ->
+         Extract.shapes_of_net ex g = members g
+         && Extract.net_name ex g
+            = match labels g with [] -> None | first :: _ -> Some first)
+       nets
+  && List.sort compare reported_conflicts = List.sort compare conflicts
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: random RC ladders always synthesize clean                   *)
 (* ------------------------------------------------------------------ *)
 
 let qcheck_props =
   let open QCheck in
   [
+    Test.make ~count:300 ~name:"extract: equals an all-pairs oracle on random cells"
+      (make ~print:print_shapes random_cell_gen)
+      extract_matches_oracle;
     Test.make ~count:60
       ~name:"split: partitions each cut net as a fresh extraction does"
       (pair (int_range 0 2) (list_of_size (Gen.int_range 1 3) (int_bound 1_000_000)))
@@ -468,6 +623,7 @@ let suites =
       [
         Alcotest.test_case "builder" `Quick test_cell_builder;
         Alcotest.test_case "empty rejected" `Quick test_cell_empty_rejected;
+        Alcotest.test_case "bounds" `Quick test_cell_bounds;
       ] );
     ( "layout.extract",
       [
@@ -476,6 +632,8 @@ let suites =
         Alcotest.test_case "channel isolates" `Quick test_extract_channel_isolates;
         Alcotest.test_case "removal splits net" `Quick test_split_removal_splits;
         Alcotest.test_case "net names" `Quick test_extract_net_names;
+        Alcotest.test_case "scaled bits-8 nets pinned" `Quick
+          test_extract_scaled_core_pinned;
       ] );
     ( "layout.synthesize",
       [
